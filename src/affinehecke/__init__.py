@@ -21,6 +21,7 @@ passes the assignment to :class:`TraceGen` / :class:`PrincipalSeries`.
 from .bernstein import Bernstein, BoxError
 from .coeffring import (
     ExactDivisionError,
+    ExponentOverflowError,
     LabelConfigError,
     LabelSet,
     LaurentPoly,
@@ -54,6 +55,7 @@ __all__ = [
     "Bernstein",
     "BoxError",
     "ExactDivisionError",
+    "ExponentOverflowError",
     "FiniteWeylElem",
     "HeckeAlgebra",
     "HeckeElem",

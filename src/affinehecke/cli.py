@@ -28,10 +28,18 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import LabelConfigError, LabelSet, LaurentPoly, evaluate, poly_to_obj
+from .coeffring import (
+    ExponentOverflowError,
+    LabelConfigError,
+    LabelSet,
+    LaurentPoly,
+    evaluate,
+    poly_to_obj,
+)
 from .hecke import HeckeAlgebra, SupportError
 from .principal import PrincipalSeries
 from .rootdata import (
+    PRESET_NAMES,
     RootSystemError,
     build_preset,
     datum_from_json,
@@ -47,9 +55,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-PRESET_NAMES = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
-
-
 class UsageError(Exception):
     """Bad command-line configuration; maps to exit code 2."""
 
@@ -60,13 +65,9 @@ class UsageError(Exception):
 def load_datum(spec: str):
     try:
         return build_preset(spec)
-    except RootSystemError:
-        pass
-    if not os.path.exists(spec):
-        raise UsageError(
-            f"unknown datum {spec!r}: not a preset name and not a file "
-            f"(presets include {', '.join(PRESET_NAMES)})"
-        )
+    except RootSystemError as exc:
+        if not os.path.exists(spec):
+            raise UsageError(f"datum {spec!r}: {exc} (and no file by that name)")
     with open(spec, "r", encoding="utf-8") as fh:
         return datum_from_json(fh.read())
 
@@ -94,6 +95,8 @@ class Job:
     """Everything a subcommand needs, built from parsed arguments."""
 
     def __init__(self, args, need_numeric: bool = False):
+        if args.box < 0:
+            raise UsageError(f"--box must be >= 0 (got {args.box})")
         self.args = args
         self.datum = load_datum(args.datum)
         self.weyl = AffineWeyl(self.datum)
@@ -138,7 +141,11 @@ class Job:
                 raise UsageError(
                     f"--t given {len(args.t)} times but the datum has rank {self.datum.rank}"
                 )
-            return TorusPoint(tuple(parse_coordinate(v, self.mode) for v in args.t))
+            coords = tuple(parse_coordinate(v, self.mode) for v in args.t)
+            try:
+                return TorusPoint(coords)
+            except ValueError as exc:
+                raise UsageError(f"bad --t: {exc}")
         return self.principal.seeded_point(args.seed, mode=self.mode)
 
     def value_obj(self, poly: LaurentPoly):
@@ -513,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--datum",
             default="A1-weight",
-            help="preset name or path to a root-datum JSON file",
+            help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a root-datum JSON file",
         )
         p.add_argument(
             "--labels",
@@ -575,7 +582,7 @@ def main(argv=None) -> int:
     except RegionError as exc:
         print(f"error: torus point outside the stated domain: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BoxError, SupportError) as exc:
+    except (BoxError, SupportError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

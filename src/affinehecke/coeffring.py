@@ -39,6 +39,29 @@ class LabelConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials
+#
+# A monomial is keyed by one int: its exponent vector read as balanced
+# base-2^FIELD_BITS digits, variable 0 most significant,
+#
+#     key(e) = sum_i e_i * 2^(FIELD_BITS * (n - 1 - i)),   |e_i| <= MAX_EXP.
+#
+# Adding two keys adds their exponent vectors, so a product of monomials is
+# one int addition and a product with a monomial shifts every key; int order
+# is the lexicographic order of the exponent tuples, so sorting and leading
+# terms need no decoding.  Both hold only while every digit stays inside its
+# field.  Each polynomial therefore carries ``bound``, an upper bound on its
+# largest |exponent|, and an operation whose result could leave the field
+# raises ExponentOverflowError rather than carry into the next variable.
+
+FIELD_BITS = 16
+_HALF = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+#: Largest |exponent| a packed field holds.
+MAX_EXP = _HALF - 1
+
+
+class ExponentOverflowError(OverflowError):
+    """Raised when an exponent could leave its packed field."""
 
 
 def _ratio(c):
@@ -50,33 +73,91 @@ def _ratio(c):
     return f.numerator if f.denominator == 1 else f
 
 
+def _pack(exps) -> int:
+    key = 0
+    for x in exps:
+        if not -MAX_EXP <= x <= MAX_EXP:
+            raise ExponentOverflowError(f"exponent {x} is outside the packed field (+-{MAX_EXP})")
+        key = (key << FIELD_BITS) + x
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        d = ((key + _HALF) & _MASK) - _HALF
+        out[i] = d
+        key = (key - d) >> FIELD_BITS
+    return tuple(out)
+
+
+_new = object.__new__
+
+
+def _make(variables: tuple[str, ...], terms: dict, bound: int) -> "LaurentPoly":
+    """A polynomial from packed terms (no zero coefficients) and a bound."""
+    p = _new(LaurentPoly)
+    p.vars = variables
+    p.terms = terms
+    p.bound = bound
+    return p
+
+
+def _product_bound(a: "LaurentPoly", b: "LaurentPoly") -> int:
+    """Tighten both bounds to the exact largest |exponent| and return their
+    sum; raise when even that could leave the field."""
+    for p in (a, b):
+        n = len(p.vars)
+        p.bound = max((abs(x) for k in p.terms for x in _unpack(k, n)), default=0)
+    bound = a.bound + b.bound
+    if bound > MAX_EXP:
+        raise ExponentOverflowError(
+            f"a product exponent could reach {bound}, past the packed field (+-{MAX_EXP})"
+        )
+    return bound
+
+
 class LaurentPoly:
     """A Laurent polynomial: sparse map from exponent vectors to rationals.
 
-    Coefficients are int or Fraction (ints whenever the value is integral);
-    the two mix freely and compare/hash equal, so no arithmetic path needs
-    to care which representation a coefficient is in.
+    ``terms`` maps packed exponent keys (see above) to coefficients; the
+    constructor, :meth:`monomial` and :meth:`sorted_terms` speak exponent
+    tuples.  Coefficients are int or Fraction (ints whenever the value is
+    integral); the two mix freely and compare/hash equal, so no arithmetic
+    path needs to care which representation a coefficient is in.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "bound")
 
     def __init__(self, variables: tuple[str, ...], terms: dict):
+        """``terms`` maps exponent tuples, one entry per variable, to rationals."""
+        n = len(variables)
+        packed = {}
+        bound = 0
+        for e, c in terms.items():
+            if c:
+                if len(e) != n:
+                    raise ValueError(f"exponent {e} does not match the variables {variables}")
+                packed[_pack(e)] = c
+                bound = max(bound, max(map(abs, e), default=0))
         self.vars = variables
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = packed
+        self.bound = bound
 
     # -- constructors
 
     @staticmethod
     def zero(variables: tuple[str, ...]) -> "LaurentPoly":
-        return LaurentPoly(variables, {})
+        return _make(variables, {}, 0)
 
     @staticmethod
     def const(variables: tuple[str, ...], c) -> "LaurentPoly":
-        return LaurentPoly(variables, {(0,) * len(variables): _ratio(c)})
+        c = _ratio(c)
+        return _make(variables, {0: c} if c else {}, 0)
 
     @staticmethod
     def one(variables: tuple[str, ...]) -> "LaurentPoly":
-        return LaurentPoly.const(variables, 1)
+        return _make(variables, {0: 1}, 0)
 
     @staticmethod
     def monomial(variables: tuple[str, ...], exps: tuple[int, ...], c=1) -> "LaurentPoly":
@@ -91,17 +172,18 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.terms[0])
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
+        n = len(self.vars)
+        return [(_unpack(k, n), c) for k, c in sorted(self.terms.items())]
 
     # -- ring operations
 
@@ -110,41 +192,70 @@ class LaurentPoly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
+        if self.vars is not other.vars:
+            self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return LaurentPoly(self.vars, out)
+                del out[k]
+        a, b = self.bound, other.bound
+        return _make(self.vars, out, a if a > b else b)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.vars, {k: -c for k, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        if self.vars is not other.vars:
+            self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        a, b = self.bound, other.bound
+        return _make(self.vars, out, a if a > b else b)
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             c = _ratio(other)
-            return LaurentPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
-        self._check(other)
+            if not c:
+                return _make(self.vars, {}, 0)
+            return _make(self.vars, {k: cc * c for k, cc in self.terms.items()}, self.bound)
+        if self.vars is not other.vars:
+            self._check(other)
+        bound = self.bound + other.bound
+        if bound > MAX_EXP:
+            bound = _product_bound(self, other)
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e2, c2 in small.items():
-            for e1, c1 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
+        if len(small) <= 1:
+            if not small:
+                return _make(self.vars, {}, 0)
+            # a monomial factor shifts every key; no two terms can meet
+            ((k, c),) = small.items()
+            if c == 1:
+                return _make(self.vars, {e + k: cc for e, cc in big.items()}, bound)
+            return _make(self.vars, {e + k: cc * c for e, cc in big.items()}, bound)
+        rows = iter(small.items())
+        k2, c2 = next(rows)
+        out = {k1 + k2: c1 * c2 for k1, c1 in big.items()}
+        get = out.get
+        for k2, c2 in rows:
+            for k1, c1 in big.items():
+                key = k1 + k2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return LaurentPoly(self.vars, out)
+                    del out[key]
+        return _make(self.vars, out, bound)
 
     __rmul__ = __mul__
 
@@ -164,9 +275,9 @@ class LaurentPoly:
         """Inverse of a unit (a single-term polynomial)."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
-        (e, c), = self.terms.items()
+        ((k, c),) = self.terms.items()
         inv = _ratio(Fraction(1, c) if type(c) is int else 1 / c)
-        return LaurentPoly(self.vars, {tuple(-x for x in e): inv})
+        return _make(self.vars, {-k: inv}, self.bound)
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,12 +304,14 @@ class LaurentPoly:
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"no value for variable(s) {missing}")
+        n = len(self.vars)
+        vals = [values[v] for v in self.vars]
         total = None
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             term = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * values[v] ** k
+            for x, e in zip(vals, _unpack(k, n)):
+                if e:
+                    term = term * x**e
             total = term if total is None else total + term
         if total is None:
             sample = next(iter(values.values()), Fraction(0))
@@ -208,10 +321,11 @@ class LaurentPoly:
     def evaluate_split_sqrt(self, radicand: int) -> tuple[Fraction, Fraction]:
         """Value at ``v = sqrt(radicand)`` for every variable, returned
         exactly as ``(a, b)`` with value ``a + b*sqrt(radicand)``."""
+        n = len(self.vars)
         a = Fraction(0)
         b = Fraction(0)
-        for e, c in self.terms.items():
-            total = sum(e)
+        for k, c in self.terms.items():
+            total = sum(_unpack(k, n))
             if total % 2 == 0:
                 a += c * Fraction(radicand) ** (total // 2)
             else:
@@ -248,40 +362,55 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     minimal exponents are a valuation, so exactness is preserved) and running
     single-divisor multivariate division in lexicographic order; a domain
     guarantees the leading term of the dividend stays divisible whenever the
-    quotient exists.  Raises :class:`ExactDivisionError` otherwise.
+    quotient exists.  Raises :class:`ExactDivisionError` otherwise, and
+    :class:`ExponentOverflowError` when a remainder term could leave the
+    packed field.
     """
     if g.is_zero():
         raise ExactDivisionError("division by zero")
     if f.is_zero():
         return LaurentPoly.zero(f.vars)
     f._check(g)
-    nv = len(f.vars)
+    n = len(f.vars)
 
-    def shift_of(p: LaurentPoly) -> tuple[int, ...]:
-        return tuple(min(e[i] for e in p.terms) for i in range(nv))
+    def cleared(p: LaurentPoly):
+        """(least exponents, largest cleared exponent, cleared packed terms)"""
+        exps = [_unpack(k, n) for k in p.terms]
+        low = tuple(min(col) for col in zip(*exps))
+        shifted = [tuple(a - s for a, s in zip(e, low)) for e in exps]
+        top = max((x for e in shifted for x in e), default=0)
+        return low, top, {_pack(e): c for e, c in zip(shifted, p.terms.values())}
 
-    sf, sg = shift_of(f), shift_of(g)
-    fterms = {tuple(a - s for a, s in zip(e, sf)): c for e, c in f.terms.items()}
-    gterms = {tuple(a - s for a, s in zip(e, sg)): c for e, c in g.terms.items()}
+    sf, _, fterms = cleared(f)
+    sg, gtop, gterms = cleared(g)
     glead = max(gterms)
     glead_c = gterms[glead]
-    quot: dict[tuple[int, ...], Fraction] = {}
+    room = MAX_EXP - gtop  # largest quotient exponent whose remainder terms fit
+    quot: dict[int, Fraction] = {}
     while fterms:
         flead = max(fterms)
-        exp = tuple(a - b for a, b in zip(flead, glead))
-        if any(x < 0 for x in exp):
+        exp = flead - glead
+        digits = _unpack(exp, n)
+        if any(x < 0 for x in digits):
             raise ExactDivisionError("not divisible")
+        if any(x > room for x in digits):
+            raise ExponentOverflowError(
+                f"a division remainder could leave the packed field (+-{MAX_EXP})"
+            )
         c = _ratio(Fraction(fterms[flead]) / Fraction(glead_c))
         quot[exp] = c
         for ge, gc in gterms.items():
-            key = tuple(a + b for a, b in zip(ge, exp))
+            key = ge + exp
             s = fterms.get(key, 0) - c * gc
             if s:
                 fterms[key] = s
             else:
                 fterms.pop(key, None)
     shift = tuple(a - b for a, b in zip(sf, sg))
-    return LaurentPoly(f.vars, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
+    return LaurentPoly(
+        f.vars,
+        {tuple(a + b for a, b in zip(_unpack(k, n), shift)): c for k, c in quot.items()},
+    )
 
 
 def poly_to_obj(p: LaurentPoly) -> dict:

@@ -59,9 +59,6 @@ class HeckeAlgebra:
         n = len(weyl.fundamental)
         self._q_gen = [self.labels.q_of_gen(i) for i in range(n)]
         self._q_gen_inv = [q.inverse() for q in self._q_gen]
-        one = self.labels.one()
-        self._q_minus_one = [q - one for q in self._q_gen]
-        self._qinv_minus_one = [q - one for q in self._q_gen_inv]
 
     # -- constructors --------------------------------------------------------
 
@@ -123,15 +120,15 @@ class HeckeAlgebra:
                 out[g] = s
 
         q = self._q_gen[i]
-        qm1 = self._q_minus_one[i]
         step = weyl.gen_step
         for u, c in terms.items():
             us, down = step(u, i)
             if not down:
                 put(us, c)
             else:
-                put(u, c * qm1)
-                put(us, c * q)
+                cq = c * q  # a monomial product: one shift of every key
+                put(u, cq - c)
+                put(us, cq)
         self._guard(out)
         return out
 
@@ -149,15 +146,15 @@ class HeckeAlgebra:
                 out[g] = s
 
         qi = self._q_gen_inv[i]
-        qim1 = self._qinv_minus_one[i]
         step = weyl.gen_step
         for u, c in terms.items():
             us, down = step(u, i)
             if down:
                 put(us, c)
             else:
-                put(us, c * qi)
-                put(u, c * qim1)
+                cqi = c * qi
+                put(us, cqi)
+                put(u, cqi - c)
         self._guard(out)
         return out
 

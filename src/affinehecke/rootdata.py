@@ -483,7 +483,7 @@ def build_preset(name: str) -> RootDatum:
             simple.append(list(e))
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         return make_datum(n, eye, simple, simple, name=name)
-    raise RootSystemError(f"unknown preset {name!r}; try one of {PRESET_NAMES}")
+    raise RootSystemError(f"unknown preset {name!r}; try one of {', '.join(PRESET_NAMES)}")
 
 
 # ---------------------------------------------------------------------------

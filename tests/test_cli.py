@@ -6,6 +6,7 @@ import pytest
 
 from affinehecke import build_preset, datum_to_json
 from affinehecke.cli import main
+from affinehecke.rootdata import PRESET_NAMES
 
 Q4_A1 = '{"s1": 4, "s0": 4}'
 Q4_A2 = '{"s1": 4, "s2": 4, "s0": 4}'
@@ -281,3 +282,41 @@ def test_labels_from_file(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["records"][1]["trace"] == "9/4"
+
+
+def test_spherical_zero_coordinate_exit_usage(capsys):
+    code, out, err = run(
+        capsys,
+        ["spherical", "--datum", "A1-weight", "--labels", Q4_A1, "--t", "0", "--box", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nonzero" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--datum", "A2"],
+        ["series", "--datum", "A1-weight"],
+        ["verify", "--datum", "A1-weight", "--suite", "quadratic"],
+        ["spherical", "--datum", "A1-weight", "--labels", Q4_A1],
+    ],
+)
+def test_negative_box_exit_usage(capsys, argv):
+    code, out, err = run(capsys, argv + ["--box", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --box must be >= 0 (got -1)"
+
+
+def test_bad_preset_reports_the_preset_error(capsys):
+    code, _, err = run(capsys, ["trace", "--datum", "BnCn(0)", "--box", "1"])
+    assert code == 2
+    assert "BnCn(n) needs n >= 1" in err
+    assert len(err.strip().splitlines()) == 1
+    # an unknown name lists the one preset registry
+    code, _, err = run(capsys, ["trace", "--datum", "E8", "--box", "1"])
+    assert code == 2
+    assert ", ".join(PRESET_NAMES) in err

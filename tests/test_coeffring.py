@@ -1,5 +1,6 @@
 """Laurent-polynomial arithmetic and the label classes of each preset."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +17,13 @@ from affinehecke import (
     exact_divide,
     radical_sign,
 )
-from affinehecke.coeffring import LabelSet
+from affinehecke.coeffring import (
+    MAX_EXP,
+    ExponentOverflowError,
+    LabelSet,
+    obj_to_poly,
+    poly_to_obj,
+)
 from affinehecke.rootdata import vneg
 from affinehecke.weyl import AffineWeyl
 
@@ -114,6 +121,237 @@ def test_sorted_terms_are_canonical():
     # zero coefficients are dropped on construction
     q = LaurentPoly(VARS, {(5, 5): Fraction(0)})
     assert q.is_zero()
+
+
+# -- the packed ring against a tuple-keyed reference ------------------------
+
+
+class RefPoly:
+    """Reference Laurent ring: exponent tuples to Fractions, nothing packed."""
+
+    def __init__(self, terms):
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"RefPoly({self.sorted_terms()})"
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return RefPoly(out)
+
+    def inverse(self):
+        ((e, c),) = self.terms.items()
+        return RefPoly({tuple(-x for x in e): 1 / c})
+
+    def power(self, k, n):
+        base = self.inverse() if k < 0 else self
+        out = RefPoly({(0,) * n: 1})
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def evaluate(self, values):
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(values, e):
+                c *= x**k
+            total += c
+        return total
+
+    def evaluate_split_sqrt(self, r):
+        parts = [Fraction(0), Fraction(0)]
+        for e, c in self.terms.items():
+            parts[sum(e) % 2] += c * Fraction(r) ** (sum(e) // 2)
+        return tuple(parts)
+
+    def exact_divide(self, other, n):
+        """Clear both to polynomials, then divide in lexicographic order."""
+        def clear(p):
+            low = tuple(min(e[i] for e in p.terms) for i in range(n))
+            return low, {tuple(a - s for a, s in zip(e, low)): c for e, c in p.terms.items()}
+
+        sf, rem = clear(self)
+        sg, div = clear(other)
+        glead = max(div)
+        quot = {}
+        while rem:
+            flead = max(rem)
+            exp = tuple(a - b for a, b in zip(flead, glead))
+            if any(x < 0 for x in exp):
+                raise ExactDivisionError("not divisible")
+            c = rem[flead] / div[glead]
+            quot[exp] = c
+            for ge, gc in div.items():
+                key = tuple(a + b for a, b in zip(ge, exp))
+                rem[key] = rem.get(key, 0) - c * gc
+                if not rem[key]:
+                    del rem[key]
+        shift = tuple(a - b for a, b in zip(sf, sg))
+        return RefPoly({tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
+
+
+NAMES = ("x", "y", "z")
+SMALL = st.integers(-4, 4)
+NEAR_EDGE = st.one_of(
+    st.integers(MAX_EXP - 2, MAX_EXP), st.integers(-MAX_EXP, -MAX_EXP + 2), SMALL
+)
+COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def ring_dicts(draw, count, exps=SMALL, max_terms=5):
+    """``count`` tuple-keyed term dicts over 1 to 3 variables."""
+    n = draw(st.integers(1, 3))
+    exp = st.tuples(*[exps] * n)
+    return n, [draw(st.dictionaries(exp, COEFF, max_size=max_terms)) for _ in range(count)]
+
+
+def both(n, d):
+    return LaurentPoly(NAMES[:n], d), RefPoly(d)
+
+
+def as_ref(p):
+    return RefPoly(dict(p.sorted_terms()))
+
+
+@given(ring_dicts(3), st.data())
+def test_packed_ring_matches_reference(drawn, data):
+    n, (da, db, dm) = drawn
+    (a, ra), (b, rb) = both(n, da), both(n, db)
+    assert as_ref(a + b) == ra + rb
+    assert as_ref(a - b) == ra - rb
+    assert as_ref(-a) == -ra
+    assert as_ref(a * b) == ra * rb
+    assert as_ref(a * 3) == ra * RefPoly({(0,) * n: 3})
+    # a one-term factor is a shift of every key, on either side
+    mono = data.draw(st.tuples(*[SMALL] * n))
+    coeff = data.draw(COEFF.filter(bool))
+    m, rm = both(n, {mono: coeff})
+    assert as_ref(a * m) == ra * rm
+    assert as_ref(m * a) == ra * rm
+    # the generator step's c*q - c and c*q^-1 - c against c*(q - 1), c*(q^-1 - 1)
+    var = data.draw(st.integers(0, n - 1))
+    q = LaurentPoly.monomial(NAMES[:n], tuple(2 if i == var else 0 for i in range(n)))
+    one = RefPoly({(0,) * n: 1})
+    cq, cqi = a * q, a * q.inverse()
+    assert as_ref(cq - a) == ra * (as_ref(q) - one)
+    assert as_ref(cqi - a) == ra * (as_ref(q).inverse() - one)
+    assert cq - a == a * (q - LaurentPoly.one(NAMES[:n]))
+
+
+@given(ring_dicts(2, max_terms=3), st.integers(-3, 3), st.tuples(SMALL, SMALL, SMALL))
+def test_powers_and_inverses_match_reference(drawn, k, mono):
+    n, (da, _) = drawn
+    a, ra = both(n, da)
+    if k >= 0:
+        assert as_ref(a**k) == ra.power(k, n)
+    m, rm = both(n, {mono[:n]: Fraction(-2, 3)})
+    assert as_ref(m**k) == rm.power(k, n)
+    assert as_ref(m.inverse()) == rm.inverse()
+    assert m * m.inverse() == LaurentPoly.one(NAMES[:n])
+
+
+@given(ring_dicts(1, exps=NEAR_EDGE))
+def test_views_match_reference(drawn):
+    n, (d,) = drawn
+    p, rp = both(n, d)
+    assert p.sorted_terms() == rp.sorted_terms()
+    obj = poly_to_obj(p)
+    assert [tuple(t["exp"]) for t in obj["terms"]] == [e for e, _ in rp.sorted_terms()]
+    assert obj_to_poly(json.loads(json.dumps(obj))) == p
+    assert p.is_constant() == (set(rp.terms) <= {(0,) * n})
+
+
+@given(
+    ring_dicts(1),
+    st.lists(st.sampled_from([Fraction(1, 2), Fraction(-2), Fraction(3), Fraction(-5, 3)]),
+             min_size=3, max_size=3),
+)
+def test_evaluation_matches_reference(drawn, values):
+    n, (d,) = drawn
+    p, rp = both(n, d)
+    assert p.evaluate(dict(zip(NAMES, values))) == rp.evaluate(values[:n])
+    assert p.evaluate_split_sqrt(2) == rp.evaluate_split_sqrt(2)
+
+
+@given(ring_dicts(3, max_terms=4))
+def test_exact_divide_matches_reference(drawn):
+    n, (da, db, dc) = drawn
+    (a, ra), (b, rb), (c, rc) = both(n, da), both(n, db), both(n, dc)
+    if b.is_zero():
+        return
+    assert as_ref(exact_divide(a * b, b)) == ra
+    # an arbitrary pair: both rings divide to the same quotient or both refuse
+    try:
+        want = rc.exact_divide(rb, n) if rc.terms else RefPoly({})
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            exact_divide(c, b)
+    else:
+        assert as_ref(exact_divide(c, b)) == want
+
+
+@given(ring_dicts(2, exps=NEAR_EDGE, max_terms=3))
+def test_products_near_the_field_edge_raise_or_agree(drawn):
+    n, (da, db) = drawn
+    (a, ra), (b, rb) = both(n, da), both(n, db)
+    try:
+        got = a * b
+    except ExponentOverflowError:
+        return
+    assert as_ref(got) == ra * rb
+
+
+def test_exponent_past_the_field_raises():
+    big = LaurentPoly.monomial(VARS, (MAX_EXP, 0))
+    one = LaurentPoly.one(VARS)
+    with pytest.raises(ExponentOverflowError):
+        big * big
+    with pytest.raises(ExponentOverflowError):
+        (big + one) * big
+    with pytest.raises(ExponentOverflowError):
+        big**2
+    with pytest.raises(ExponentOverflowError):
+        LaurentPoly.monomial(VARS, (0, -MAX_EXP - 1))
+    with pytest.raises(ExponentOverflowError):
+        # the quotient u^(-2 MAX_EXP) has no field to live in
+        exact_divide(big.inverse(), big)
+    with pytest.raises(ValueError):
+        LaurentPoly(VARS, {(1, 2, 3): 1})
+    # dividing u^20 + 1 by u + v^2000 pushes the remainder's v exponent up by
+    # 2000 a step; it is refused before it reaches the edge of the field
+    u = LaurentPoly.monomial(VARS, (1, 0))
+    v2000 = LaurentPoly.monomial(VARS, (0, 2000))
+    with pytest.raises(ExponentOverflowError):
+        exact_divide(u**20 + one, u + v2000)
+    # a stored bound may overstate the exponents: it is made exact before a
+    # product is refused
+    flat = (big + one) - big
+    assert flat == one and flat.bound == MAX_EXP
+    assert flat * big == big
+    assert flat.bound == 0
 
 
 # -- label classes -----------------------------------------------------------
