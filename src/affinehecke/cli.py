@@ -15,7 +15,8 @@ Four subcommands over one exact engine:
 All output is JSON with sorted keys and a trailing newline; given the same
 configuration and seed, reruns are byte-identical.  Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error.  The environment
-variable ``HECKE_TRACE_THREADS`` caps internal parallelism (default 1).
+variable ``HECKE_TRACE_THREADS`` is reserved: ``trace`` still rejects a value
+that is not an integer (exit 2), but every subcommand runs on one thread.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
@@ -228,13 +228,9 @@ def cmd_trace(args) -> int:
     job = Job(args)
     xs = coordinate_box(job.datum.rank, -args.box, args.box)
     xs.sort(key=lambda x: (height(job.datum, x), x))
+    thread_cap()  # reserved: validated, but the trace runs on one thread
     direct = job.trace.trace_sweep(xs)
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partition = list(pool.map(job.trace.trace_theta_partition, xs))
-    else:
-        partition = [job.trace.trace_theta_partition(x) for x in xs]
+    partition = [job.trace.trace_theta_partition(x) for x in xs]
     records = []
     all_equal = True
     for x, part in zip(xs, partition):

@@ -98,6 +98,9 @@ class HeckeAlgebra:
         return HeckeElem({g: cc * c for g, cc in a.terms.items()})
 
     # -- generator steps -----------------------------------------------------
+    #
+    # The folds below work on term dicts keyed by the Weyl group's int ids;
+    # keys are converted once on entry and once on exit.
 
     def _guard(self, terms: dict) -> None:
         if len(terms) > MAX_SUPPORT:
@@ -106,62 +109,70 @@ class HeckeAlgebra:
                 "the computation is out of desk scale"
             )
 
-    def _rmul_gen(self, terms: dict, i: int) -> dict:
-        """Right-multiply a term dict by T_{s_i}."""
+    def _ids(self, terms: dict[AffineWeylElem, LaurentPoly]) -> dict[int, LaurentPoly]:
+        gid = self.weyl.gid
+        return {gid(g): c for g, c in terms.items()}
+
+    def _from_ids(self, terms: dict[int, LaurentPoly]) -> HeckeElem:
+        elem = self.weyl.elem
+        return HeckeElem({elem(u): c for u, c in terms.items()})
+
+    def _rmul_gen(self, terms: dict[int, LaurentPoly], i: int, inverse: bool = False) -> dict:
+        """Right-multiply an id-keyed term dict by T_{s_i}, or by its inverse.
+
+        A term whose step goes up (down, for the inverse) maps to one term;
+        otherwise c becomes (c*q - c) on u and c*q on us, with q replaced by
+        q^{-1} and the two terms written in the opposite order for the
+        inverse.
+        """
         weyl = self.weyl
-        out: dict[AffineWeylElem, LaurentPoly] = {}
-
-        def put(g, c):
-            s = out.get(g)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-
-        q = self._q_gen[i]
-        step = weyl.gen_step
+        nxt = weyl.nxt[i]
+        lens = weyl.lens
+        fill = weyl.step
+        q = self._q_gen_inv[i] if inverse else self._q_gen[i]
+        out: dict[int, LaurentPoly] = {}
+        get = out.get
         for u, c in terms.items():
-            us, down = step(u, i)
-            if not down:
-                put(us, c)
-            else:
-                cq = c * q  # a monomial product: one shift of every key
-                put(u, cq - c)
-                put(us, cq)
+            us = nxt[u]
+            if us < 0:
+                us = fill(u, i)
+            if (lens[us] < lens[u]) == inverse:
+                s = get(us)
+                if s is None:
+                    out[us] = c  # term dicts hold no zero coefficient
+                else:
+                    s = s + c
+                    if s.terms:
+                        out[us] = s
+                    else:
+                        del out[us]
+                continue
+            cq = c * q  # a monomial product: one shift of every key
+            for g, d in ((us, cq), (u, cq - c)) if inverse else ((u, cq - c), (us, cq)):
+                s = get(g)
+                if s is not None:
+                    d = s + d
+                if d.terms:
+                    out[g] = d
+                elif s is not None:
+                    del out[g]
         self._guard(out)
         return out
 
-    def _rmul_gen_inv(self, terms: dict, i: int) -> dict:
-        """Right-multiply a term dict by T_{s_i}^{-1}."""
-        weyl = self.weyl
-        out: dict[AffineWeylElem, LaurentPoly] = {}
-
-        def put(g, c):
-            s = out.get(g)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-
-        qi = self._q_gen_inv[i]
-        step = weyl.gen_step
-        for u, c in terms.items():
-            us, down = step(u, i)
-            if down:
-                put(us, c)
-            else:
-                cqi = c * qi
-                put(us, cqi)
-                put(u, cqi - c)
-        self._guard(out)
-        return out
-
-    def _relabel_right(self, terms: dict, om: AffineWeylElem) -> dict:
+    def _relabel_right(self, terms: dict[int, LaurentPoly], om: AffineWeylElem) -> dict:
         """Right-multiply by T_om for a length-zero om (a free relabeling)."""
         weyl = self.weyl
-        return {weyl.multiply(u, om): c for u, c in terms.items()}
+        if om == weyl.identity:
+            return terms
+        return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
+
+    def _fold(self, terms: dict[int, LaurentPoly], h: AffineWeylElem) -> dict:
+        """Right-multiply an id-keyed term dict by T_h."""
+        om, word = self.weyl.factor_extended(h)
+        cur = self._relabel_right(terms, om)
+        for i in word:
+            cur = self._rmul_gen(cur, i)
+        return cur
 
     # -- ring operations -----------------------------------------------------
 
@@ -183,14 +194,10 @@ class HeckeAlgebra:
         return self._mul_fold(a, b)
 
     def _mul_fold(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        weyl = self.weyl
-        out: dict[AffineWeylElem, LaurentPoly] = {}
+        left = self._ids(a.terms)
+        out: dict[int, LaurentPoly] = {}
         for h, d in b.terms.items():
-            om, word = weyl.factor_extended(h)
-            cur = self._relabel_right(a.terms, om)
-            for i in word:
-                cur = self._rmul_gen(cur, i)
-            for g, c in cur.items():
+            for g, c in self._fold(left, h).items():
                 s = out.get(g)
                 s = c * d if s is None else s + c * d
                 if s.is_zero():
@@ -198,15 +205,11 @@ class HeckeAlgebra:
                 else:
                     out[g] = s
             self._guard(out)
-        return HeckeElem(out)
+        return self._from_ids(out)
 
     def rmul_basis(self, a: HeckeElem, h: AffineWeylElem) -> HeckeElem:
         """a * T_h without building the intermediate HeckeElem for T_h."""
-        om, word = self.weyl.factor_extended(h)
-        cur = self._relabel_right(a.terms, om)
-        for i in word:
-            cur = self._rmul_gen(cur, i)
-        return HeckeElem(cur)
+        return self._from_ids(self._fold(self._ids(a.terms), h))
 
     def star(self, a: HeckeElem) -> HeckeElem:
         """The conjugate-linear anti-involution T_g -> T_{g^{-1}}.
@@ -262,23 +265,20 @@ class HeckeAlgebra:
         """
         weyl = self.weyl
         om, word = weyl.factor_extended(g)
-        cur: dict[AffineWeylElem, LaurentPoly] = {
-            weyl.identity: self.labels.one()
-        }
+        cur: dict[int, LaurentPoly] = {weyl.gid(weyl.identity): self.labels.one()}
+        lens = weyl.lens
         k = len(word)
         for step, i in enumerate(reversed(word)):
-            cur = self._rmul_gen_inv(cur, i)
+            cur = self._rmul_gen(cur, i, inverse=True)
             if length_window is not None:
                 lo, hi = length_window
                 rest = k - 1 - step
                 cur = {
                     u: c
                     for u, c in cur.items()
-                    if weyl.length(u) + rest >= lo and weyl.length(u) - rest <= hi
+                    if lens[u] + rest >= lo and lens[u] - rest <= hi
                 }
-        if om != weyl.identity:
-            cur = self._relabel_right(cur, weyl.inverse(om))
-        return HeckeElem(cur)
+        return self._from_ids(self._relabel_right(cur, weyl.inverse(om)))
 
     # -- serialization -------------------------------------------------------
 

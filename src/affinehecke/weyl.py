@@ -20,6 +20,19 @@ the tests.  The fundamental affine roots are the simple coroots at level 0
 plus, per irreducible component, the minimal coroot at level 1; elements of
 length 0 form the subgroup ``Omega``, which ``factor_extended`` peels off
 without ever enumerating it (it is infinite for the "GLn(n)" presets).
+
+Elements are interned to dense int ids: an id stands for the pair
+``(w_index, trans)``, where ``w_index`` indexes ``enumerate_w0()``.  Tables
+built once from W0 hold the right product of each finite element with each
+generator's finite part, the integer forms ``P . a^vee`` of the positive
+coroots, and each finite element's inversion set as a 0/1 vector.  An element
+met by its id gets its length from the closed formula above as a sum of dot
+products; a step ``u -> u s_i`` gets its translation from one dot product and
+its length as ``l(u) +- 1``, going down exactly when ``u`` sends the i-th
+fundamental affine root to a negative one.  Each generator keeps a step table
+``nxt[i][id]``, filled lazily in both directions, and lengths live in
+``lens[id]``, so a step is a list read and the descent bit is
+``lens[v] < lens[u]``.  The Hecke folds work on these ids directly.
 """
 
 from __future__ import annotations
@@ -83,10 +96,6 @@ class AffineWeylElem:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def is_translation(self) -> bool:
-        return all(all(v == (1 if i == j else 0) for j, v in enumerate(row))
-                   for i, row in enumerate(self.fin.mx))
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,7 @@ class AffineWeyl:
         self.generator_names: list[str] = [f"s{i + 1}" for i in range(len(datum.simple_roots))]
         self._gen_fins: list[FiniteWeylElem] = list(self.simple_reflections)
         self._gen_shifts: list[Vec] = [(0,) * self.rank] * len(datum.simple_roots)
+        self._gen_roots: list[Vec] = list(datum.simple_roots)
         for ci, comp in enumerate(self._components()):
             high = self._highest_coroot(comp)
             minimal = vneg(high)
@@ -174,13 +184,24 @@ class AffineWeyl:
             self.generator_names.append("s0" if ci == 0 else f"s0_{ci + 1}")
             self._gen_fins.append(self._reflection_fin(beta, minimal))
             self._gen_shifts.append(beta)
+            self._gen_roots.append(beta)
 
         self._fin_inv_cache: dict[Matrix, FiniteWeylElem] = {}
-        self._length_cache: dict[AffineWeylElem, int] = {}
-        self._word_cache: dict[Matrix, tuple[int, ...]] = {}
-        self._factor_cache: dict[AffineWeylElem, tuple[AffineWeylElem, tuple[int, ...]]] = {}
-        self._step_cache: dict[tuple[AffineWeylElem, int], tuple[AffineWeylElem, bool]] = {}
+        self._factor_cache: dict[int, tuple[AffineWeylElem, tuple[int, ...]]] = {}
         self._w0_list: list[FiniteWeylElem] | None = None
+        self._w_index: dict[Matrix, int] = {}
+
+        # the interned elements; the W0 tables are built on first use
+        self._ids: dict[tuple[int, Vec], int] = {}
+        self._keys: list[tuple[int, Vec]] = []
+        self._elems: list[AffineWeylElem | None] = []
+        self.lens: list[int] = []
+        self.nxt: list[list[int]] = [[] for _ in self.fundamental]
+        self._wmul: list[list[int]] | None = None
+        self._forms: list[Vec] = []
+        self._neg: list[tuple[int, ...]] = []
+        self._fund_neg: list[tuple[bool, ...]] = []
+        self._gen_forms = [self._form(a.coroot) for a in self.fundamental]
 
     # -- construction helpers ------------------------------------------------
 
@@ -290,21 +311,93 @@ class AffineWeyl:
             return a.level > 0
         return a.coroot in self._pos_coroot_set
 
+    # -- interned elements ---------------------------------------------------
+
+    def _form(self, b: Vec) -> Vec:
+        """The integer form ``P . b``, so that ``<x, b>`` is a dot product."""
+        return tuple(sum(p * bj for p, bj in zip(row, b)) for row in self._p)
+
+    def _build_tables(self) -> None:
+        order = self.enumerate_w0()
+        idx = self._w_index
+        self._wmul = [[idx[self.fin_mul(w, s).mx] for s in self._gen_fins] for w in order]
+        self._forms = [self._form(b) for b in self.derived.positive_coroots]
+        pos, pos_co = self._pos_root_set, self._pos_coroot_set
+        self._neg = [
+            tuple(0 if w.apply_x(a) in pos else 1 for a in self.derived.positive_roots)
+            for w in order
+        ]
+        self._fund_neg = [
+            tuple(w.apply_y(a.coroot) not in pos_co for a in self.fundamental) for w in order
+        ]
+
+    def _intern(self, w: int, t: Vec, length: int | None = None) -> int:
+        key = (w, t)
+        u = self._ids.get(key)
+        if u is None:
+            if length is None:
+                length = sum(
+                    abs(sum(f * x for f, x in zip(form, t)) + n)
+                    for form, n in zip(self._forms, self._neg[w])
+                )
+            u = len(self._keys)
+            self._ids[key] = u
+            self._keys.append(key)
+            self._elems.append(None)
+            self.lens.append(length)
+            for row in self.nxt:
+                row.append(-1)
+        return u
+
+    def gid(self, g: AffineWeylElem) -> int:
+        """The dense int id of an element."""
+        if self._wmul is None:
+            self._build_tables()
+        u = self._intern(self._w_index[g.fin.mx], g.trans)
+        if self._elems[u] is None:
+            self._elems[u] = g
+        return u
+
+    def elem(self, u: int) -> AffineWeylElem:
+        """The element with id ``u`` (cached per id)."""
+        g = self._elems[u]
+        if g is None:
+            w, t = self._keys[u]
+            g = self._elems[u] = AffineWeylElem(self._w0_list[w], t)
+        return g
+
+    def step(self, u: int, i: int) -> int:
+        """The id of ``u s_i``; fills ``nxt[i]`` in both directions.
+
+        With ``m = <t, b_i>`` for the generator's affine root ``(b_i, k_i)``
+        and root ``a_i``, ``w t . s_i = (w s_i) t'`` with
+        ``t' = t - m a_i + shift_i``, and the step goes down exactly when
+        ``w t`` sends ``(b_i, k_i)`` to the negative affine root
+        ``(w(b_i), k_i - m)``; the length moves by one either way.
+        """
+        v = self.nxt[i][u]
+        if v < 0:
+            w, t = self._keys[u]
+            m = sum(f * x for f, x in zip(self._gen_forms[i], t))
+            level = self.fundamental[i].level - m
+            down = level < 0 or (level == 0 and self._fund_neg[w][i])
+            t2 = tuple(x - m * a + c for x, a, c in zip(t, self._gen_roots[i], self._gen_shifts[i]))
+            v = self._intern(self._wmul[w][i], t2, self.lens[u] + (-1 if down else 1))
+            self.nxt[i][u] = v
+            self.nxt[i][v] = u
+        return v
+
+    def _descent(self, u: int) -> int | None:
+        lens = self.lens
+        for i in range(len(self.nxt)):
+            if lens[self.step(u, i)] < lens[u]:
+                return i
+        return None
+
     # -- lengths and descents ------------------------------------------------
 
     def length(self, g: AffineWeylElem) -> int:
-        cached = self._length_cache.get(g)
-        if cached is not None:
-            return cached
-        total = 0
-        for alpha in self.derived.positive_roots:
-            n = self.datum.pair(g.trans, self.derived.coroot[alpha])
-            if g.fin.apply_x(alpha) in self._pos_root_set:
-                total += abs(n)
-            else:
-                total += abs(n + 1)
-        self._length_cache[g] = total
-        return total
+        return self.lens[self.gid(g)]
 
     def inversion_levels(self, g: AffineWeylElem) -> list[AffineRoot]:
         """The positive affine roots sent to negative ones by ``g``."""
@@ -320,59 +413,34 @@ class AffineWeyl:
         return out
 
     def right_descent(self, g: AffineWeylElem) -> int | None:
-        """Lowest index i with ``l(g s_i) < l(g)``, i.e. ``g(a_i) < 0``."""
-        for i, a in enumerate(self.fundamental):
-            if not self.affine_root_positive(self.act_affine_root(g, a)):
-                return i
-        return None
-
-    def mult_gen(self, g: AffineWeylElem, i: int) -> AffineWeylElem:
-        """Right multiplication ``g s_i`` by a fundamental generator."""
-        return self.gen_step(g, i)[0]
-
-    def descends_right(self, g: AffineWeylElem, i: int) -> bool:
-        return self.gen_step(g, i)[1]
+        """Lowest index i with ``l(g s_i) < l(g)``."""
+        return self._descent(self.gid(g))
 
     def gen_step(self, g: AffineWeylElem, i: int) -> tuple[AffineWeylElem, bool]:
-        """``(g s_i, l(g s_i) < l(g))`` with caching; the single hot step of
-        every Hecke-algebra fold."""
-        key = (g, i)
-        cached = self._step_cache.get(key)
-        if cached is not None:
-            return cached
-        s = self._gen_fins[i]
-        gs = AffineWeylElem(
-            self.fin_mul(g.fin, s),
-            vadd(s.apply_x(g.trans), self._gen_shifts[i]),
-        )
-        down = not self.affine_root_positive(self.act_affine_root(g, self.fundamental[i]))
-        out = (gs, down)
-        self._step_cache[key] = out
-        self._step_cache[(gs, i)] = (g, not down)
-        return out
+        """``(g s_i, l(g s_i) < l(g))``, read from the step and length tables."""
+        u = self.gid(g)
+        v = self.step(u, i)
+        return self.elem(v), self.lens[v] < self.lens[u]
 
     def factor_extended(self, g: AffineWeylElem) -> tuple[AffineWeylElem, tuple[int, ...]]:
         """Write ``g = omega . s_{i_1} ... s_{i_k}`` with ``l(omega) = 0`` and
         the word reduced (each step raises the length by one)."""
-        cached = self._factor_cache.get(g)
+        u = self.gid(g)
+        cached = self._factor_cache.get(u)
         if cached is not None:
             return cached
-        om = g
+        om = u
         rev: list[int] = []
-        remaining = self.length(g)
         while True:
-            i = self.right_descent(om)
+            i = self._descent(om)
             if i is None:
                 break
             rev.append(i)
-            om = self.mult_gen(om, i)
-            remaining -= 1
-            if remaining < 0:
-                raise RootSystemError("descent peeling failed to terminate")
-        if self.length(om) != 0:
+            om = self.step(om, i)
+        if self.lens[om] != 0:
             raise RootSystemError("descent-free element has nonzero length")
-        out = om, tuple(reversed(rev))
-        self._factor_cache[g] = out
+        out = self.elem(om), tuple(reversed(rev))
+        self._factor_cache[u] = out
         return out
 
     # -- finite Weyl group ---------------------------------------------------
@@ -400,9 +468,7 @@ class AffineWeyl:
                             raise RootSystemError("finite Weyl group exceeded the safety cap")
             frontier = nxt
         self._w0_list = order
-        for w in order:
-            assert w.word is not None
-            self._word_cache[w.mx] = w.word
+        self._w_index = {w.mx: k for k, w in enumerate(order)}
         return order
 
     def longest_element(self) -> FiniteWeylElem:
@@ -417,32 +483,11 @@ class AffineWeyl:
         )
 
     def fin_word(self, w: FiniteWeylElem) -> tuple[int, ...]:
-        """A reduced word for a finite element (cached)."""
+        """A reduced word for a finite element: its BFS word in ``enumerate_w0``."""
         if w.word is not None:
             return w.word
-        cached = self._word_cache.get(w.mx)
-        if cached is not None:
-            return cached
-        rev = []
-        cur = w
-        while True:
-            i = next(
-                (
-                    i
-                    for i, a in enumerate(self.datum.simple_roots)
-                    if cur.apply_x(a) not in self._pos_root_set
-                ),
-                None,
-            )
-            if i is None:
-                break
-            rev.append(i)
-            cur = self.fin_mul(cur, self.simple_reflections[i])
-        if cur.mx != self.id_fin.mx:
-            raise RootSystemError("finite word peeling did not reach the identity")
-        word = tuple(reversed(rev))
-        self._word_cache[w.mx] = word
-        return word
+        order = self.enumerate_w0()
+        return order[self._w_index[w.mx]].word
 
     def fin_from_word(self, word: tuple[int, ...]) -> FiniteWeylElem:
         out = self.id_fin
@@ -474,20 +519,21 @@ class AffineWeyl:
     def elements_up_to_length(self, lmax: int, omega_box: int = 2) -> list[AffineWeylElem]:
         """All elements of length at most ``lmax`` whose length-zero factor
         lies in the scanned window, ordered BFS by length."""
-        order = self.omega_elements(omega_box)
+        order = [self.gid(g) for g in self.omega_elements(omega_box)]
+        lens = self.lens
         seen = set(order)
         frontier = list(order)
         for _ in range(lmax):
             nxt = []
-            for g in frontier:
+            for u in frontier:
                 for i in range(len(self.fundamental)):
-                    gs, down = self.gen_step(g, i)
-                    if not down and gs not in seen:
-                        seen.add(gs)
-                        order.append(gs)
-                        nxt.append(gs)
+                    v = self.step(u, i)
+                    if lens[v] > lens[u] and v not in seen:
+                        seen.add(v)
+                        order.append(v)
+                        nxt.append(v)
             frontier = nxt
-        return order
+        return [self.elem(u) for u in order]
 
     # -- orbits and cosets ---------------------------------------------------
 

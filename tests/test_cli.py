@@ -58,6 +58,14 @@ def test_trace_respects_thread_cap(capsys, monkeypatch):
     assert serial == threaded
 
 
+def test_trace_rank_three_oracle(capsys):
+    code, out, _ = run(capsys, ["trace", "--datum", "BnCn(3)", "--box", "1"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["all_equal"] is True
+    assert len(obj["records"]) == 27
+
+
 def test_series_rank_one_closed_form(capsys):
     code, out, _ = run(
         capsys,

@@ -142,7 +142,7 @@ def test_invert_basis():
     for word in [(), (0,), (0, 1), (2, 1, 0)]:
         g = w.identity
         for i in word:
-            g = w.mult_gen(g, i)
+            g = w.gen_step(g, i)[0]
         inv = H.invert_basis(g)
         assert H.mul(H.basis(g), inv) == H.unit()
         assert H.mul(inv, H.basis(g)) == H.unit()
@@ -153,7 +153,7 @@ def test_invert_basis_window_is_a_slice():
     w = H.weyl
     g = w.identity
     for i in (0, 1, 2):
-        g = w.mult_gen(g, i)
+        g = w.gen_step(g, i)[0]
     full = H.invert_basis(g)
     window = H.invert_basis(g, length_window=(1, 2))
     for u, c in window.terms.items():
@@ -168,7 +168,7 @@ def test_invert_basis_through_the_length_zero_coset():
     H = algebra("A1-weight")
     w = H.weyl
     om = [g for g in w.omega_elements() if g != w.identity][0]
-    g = w.mult_gen(om, 0)
+    g = w.gen_step(om, 0)[0]
     inv = H.invert_basis(g)
     assert H.mul(H.basis(g), inv) == H.unit()
 
@@ -190,7 +190,7 @@ def test_rmul_basis_matches_mul():
     for word in [(2,), (1, 0), (0, 1, 2)]:
         g = w.identity
         for i in word:
-            g = w.mult_gen(g, i)
+            g = w.gen_step(g, i)[0]
         assert H.rmul_basis(a, g) == H.mul(a, H.basis(g))
 
 

@@ -3,12 +3,12 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinehecke import build_preset
 from affinehecke.rootdata import vadd, vneg
-from affinehecke.weyl import AffineWeyl
+from affinehecke.weyl import AffineWeyl, AffineWeylElem
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +55,17 @@ def word_strategy(name, max_len=6):
 def from_word(w, word):
     g = w.identity
     for i in word:
-        g = w.mult_gen(g, i)
+        g = w.gen_step(g, i)[0]
     return g
+
+
+def ref_step(w, g, i):
+    """``(g s_i, l(g s_i) < l(g))`` by matrix products and the affine root
+    action, independent of the id tables."""
+    s = w.simple_affine(i)
+    gs = AffineWeylElem(w.fin_mul(g.fin, s.fin), vadd(s.fin.apply_x(g.trans), s.trans))
+    down = not w.affine_root_positive(w.act_affine_root(g, w.fundamental[i]))
+    return gs, down
 
 
 @pytest.mark.parametrize("name", sorted(W0_SIZES))
@@ -112,7 +121,7 @@ def test_gen_step_changes_length_by_one(word):
     for i in range(len(w.fundamental)):
         gs, down = w.gen_step(g, i)
         assert w.length(gs) == l + (-1 if down else 1)
-        assert down == w.descends_right(g, i)
+        assert (gs, down) == ref_step(w, g, i)
 
 
 @given(word_strategy("B2"), word_strategy("B2"))
@@ -194,7 +203,7 @@ def test_factor_extended(word):
     assert len(red) == w.length(g)
     back = om
     for i in red:
-        back = w.mult_gen(back, i)
+        back = w.gen_step(back, i)[0]
     assert back == g
 
 
@@ -240,3 +249,40 @@ def test_elem_obj_roundtrip():
     for word in [(), (0,), (1, 2, 0), (2, 2, 1)]:
         g = from_word(w, list(word))
         assert w.elem_from_obj(w.elem_to_obj(g)) == g
+
+
+TABLE_PRESETS = ["A2", "B2", "C2", "G2", "BnCn(2)", "BnCn(3)", "GLn(3)"]
+
+
+def affine_elements(name):
+    """A W0 word times a translation in [-6, 6]^rank."""
+    w = group(name)
+    words = st.lists(
+        st.integers(min_value=0, max_value=len(w.simple_reflections) - 1), max_size=12
+    )
+    trans = st.tuples(*[st.integers(min_value=-6, max_value=6)] * w.rank)
+    return st.builds(lambda word, t: AffineWeylElem(w.fin_from_word(tuple(word)), t), words, trans)
+
+
+@pytest.mark.parametrize("name", TABLE_PRESETS)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_table_kernel_matches_matrix_route(name, data):
+    w = group(name)
+    g = data.draw(affine_elements(name))
+    for i in range(len(w.fundamental)):
+        gs, down = w.gen_step(g, i)
+        assert (gs, down) == ref_step(w, g, i)
+        assert w.length(gs) == len(w.inversion_levels(gs))
+    assert w.length(g) == len(w.inversion_levels(g))
+    assert w.elem(w.gid(g)) == g
+    om, word = w.factor_extended(g)
+    assert len(word) == w.length(g)
+    assert len(w.inversion_levels(om)) == 0
+    back = om
+    for i in word:
+        nxt, down = ref_step(w, back, i)
+        assert not down
+        assert len(w.inversion_levels(nxt)) == len(w.inversion_levels(back)) + 1
+        back = nxt
+    assert back == g
