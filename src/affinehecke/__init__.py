@@ -25,7 +25,6 @@ from .coeffring import (
     LabelConfigError,
     LabelSet,
     LaurentPoly,
-    evaluate,
     exact_divide,
     radical_sign,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "datum_to_json",
     "derive",
     "dominant_decomposition",
-    "evaluate",
     "exact_divide",
     "height",
     "in_negative_cone",

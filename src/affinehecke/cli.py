@@ -33,7 +33,6 @@ from .coeffring import (
     LabelConfigError,
     LabelSet,
     LaurentPoly,
-    evaluate,
     poly_to_obj,
 )
 from .hecke import HeckeAlgebra, SupportError
@@ -153,7 +152,7 @@ class Job:
         mode, a number otherwise."""
         if self.assignment is None:
             return poly_to_obj(poly)
-        return num_obj(evaluate(poly, self.assignment))
+        return num_obj(poly.evaluate(self.assignment))
 
     def describe(self) -> dict:
         return {

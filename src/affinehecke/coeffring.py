@@ -174,13 +174,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return Fraction(self.terms[0])
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         n = len(self.vars)
         return [(_unpack(k, n), c) for k, c in sorted(self.terms.items())]
@@ -350,11 +343,6 @@ def radical_sign(a: Fraction, b: Fraction, radicand: int) -> int:
     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
 
-def evaluate(p: LaurentPoly, values: dict[str, object]):
-    """Module-level alias for :meth:`LaurentPoly.evaluate`."""
-    return p.evaluate(values)
-
-
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``f / g`` in the Laurent ring.
 
@@ -520,6 +508,16 @@ class LabelSet:
                     self._key_to_class[(o, 0)],
                 )
         self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
+        # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
+        # non-reduced extension: delta_sqrt(x) has v_c-exponent <x, F_c>
+        forms = [[0] * datum.rank for _ in self.vars]
+        for root, coroot in weyl.derived.nonreduced_positive:
+            half = self.root_label_half_exps(root)
+            assert half is not None
+            for f, h in zip(forms, half):
+                for j, b in enumerate(coroot):
+                    f[j] += h * b
+        self._delta_forms: list[Vec] = [tuple(f) for f in forms]
 
     # -- basic monomials -----------------------------------------------------
 
@@ -634,17 +632,9 @@ class LabelSet:
     def delta_sqrt(self, x: Vec) -> LaurentPoly:
         """The square root of the translation weight: the monomial with
         v-exponents ``sum_beta <x, beta^vee> * halfexp(q_{beta^vee})`` over
-        the positive non-reduced extension."""
-        exps = [0] * len(self.vars)
-        datum = self.weyl.datum
-        for root, coroot in self.weyl.derived.nonreduced_positive:
-            n = datum.pair(x, coroot)
-            if n:
-                half = self.root_label_half_exps(root)
-                assert half is not None
-                for i, h in enumerate(half):
-                    exps[i] += n * h
-        return self._mono(tuple(exps))
+        the positive non-reduced extension, i.e. ``<x, F_c>`` per variable."""
+        pair = self.weyl.datum.pair
+        return self._mono(tuple(pair(x, f) for f in self._delta_forms))
 
     def delta(self, x: Vec) -> LaurentPoly:
         return self.delta_sqrt(x) ** 2
@@ -657,9 +647,6 @@ class LabelSet:
         return out
 
     # -- numeric assignments -------------------------------------------------
-
-    def formal_values(self) -> None:
-        return None
 
     def numeric_assignment(self, q_values: dict[str, object], mode: str) -> dict[str, object]:
         """Turn per-generator ``q`` values into per-class ``v`` values.
@@ -714,18 +701,18 @@ def _parse_rational(raw) -> Fraction:
         return raw
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, float):
-        return Fraction(raw).limit_denominator(10**12)
-    if isinstance(raw, str):
-        text = raw.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return Fraction(int(num), int(den))
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LabelConfigError(f"cannot parse label value {raw!r}: {exc}") from exc
-    raise LabelConfigError(f"cannot parse label value {raw!r}")
+    if not isinstance(raw, (float, str)):
+        raise LabelConfigError(f"cannot parse label value {raw!r}")
+    # a float is read as its shortest decimal repr, the number its JSON
+    # text most likely held; Fraction(raw) would give the binary value
+    text = repr(raw) if isinstance(raw, float) else raw.strip()
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LabelConfigError(f"cannot parse label value {raw!r}: {exc}") from exc
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:

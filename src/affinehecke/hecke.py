@@ -91,10 +91,6 @@ class HeckeAlgebra:
         return self.add(a, self.scale(b, -1))
 
     def scale(self, a: HeckeElem, c) -> HeckeElem:
-        if isinstance(c, LaurentPoly):
-            if c.is_zero():
-                return HeckeElem({})
-            return HeckeElem({g: cc * c for g, cc in a.terms.items()})
         return HeckeElem({g: cc * c for g, cc in a.terms.items()})
 
     # -- generator steps -----------------------------------------------------

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import LaurentPoly, evaluate
+from .coeffring import LaurentPoly
 from .hecke import HeckeElem
 from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
 from .tracegen import PoleError, TorusPoint, TraceGen
@@ -69,35 +69,6 @@ def mat_trace(m: list[list]):
     return sum(m[i][i] for i in range(len(m)))
 
 
-def mat_rank(rows: list[list]) -> int:
-    """Rank by Gaussian elimination; exact over rationals, pivot-by-modulus
-    over floats."""
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    row = 0
-    for col in range(cols):
-        best = None
-        for i in range(row, len(work)):
-            if work[i][col] != 0 and (best is None or abs(work[i][col]) > abs(work[best][col])):
-                best = i
-        if best is None:
-            continue
-        if isinstance(work[best][col], (float, complex)) and abs(work[best][col]) < 1e-9:
-            continue
-        work[row], work[best] = work[best], work[row]
-        pivot = work[row][col]
-        for i in range(row + 1, len(work)):
-            if work[i][col] != 0:
-                factor = work[i][col] / pivot
-                work[i] = [work[i][j] - factor * work[row][j] for j in range(cols)]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
-
-
 class PrincipalSeries:
     """Module actions, intertwiners, and matrix elements over one algebra.
 
@@ -130,12 +101,11 @@ class PrincipalSeries:
         self._p0_val = None
         if assignment is not None:
             self._q_fin_vals = [
-                evaluate(self.labels.q_of_fin(w), assignment) for w in self.basis_order
+                self.labels.q_of_fin(w).evaluate(assignment) for w in self.basis_order
             ]
             self._p0_val = sum(self._q_fin_vals)
 
-        self._left_gen: dict[int, list[list]] = {}
-        self._right_gen: dict[int, list[list]] = {}
+        self._gen_mat: dict[tuple[int, bool], list[list]] = {}
         self._right_mul: dict[int, list[list]] = {}
         self._left_w0_mat: list[list] | None = None
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
@@ -158,51 +128,33 @@ class PrincipalSeries:
         return self.assignment
 
     def _val(self, poly: LaurentPoly):
-        return evaluate(poly, self._need_numeric())
+        return poly.evaluate(self._need_numeric())
 
     def p0_value(self):
         self._need_numeric()
         return self._p0_val
-
-    def q_fin_value(self, w: FiniteWeylElem):
-        self._need_numeric()
-        return self._q_fin_vals[self.index[w]]
 
     # -- finite Hecke engine over numeric labels -----------------------------
 
     def _gen_q(self, i: int):
         return self._val(self.labels.q_of_gen(i))
 
-    def _left_gen_matrix(self, i: int) -> list[list]:
-        m = self._left_gen.get(i)
+    def _gen_matrix(self, i: int, right: bool) -> list[list]:
+        """Matrix of multiplication by ``T_{s_i}`` on the finite basis, on
+        the right or on the left."""
+        m = self._gen_mat.get((i, right))
         if m is None:
             qi = self._gen_q(i)
             s = self.weyl.simple_reflections[i]
             m = [[0] * self.dim for _ in range(self.dim)]
             for j, w in enumerate(self.basis_order):
-                sw = self.weyl.fin_mul(s, w)
-                if self.weyl.finite_length(sw) > self.weyl.finite_length(w):
-                    m[self.index[sw]][j] += 1
-                else:
-                    m[j][j] += qi - 1
-                    m[self.index[sw]][j] += qi
-            self._left_gen[i] = m
-        return m
-
-    def _right_gen_matrix(self, i: int) -> list[list]:
-        m = self._right_gen.get(i)
-        if m is None:
-            qi = self._gen_q(i)
-            s = self.weyl.simple_reflections[i]
-            m = [[0] * self.dim for _ in range(self.dim)]
-            for j, w in enumerate(self.basis_order):
-                ws = self.weyl.fin_mul(w, s)
+                ws = self.weyl.fin_mul(w, s) if right else self.weyl.fin_mul(s, w)
                 if self.weyl.finite_length(ws) > self.weyl.finite_length(w):
                     m[self.index[ws]][j] += 1
                 else:
                     m[j][j] += qi - 1
                     m[self.index[ws]][j] += qi
-            self._right_gen[i] = m
+            self._gen_mat[(i, right)] = m
         return m
 
     def _right_mul_matrix(self, j: int) -> list[list]:
@@ -211,7 +163,7 @@ class PrincipalSeries:
         if m is None:
             m = [[int(i == k) for k in range(self.dim)] for i in range(self.dim)]
             for i in self.weyl.fin_word(self.basis_order[j]):
-                m = mat_mul(self._right_gen_matrix(i), m)
+                m = mat_mul(self._gen_matrix(i, right=True), m)
             self._right_mul[j] = m
         return m
 
@@ -219,7 +171,7 @@ class PrincipalSeries:
         if self._left_w0_mat is None:
             m = [[int(i == k) for k in range(self.dim)] for i in range(self.dim)]
             for i in reversed(self.weyl.fin_word(self.longest)):
-                m = mat_mul(self._left_gen_matrix(i), m)
+                m = mat_mul(self._gen_matrix(i, right=False), m)
             self._left_w0_mat = m
         return self._left_w0_mat
 
@@ -271,7 +223,7 @@ class PrincipalSeries:
         m = [[0] * self.dim for _ in range(self.dim)]
         for col, triples in enumerate(action):
             for row, x, poly in triples:
-                m[row][col] += evaluate(poly, asg) * t.value(x)
+                m[row][col] += poly.evaluate(asg) * t.value(x)
         return m
 
     def laplace(self, h: HeckeElem, t: TorusPoint) -> list[list]:
@@ -353,10 +305,6 @@ class PrincipalSeries:
             return H.sub(out, self.bernstein.theta(beta))
         out = H.scale(H.unit(), labels.q_root(pos))
         return H.sub(out, self.bernstein.theta(beta))
-
-    def delta_element(self, beta: Vec) -> HeckeElem:
-        """One minus the Bernstein element at the negated root."""
-        return self.hecke.sub(self.hecke.unit(), self.bernstein.theta(vneg(beta)))
 
     def d_element(self, beta: Vec) -> HeckeElem:
         """Product of the normalisation factors at a root and its negative;
@@ -620,7 +568,7 @@ class PrincipalSeries:
         vars_ = self.labels.vars
         terms = {}
         for g, c in cleared.terms.items():
-            value = Fraction(evaluate(c, asg)) / p0sq
+            value = Fraction(c.evaluate(asg)) / p0sq
             if value:
                 terms[g] = LaurentPoly.const(vars_, value)
         return self.hecke.from_terms(terms)
@@ -732,7 +680,7 @@ class PrincipalSeries:
             tau = self.hecke.tau_pair(self.bernstein.theta(x), h)
             if tau.is_zero():
                 continue
-            total += t.value(vneg(x)) * evaluate(tau, asg)
+            total += t.value(vneg(x)) * tau.evaluate(asg)
         lhs = dd * total
         return lhs, rhs, abs(lhs - rhs)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,6 +60,63 @@ def is_zero(a: Vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# exact linear algebra over Q
+
+
+def solve(a, b=()):
+    """Gauss-Jordan elimination of ``a . X = b`` over the rationals.
+
+    ``a`` is an n x m matrix and ``b`` an n x k matrix, both given as rows of
+    numbers; ``b`` may be omitted (k = 0).  Returns ``(rank of a, X)``, where
+    ``X`` is an m x k list of rows of Fractions with every free unknown set
+    to 0, or ``(rank of a, None)`` when the system has no solution.
+    """
+    m = len(a[0]) if a else 0
+    k = len(b[0]) if b else 0
+    rows = [[Fraction(v) for v in row] + [Fraction(v) for v in (b[i] if b else ())]
+            for i, row in enumerate(a)]
+    pivots: list[int] = []
+    for col in range(m):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][col]
+        pivot = rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                rows[i] = [v - c * w for v, w in zip(row, pivot)]
+        pivots.append(col)
+    rank = len(pivots)
+    if any(any(row[m:]) for row in rows[rank:]):
+        return rank, None
+    x = [[Fraction(0)] * k for _ in range(m)]
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][m:]
+    return rank, x
+
+
+def solve_columns(cols, x: Vec) -> tuple[Fraction, ...] | None:
+    """The coefficients ``c`` with ``sum_j c_j * cols[j] = x``, with free
+    ones set to 0; None if there are none."""
+    a = [[col[i] for col in cols] for i in range(len(x))]
+    _, sol = solve(a, [[v] for v in x])
+    return None if sol is None else tuple(row[0] for row in sol)
+
+
+def int_inverse(mat) -> tuple[Vec, ...] | None:
+    """The inverse of a square integer matrix when it is again an integer
+    matrix, i.e. when ``mat`` is unimodular; None otherwise."""
+    n = len(mat)
+    rank, inv = solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    if rank < n or any(v.denominator != 1 for row in inv for v in row):
+        return None
+    return tuple(tuple(int(v) for v in row) for row in inv)
+
+
+# ---------------------------------------------------------------------------
 # the datum itself
 
 
@@ -68,9 +125,7 @@ class RootDatum:
     """A based root datum: dual lattices, a pairing, roots and coroots.
 
     ``pairing`` is the integer matrix ``P`` with ``<x, y> = x^T P y``;
-    ``roots[i]`` pairs with ``coroots[i]``.  ``labels_hint`` optionally maps
-    generator names (``"s1"``, ..., ``"s0"``) to parameter-class names and is
-    carried through from JSON input for the label layer to validate.
+    ``roots[i]`` pairs with ``coroots[i]``.
     """
 
     rank: int
@@ -80,7 +135,6 @@ class RootDatum:
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
     name: str = ""
-    labels_hint: tuple[tuple[str, str], ...] | None = field(default=None, compare=False)
 
     def pair(self, x: Vec, y: Vec) -> int:
         """The pairing ``<x, y>`` of ``x`` in X with ``y`` in Y."""
@@ -93,9 +147,6 @@ class RootDatum:
 
     def coroot_of(self, root: Vec) -> Vec:
         return derive(self).coroot[root]
-
-    def root_of(self, coroot: Vec) -> Vec:
-        return derive(self).root[coroot]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +182,7 @@ def generate_roots(
         if pair(a, b) != 2:
             raise RootSystemError(f"<alpha, alpha^vee> = {pair(a, b)} != 2 for {a}")
     # simple roots must be linearly independent
-    if _rational_rank([list(a) for a in simple_roots]) != len(simple_roots):
+    if solve(simple_roots)[0] != len(simple_roots):
         raise RootSystemError("simple roots are linearly dependent")
 
     found: dict[Vec, Vec] = {}
@@ -177,69 +228,25 @@ def generate_roots(
     return roots, coroots
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [v - c * p for v, p in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def make_datum(
     rank: int,
     pairing: list[list[int]],
     simple_roots: list[list[int]],
     simple_coroots: list[list[int]],
     name: str = "",
-    labels_hint: dict[str, str] | None = None,
 ) -> RootDatum:
     """Validate inputs, generate the closure, and assemble a datum."""
     P = tuple(tuple(int(v) for v in row) for row in pairing)
     if len(P) != rank or any(len(row) != rank for row in P):
         raise RootSystemError("pairing matrix must be square of size rank")
-    if abs(_int_det(P)) != 1:
+    if int_inverse(P) is None:
         raise RootSystemError("pairing matrix must be unimodular")
     sr = tuple(tuple(int(v) for v in a) for a in simple_roots)
     sc = tuple(tuple(int(v) for v in b) for b in simple_coroots)
     roots, coroots = generate_roots(sr, sc, P)
-    hint = tuple(sorted(labels_hint.items())) if labels_hint else None
-    datum = RootDatum(rank, P, sr, sc, roots, coroots, name=name, labels_hint=hint)
+    datum = RootDatum(rank, P, sr, sc, roots, coroots, name=name)
     derive(datum)  # run the derived checks eagerly
     return datum
-
-
-def _int_det(mat: tuple[Vec, ...]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    rows = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                c = rows[r][col] * inv
-                rows[r] = [v - c * p for v, p in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 # ---------------------------------------------------------------------------
@@ -266,58 +273,26 @@ class DerivedRoots:
     two_rho: Vec
     two_rho_check: Vec
     _coord_cache: dict[Vec, tuple[Fraction, ...] | None]
-    _simple_matrix: list[list[Fraction]]
 
     def root_coordinates(self, datum: RootDatum, x: Vec) -> tuple[Fraction, ...] | None:
         """Coordinates of ``x`` in the simple-root basis, or None if x is
         outside the rational span of the roots."""
         if x in self._coord_cache:
             return self._coord_cache[x]
-        coords = _solve_columns(self._simple_matrix, x)
+        coords = solve_columns(datum.simple_roots, x)
         self._coord_cache[x] = coords
         return coords
-
-
-def _solve_columns(cols: list[list[Fraction]], x: Vec) -> tuple[Fraction, ...] | None:
-    """Solve ``sum_j c_j * cols[j] = x`` exactly; None if inconsistent."""
-    m = len(cols)
-    n = len(x) if m == 0 else len(cols[0])
-    aug = [[cols[j][i] for j in range(m)] + [Fraction(x[i])] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [v - c * p for v, p in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if aug[r][m] != 0:
-            return None
-    coords = [Fraction(0)] * m
-    for r, c in pivots:
-        coords[c] = aug[r][m]
-    return tuple(coords)
 
 
 @lru_cache(maxsize=None)
 def derive(datum: RootDatum) -> DerivedRoots:
     coroot = dict(zip(datum.roots, datum.coroots))
     root = dict(zip(datum.coroots, datum.roots))
-    simple_matrix = [[Fraction(a[i]) for i in range(datum.rank)] for a in datum.simple_roots]
-    cols = [[Fraction(a[i]) for i in range(datum.rank)] for a in datum.simple_roots]
     cache: dict[Vec, tuple[Fraction, ...] | None] = {}
 
     positive = []
     for r in datum.roots:
-        coords = _solve_columns(cols, r)
+        coords = solve_columns(datum.simple_roots, r)
         cache[r] = coords
         if coords is None:
             raise RootSystemError("a root lies outside the span of the simple roots")
@@ -364,7 +339,6 @@ def derive(datum: RootDatum) -> DerivedRoots:
         two_rho=two_rho,
         two_rho_check=two_rho_check,
         _coord_cache=cache,
-        _simple_matrix=cols,
     )
 
 
@@ -497,8 +471,6 @@ def datum_to_json(datum: RootDatum) -> str:
         "simple_roots": [list(a) for a in datum.simple_roots],
         "simple_coroots": [list(b) for b in datum.simple_coroots],
     }
-    if datum.labels_hint:
-        obj["labels"] = dict(datum.labels_hint)
     if datum.name:
         obj["name"] = datum.name
     return json.dumps(obj, separators=(",", ":")) + "\n"
@@ -516,14 +488,11 @@ def datum_from_json(text: str) -> RootDatum:
         simple_coroots = obj["simple_coroots"]
     except (KeyError, TypeError) as exc:
         raise RootSystemError(f"datum JSON missing field: {exc}") from exc
-    labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, dict):
-        raise RootSystemError("datum JSON 'labels' must be an object")
+    if "labels" in obj:
+        raise RootSystemError(
+            "datum JSON carries no labels; give them with --labels "
+            "(or LabelSet.numeric_assignment)"
+        )
     return make_datum(
-        rank,
-        pairing,
-        simple_roots,
-        simple_coroots,
-        name=str(obj.get("name", "")),
-        labels_hint=labels,
+        rank, pairing, simple_roots, simple_coroots, name=str(obj.get("name", ""))
     )

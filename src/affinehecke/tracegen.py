@@ -320,9 +320,6 @@ class TraceGen:
             )
         return self.assignment
 
-    def _root_value(self, mono: LaurentPoly):
-        return mono.evaluate(self._need_assignment())
-
     def c_factor(self, root: Vec, t: TorusPoint):
         """One factor of the c-function,
 

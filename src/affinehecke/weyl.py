@@ -45,8 +45,9 @@ from .rootdata import (
     RootDatum,
     RootSystemError,
     Vec,
-    _solve_columns,
     derive,
+    int_inverse,
+    solve_columns,
     vadd,
     vneg,
     vscale,
@@ -123,28 +124,6 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _int_inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [v - c * p for v, p in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(v.denominator == 1 for v in row)
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
-
-
 class AffineWeyl:
     """Context object: the affine Weyl group machinery for one datum."""
 
@@ -153,7 +132,7 @@ class AffineWeyl:
         self.derived: DerivedRoots = derive(datum)
         self.rank = datum.rank
         self._p = datum.pairing
-        self._p_inv = _int_inverse(self._p)
+        self._p_inv = int_inverse(self._p)
         self._pos_root_set = frozenset(self.derived.positive_roots)
         self._pos_coroot_set = frozenset(self.derived.positive_coroots)
         self.id_fin = FiniteWeylElem(_identity(self.rank), _identity(self.rank), word=())
@@ -242,12 +221,11 @@ class AffineWeyl:
         return comps
 
     def _highest_coroot(self, comp: list[int]) -> Vec:
-        cols = [[Fraction(v) for v in self.datum.simple_coroots[i]] for i in range(len(self.datum.simple_coroots))]
         best: Vec | None = None
         best_coords: tuple[Fraction, ...] | None = None
         candidates: list[tuple[Vec, tuple[Fraction, ...]]] = []
         for b in self.derived.positive_coroots:
-            coords = _solve_columns(cols, b)
+            coords = solve_columns(self.datum.simple_coroots, b)
             if coords is None:
                 raise RootSystemError("coroot outside span of simple coroots")
             support = {i for i, c in enumerate(coords) if c != 0}

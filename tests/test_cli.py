@@ -234,6 +234,40 @@ def test_bad_labels_exit_usage(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_label_exit_usage(capsys, value):
+    code, out, err = run(
+        capsys,
+        ["series", "--datum", "A1-weight", "--labels", f'{{"s1": {value}, "s0": 4}}',
+         "--mode", "complex", "--box", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad labels:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_float_label_is_its_decimal(capsys):
+    # 1e-13 is 1/10^13, not rounded to 0: accepted in complex mode, and in
+    # rational mode refused only because it is not a perfect square
+    argv = ["series", "--datum", "A1-weight", "--labels", '{"s1": 1e-13, "s0": 1e-13}',
+            "--box", "1"]
+    code, _, err = run(capsys, argv + ["--mode", "complex"])
+    assert code == 0, err
+    code, _, err = run(capsys, argv + ["--mode", "rational"])
+    assert code == 2
+    assert "1/10000000000000 for class v1 is not a perfect square" in err
+    assert len(err.strip().splitlines()) == 1
+    # 1e-14 is the square of 1e-7, so rational mode takes it
+    code, out, err = run(
+        capsys,
+        ["series", "--datum", "A1-weight", "--labels", '{"s1": 1e-14, "s0": 1e-14}',
+         "--mode", "rational", "--box", "1"],
+    )
+    assert code == 0, err
+    assert json.loads(out)["records"]
+
+
 def test_numeric_mode_requires_numeric_labels(capsys):
     code, _, err = run(
         capsys,
@@ -265,6 +299,18 @@ def test_datum_from_file(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["datum"] == "A1-root"
     assert obj["all_equal"] is True
+
+
+def test_datum_file_with_labels_exit_usage(tmp_path, capsys):
+    obj = json.loads(datum_to_json(build_preset("A1-root")))
+    obj["labels"] = {"s1": "bogus"}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["trace", "--datum", str(path), "--box", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--labels" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_out_writes_identical_bytes(tmp_path, capsys):

@@ -13,7 +13,6 @@ from affinehecke import (
     LabelConfigError,
     LaurentPoly,
     build_preset,
-    evaluate,
     exact_divide,
     radical_sign,
 )
@@ -95,8 +94,8 @@ def test_exact_divide_rejects_nondivisible():
 
 def test_evaluate_rational_and_complex():
     p = LaurentPoly(VARS, {(2, 0): Fraction(1), (0, -1): Fraction(1, 2)})
-    assert evaluate(p, {"u": Fraction(3), "v": Fraction(1, 2)}) == Fraction(10)
-    val = evaluate(p, {"u": 2.0, "v": 1.0 + 0j})
+    assert p.evaluate({"u": Fraction(3), "v": Fraction(1, 2)}) == Fraction(10)
+    val = p.evaluate({"u": 2.0, "v": 1.0 + 0j})
     assert abs(val - 4.5) < 1e-12
 
 
@@ -503,7 +502,3 @@ def test_numeric_assignment_errors():
     # complex mode takes non-square values
     asg = L.numeric_assignment({"s1": 2, "s2": 2, "s0": 2}, "complex")
     assert abs(asg["v1"] ** 2 - 2) < 1e-12
-
-
-def test_formal_values_is_none():
-    assert labels("A2").formal_values() is None

@@ -15,11 +15,10 @@ from affinehecke.principal import (
     ModeError,
     PrincipalSeries,
     mat_mul,
-    mat_rank,
     mat_trace,
     mat_vec,
 )
-from affinehecke.rootdata import vneg
+from affinehecke.rootdata import solve, vneg
 from affinehecke.tracegen import TorusPoint
 from affinehecke.weyl import AffineWeyl
 
@@ -242,7 +241,7 @@ def test_matrix_elements_separate_points():
         for u in ps.basis_order
         for v in ps.basis_order
     ]
-    assert mat_rank(rows) == ps.dim**2
+    assert solve(rows)[0] == ps.dim**2
 
 
 def test_index_shift_along_a_simple_reflection():

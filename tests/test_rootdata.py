@@ -1,4 +1,5 @@
-"""Root-datum construction: closure, cones, decompositions, JSON interchange."""
+"""Root-datum construction: closure, cones, decompositions, JSON interchange,
+and the exact linear algebra behind them."""
 
 from fractions import Fraction
 
@@ -19,7 +20,16 @@ from affinehecke import (
     is_dominant,
     make_datum,
 )
-from affinehecke.rootdata import reflect, vadd, vneg, vscale, vsub
+from affinehecke.rootdata import (
+    int_inverse,
+    reflect,
+    solve,
+    solve_columns,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
 
 ALL_PRESETS = (
     "A1-weight",
@@ -231,3 +241,210 @@ def test_vector_helpers(a, b):
     assert vsub(vadd(a, b), b) == a
     assert vadd(a, vneg(a)) == (0, 0, 0)
     assert vscale(3, a) == vadd(a, vadd(a, a))
+
+
+# -- exact linear algebra: `solve` against the five eliminations it replaced --
+
+
+def ref_rational_rank(rows):
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                c = mat[r][col]
+                mat[r] = [v - c * p for v, p in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def ref_mat_rank(rows):
+    work = [list(r) for r in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    row = 0
+    for col in range(cols):
+        best = None
+        for i in range(row, len(work)):
+            if work[i][col] != 0 and (best is None or abs(work[i][col]) > abs(work[best][col])):
+                best = i
+        if best is None:
+            continue
+        work[row], work[best] = work[best], work[row]
+        pivot = work[row][col]
+        for i in range(row + 1, len(work)):
+            if work[i][col] != 0:
+                factor = work[i][col] / pivot
+                work[i] = [work[i][j] - factor * work[row][j] for j in range(cols)]
+        row += 1
+        rank += 1
+        if row == len(work):
+            break
+    return rank
+
+
+def ref_int_det(mat):
+    n = len(mat)
+    if n == 0:
+        return 1
+    rows = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col] != 0:
+                c = rows[r][col] * inv
+                rows[r] = [v - c * p for v, p in zip(rows[r], rows[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def ref_solve_columns(cols, x):
+    m = len(cols)
+    n = len(x) if m == 0 else len(cols[0])
+    aug = [[Fraction(cols[j][i]) for j in range(m)] + [Fraction(x[i])] for i in range(n)]
+    pivots = []
+    row = 0
+    for col in range(m):
+        pivot = next((r for r in range(row, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [v - c * p for v, p in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, n):
+        if aug[r][m] != 0:
+            return None
+    coords = [Fraction(0)] * m
+    for r, c in pivots:
+        coords[c] = aug[r][m]
+    return tuple(coords)
+
+
+def ref_int_inverse(mat):
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [v - c * p for v, p in zip(aug[r], aug[col])]
+    out = []
+    for i in range(n):
+        row = aug[i][n:]
+        assert all(v.denominator == 1 for v in row)
+        out.append(tuple(int(v) for v in row))
+    return tuple(out)
+
+
+def matrices(n_rows, n_cols, entries):
+    return st.lists(
+        st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
+    )
+
+
+# small and sparse entries make singular matrices and skipped pivot columns common
+SMALL = st.integers(min_value=-2, max_value=2)
+SPARSE = st.sampled_from([0, 0, 0, 1, -1])
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=3))
+    entries = draw(st.sampled_from([SMALL, SPARSE, RATIONALS]))
+    a = draw(matrices(n, m, entries))
+    if k and draw(st.booleans()):  # a consistent right side: b = a . x
+        x = draw(matrices(m, k, SMALL))
+        b = [[sum(a[i][p] * x[p][j] for p in range(m)) for j in range(k)] for i in range(n)]
+    else:
+        b = draw(matrices(n, k, entries))
+    return a, b
+
+
+@given(systems())
+def test_solve_matches_reference_rank_and_solutions(system):
+    a, b = system
+    rank, x = solve(a, b)
+    assert rank == ref_rational_rank(a) == ref_mat_rank([[Fraction(v) for v in r] for r in a])
+    assert solve(a)[0] == rank
+    m, k = len(a[0]), len(b[0]) if b else 0
+    cols = [[row[c] for row in a] for c in range(m)]
+    refs = [ref_solve_columns(cols, [row[j] for row in b]) for j in range(k)]
+    assert [solve_columns(cols, [row[j] for row in b]) for j in range(k)] == refs
+    # the system is consistent exactly when each of its columns is
+    assert (x is None) == any(ref is None for ref in refs)
+    if x is not None:
+        assert [tuple(x[c][j] for c in range(m)) for j in range(k)] == refs
+        assert len(x) == m and all(len(row) == k for row in x)
+        assert all(
+            sum(a[i][p] * x[p][j] for p in range(m)) == b[i][j]
+            for i in range(len(a))
+            for j in range(k)
+        )
+
+
+@st.composite
+def unimodular(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = draw(st.integers(min_value=-3, max_value=3))
+            mat[i] = [u + c * v for u, v in zip(mat[i], mat[j])]
+        elif op == "swap":
+            mat[i], mat[j] = mat[j], mat[i]
+        else:
+            mat[i] = [-u for u in mat[i]]
+    return tuple(tuple(row) for row in mat)
+
+
+@given(unimodular())
+def test_int_inverse_of_unimodular_matches_reference(mat):
+    assert abs(ref_int_det(mat)) == 1
+    inv = int_inverse(mat)
+    assert inv == ref_int_inverse(mat)
+    n = len(mat)
+    assert all(
+        sum(mat[i][p] * inv[p][j] for p in range(n)) == int(i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda n: matrices(n, n, SMALL)))
+def test_int_inverse_exists_exactly_for_unit_determinant(mat):
+    inv = int_inverse(mat)
+    assert (inv is not None) == (abs(ref_int_det(mat)) == 1)
+    if inv is not None:
+        assert inv == ref_int_inverse(mat)

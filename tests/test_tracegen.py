@@ -13,7 +13,6 @@ from affinehecke import (
     RegionError,
     build_preset,
     derive,
-    evaluate,
     height,
 )
 from affinehecke.bernstein import Bernstein
@@ -100,7 +99,7 @@ def test_d_value_matches_evaluated_coefficient():
     for beta, _ in derive(formal.datum).r1_positive:
         for k in (1, 2, 3):
             poly = formal.d_coeff(beta, k)
-            assert numeric.d_value(beta, k) == evaluate(poly, numeric.assignment)
+            assert numeric.d_value(beta, k) == poly.evaluate(numeric.assignment)
 
 
 def test_two_methods_agree_on_a2_sample():
@@ -136,7 +135,7 @@ def test_trace_value_partition_is_the_evaluated_polynomial():
     numeric = numeric_trace("A2", items)
     for x in [(0, 0), (-1, -1), (-2, -2)]:
         poly = formal.trace_theta_partition(x)
-        assert numeric.trace_value_partition(x) == evaluate(poly, numeric.assignment)
+        assert numeric.trace_value_partition(x) == poly.evaluate(numeric.assignment)
 
 
 def test_negative_cone_points_rank_one():
