@@ -208,9 +208,11 @@ class Bernstein:
             raise BoxError("box must be nonnegative")
         N = self.shift_for_box(box)
         z0 = vscale(N, self.weyl.derived.two_rho)
-        shifted = H.scale(
-            H.rmul_basis(h, weyl.translation(z0)), labels.delta_sqrt(vneg(z0))
-        )
+        shifted = H.rmul_basis(h, weyl.translation(z0))
+        # the factor delta_sqrt(-z0) of theta(z0) and the factor
+        # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
+        # delta_sqrt(xp - z0): its exponents are linear in the point
+        weights: dict[Vec, LaurentPoly] = {}
         out: dict[tuple[FiniteWeylElem, Vec], LaurentPoly] = {}
         for g, c in shifted.terms.items():
             xp = g.trans
@@ -224,7 +226,10 @@ class Bernstein:
                 raise BoxError(
                     f"box too small: expansion has a term at {x}, outside [-{box}, {box}]"
                 )
-            out[(g.fin, x)] = c * labels.delta_sqrt(xp)
+            weight = weights.get(x)
+            if weight is None:
+                weight = weights[x] = labels.delta_sqrt(x)
+            out[(g.fin, x)] = c * weight
         return out
 
     def reassemble(

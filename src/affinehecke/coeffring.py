@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .rootdata import Vec, vneg
-from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
+from .weyl import AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 
 class ExactDivisionError(ArithmeticError):
@@ -167,12 +167,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         n = len(self.vars)
@@ -324,6 +318,22 @@ class LaurentPoly:
             else:
                 b += c * Fraction(radicand) ** ((total - 1) // 2)
         return a, b
+
+
+def power_table(value, lo: int, hi: int) -> tuple[list, object]:
+    """Powers ``value**lo .. value**hi`` over one denominator.
+
+    Returns ``(table, den)`` with ``table[e - lo] / den == value**e``.  For a
+    rational ``value = n/d`` (int or Fraction) the table holds the ints
+    ``n**(e - lo) * d**(hi - e)`` and ``den`` is the Fraction
+    ``n**-lo * d**hi``; any other value (float, complex) gets its plain
+    powers and ``den = 1``.
+    """
+    if isinstance(value, (int, Fraction)):
+        n, d = value.numerator, value.denominator
+        table = [n ** (e - lo) * d ** (hi - e) for e in range(lo, hi + 1)]
+        return table, Fraction(n) ** -lo * Fraction(d) ** hi
+    return [value**e for e in range(lo, hi + 1)], 1
 
 
 def radical_sign(a: Fraction, b: Fraction, radicand: int) -> int:

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import LaurentPoly
+from .coeffring import LaurentPoly, _unpack, power_table
 from .hecke import HeckeElem
 from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
 from .tracegen import PoleError, TorusPoint, TraceGen
@@ -67,6 +67,27 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
 
 def mat_trace(m: list[list]):
     return sum(m[i][i] for i in range(len(m)))
+
+
+def _monomial_values(exps: list[Vec], point) -> tuple[list, object]:
+    """Values of the monomials ``exps`` (exponent vectors) at ``point`` over
+    one denominator: ``(nums, den)`` with ``nums[j] / den`` the value of
+    ``exps[j]``.  Rational coordinates give int ``nums``."""
+    tables = []
+    den = 1
+    for i, value in enumerate(point):
+        col = [e[i] for e in exps]
+        lo = min(col, default=0)
+        table, d = power_table(value, lo, max(col, default=0))
+        tables.append((table, lo))
+        den *= d
+    nums = []
+    for e in exps:
+        out = 1
+        for (table, lo), k in zip(tables, e):
+            out *= table[k - lo]
+        nums.append(out)
+    return nums, den
 
 
 class PrincipalSeries:
@@ -219,11 +240,46 @@ class PrincipalSeries:
         return out
 
     def laplace_matrix(self, action: list, t: TorusPoint) -> list[list]:
+        """Matrix of a :meth:`symbolic_action` at the torus point ``t``.
+
+        Entry ``(row, col)`` is the sum of ``poly(labels) * t(x)`` over the
+        triples ``(row, x, poly)`` of column ``col``.  Each distinct monomial
+        of the label variables and each distinct lattice point ``x`` is
+        evaluated once, over one common denominator per variable
+        (:func:`~affinehecke.coeffring.power_table`, sized by the exact
+        exponent ranges met in this call); an entry is then summed as a
+        Python int and divided once by the product of the denominators.
+
+        With rational labels and a rational point every touched entry is an
+        exact Fraction, equal to the term-by-term sum.  A float label or a
+        complex coordinate enters as plain powers with denominator 1, so the
+        entries are floats or complex numbers, equal to the term-by-term sum
+        up to rounding; exact labels at a complex point give a complex sum
+        divided by the labels' rational denominator.  An entry that no
+        triple touches is the int 0.
+        """
         asg = self._need_numeric()
+        vars_ = self.labels.vars
+        n = len(vars_)
+        keys = list({k for triples in action for _r, _x, p in triples for k in p.terms})
+        points = list({x for triples in action for _r, x, _p in triples})
         m = [[0] * self.dim for _ in range(self.dim)]
+        label_nums, label_den = _monomial_values(
+            [_unpack(k, n) for k in keys], [asg[v] for v in vars_]
+        )
+        point_nums, point_den = _monomial_values(points, t.images)
+        label_num = dict(zip(keys, label_nums))
+        point_num = dict(zip(points, point_nums))
+        den = label_den * point_den
         for col, triples in enumerate(action):
+            sums: dict[int, object] = {}
             for row, x, poly in triples:
-                m[row][col] += poly.evaluate(asg) * t.value(x)
+                pv = 0
+                for k, c in poly.terms.items():
+                    pv += c * label_num[k]
+                sums[row] = sums.get(row, 0) + pv * point_num[x]
+            for row, s in sums.items():
+                m[row][col] = s / den
         return m
 
     def laplace(self, h: HeckeElem, t: TorusPoint) -> list[list]:

@@ -50,7 +50,6 @@ from .rootdata import (
     solve_columns,
     vadd,
     vneg,
-    vscale,
 )
 
 Matrix = tuple[Vec, ...]

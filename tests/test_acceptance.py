@@ -20,7 +20,7 @@ from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet, radical_sign
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import PrincipalSeries
-from affinehecke.rootdata import derive, vneg
+from affinehecke.rootdata import derive
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from affinehecke import BoxError, build_preset
 from affinehecke.bernstein import Bernstein, GroupAlgebraElem
-from affinehecke.coeffring import LabelSet
+from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra
-from affinehecke.rootdata import vadd
+from affinehecke.rootdata import is_dominant, vadd, vneg, vscale, vsub
 from affinehecke.weyl import AffineWeyl
 
 
@@ -152,6 +152,66 @@ def test_expand_raises_on_a_box_that_is_too_small():
     B = tower("A2")
     with pytest.raises(BoxError):
         B.expand_in_bernstein(B.theta((4, 4)), box=1)
+
+
+def ref_expand_in_bernstein(B, h, box):
+    """The read-off expand_in_bernstein replaced: scale the shifted element
+    by delta_sqrt(-z0), then each term by delta_sqrt of its translation."""
+    H = B.hecke
+    labels = B.labels
+    if h.is_zero():
+        return {}
+    z0 = vscale(B.shift_for_box(box), B.weyl.derived.two_rho)
+    shifted = H.scale(H.rmul_basis(h, B.weyl.translation(z0)), labels.delta_sqrt(vneg(z0)))
+    out = {}
+    for g, c in shifted.terms.items():
+        xp = g.trans
+        if not is_dominant(B.datum, xp):
+            raise BoxError(
+                "box too small: expansion leaves the dominant range "
+                f"(term at translation {xp} after shifting by {z0})"
+            )
+        x = vsub(xp, z0)
+        if any(abs(v) > box for v in x):
+            raise BoxError(f"box too small: expansion has a term at {x}, outside [-{box}, {box}]")
+        out[(g.fin, x)] = c * labels.delta_sqrt(xp)
+    return out
+
+
+@st.composite
+def hecke_elements(draw, B):
+    """Sums of up to three terms ``c * T_word * theta(x)``, with ``c`` a
+    label monomial times a small integer."""
+    H = B.hecke
+    w = B.weyl
+    rank, nvars, ngens = B.datum.rank, len(B.labels.vars), len(w.fundamental)
+    out = H.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        g = w.translation((0,) * rank)
+        for i in draw(st.lists(st.integers(0, ngens - 1), max_size=3)):
+            g = w.multiply(g, w.simple_affine(i))
+        x = draw(small_vectors(rank, bound=2))
+        exps = draw(st.tuples(*[st.integers(-2, 2)] * nvars))
+        c = LaurentPoly.monomial(B.labels.vars, exps, draw(st.sampled_from([1, -1, 2, -3])))
+        out = H.add(out, H.scale(H.mul(H.basis(g), B.theta(x)), c))
+    return out
+
+
+@pytest.mark.parametrize("name", ["B2", "BnCn(2)"])
+@given(data=st.data())
+@settings(deadline=None, max_examples=15)
+def test_expand_matches_the_scale_then_multiply_read_off(name, data):
+    B = tower(name)
+    h = data.draw(hecke_elements(B))
+    box = data.draw(st.integers(0, 3))
+    try:
+        want = ref_expand_in_bernstein(B, h, box)
+    except BoxError as exc:
+        with pytest.raises(BoxError) as got:
+            B.expand_in_bernstein(h, box)
+        assert str(got.value) == str(exc)
+    else:
+        assert list(B.expand_in_bernstein(h, box).items()) == list(want.items())
 
 
 def test_shift_for_box_is_monotone():

@@ -1,11 +1,14 @@
 """Finite-dimensional model at a torus point: intertwiners, matrix elements,
 the spherical function, and the truncated series check."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinehecke import PoleError, build_preset
 from affinehecke.bernstein import Bernstein
@@ -18,7 +21,7 @@ from affinehecke.principal import (
     mat_trace,
     mat_vec,
 )
-from affinehecke.rootdata import solve, vneg
+from affinehecke.rootdata import is_dominant, solve
 from affinehecke.tracegen import TorusPoint
 from affinehecke.weyl import AffineWeyl
 
@@ -117,6 +120,137 @@ def test_laplace_satisfies_the_quadratic_relation():
             for r in range(ps.dim)
         ]
         assert sq == expect
+
+
+# -- laplace_matrix against the term-by-term sum -----------------------------
+
+
+def ref_laplace_matrix(ps, action, t):
+    """The per-triple evaluation that laplace_matrix replaced."""
+    m = [[0] * ps.dim for _ in range(ps.dim)]
+    for col, triples in enumerate(action):
+        for row, x, poly in triples:
+            m[row][col] += poly.evaluate(ps.assignment) * t.value(x)
+    return m
+
+
+def term_sizes(ps, action, t):
+    """Per entry, the sum of the absolute values of its terms."""
+    m = [[0] * ps.dim for _ in range(ps.dim)]
+    for col, triples in enumerate(action):
+        for row, x, poly in triples:
+            m[row][col] += abs(poly.evaluate(ps.assignment) * t.value(x))
+    return m
+
+
+def types(m):
+    return [[type(v) for v in row] for row in m]
+
+
+@lru_cache(maxsize=None)
+def sample_actions(name):
+    """Symbolic actions of a generator times a translation, of an
+    intertwining element, and of a cleared spherical Bernstein element."""
+    ps = series(name)
+    rank = ps.datum.rank
+    dominant = next(
+        x for x in sorted(itertools.product(range(3), repeat=rank), key=sum)
+        if any(x) and is_dominant(ps.datum, x)
+    )
+    elems = [sample_element(ps), ps.intertwiner_element(0), ps.theta_plus_cleared(dominant)]
+    return [ps.symbolic_action(h) for h in elems]
+
+
+def at_values(name, values):
+    """The series of ``name`` with its label variables set to ``values``."""
+    ps = series(name)
+    return PrincipalSeries(ps.bernstein, dict(zip(ps.labels.vars, values)))
+
+
+LAPLACE_DATA = ["A1-weight", "B2", "BnCn(2)", "G2"]
+LABEL_VALUES = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+COORDS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+COMPLEX_COORDS = st.builds(
+    complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)
+).filter(lambda z: abs(z) > 0.1)
+
+
+@pytest.mark.parametrize("name", LAPLACE_DATA)
+@given(data=st.data())
+@settings(deadline=None, max_examples=10)
+def test_laplace_matrix_matches_the_term_by_term_sum(name, data):
+    ps = series(name)
+    nvars, rank = len(ps.labels.vars), ps.datum.rank
+    num = at_values(name, data.draw(st.lists(LABEL_VALUES, min_size=nvars, max_size=nvars)))
+    t = TorusPoint(data.draw(st.lists(COORDS, min_size=rank, max_size=rank)))
+    for action in sample_actions(name):
+        got = num.laplace_matrix(action, t)
+        want = ref_laplace_matrix(num, action, t)
+        assert got == want
+        assert types(got) == types(want)
+
+
+@pytest.mark.parametrize("name", LAPLACE_DATA)
+def test_laplace_matrix_with_fractional_square_roots(name):
+    # q = 9/4, 4/25 and 49/9 have the square roots 3/2, 2/5 and 7/3
+    ps = series(name)
+    qs = ("9/4", "4/25", "49/9")  # one per label class
+    items = {g: qs[c] for g, c in ps.labels.class_of_s.items()}
+    asg = ps.labels.numeric_assignment(items, "rational")
+    assert asg[ps.labels.vars[0]] == Fraction(3, 2)
+    num = PrincipalSeries(ps.bernstein, asg)
+    t = TorusPoint((Fraction(-3, 2), Fraction(5, 7))[: ps.datum.rank])
+    for action in sample_actions(name):
+        got = num.laplace_matrix(action, t)
+        want = ref_laplace_matrix(num, action, t)
+        assert got == want
+        assert types(got) == types(want)
+
+
+@pytest.mark.parametrize("name", LAPLACE_DATA)
+@pytest.mark.parametrize("exact_labels", [False, True])
+@given(data=st.data())
+@settings(deadline=None, max_examples=5)
+def test_laplace_matrix_at_a_complex_point(name, exact_labels, data):
+    ps = series(name)
+    nvars, rank = len(ps.labels.vars), ps.datum.rank
+    values = LABEL_VALUES if exact_labels else st.floats(0.2, 3.0)
+    num = at_values(name, data.draw(st.lists(values, min_size=nvars, max_size=nvars)))
+    t = TorusPoint(data.draw(st.lists(COMPLEX_COORDS, min_size=rank, max_size=rank)))
+    for action in sample_actions(name):
+        got = num.laplace_matrix(action, t)
+        want = ref_laplace_matrix(num, action, t)
+        size = term_sizes(num, action, t)
+        assert types(got) == types(want)
+        for r in range(ps.dim):
+            for c in range(ps.dim):
+                assert abs(got[r][c] - want[r][c]) <= 1e-12 * size[r][c]
+
+
+def test_laplace_matrix_leaves_untouched_entries_zero():
+    num = at_values("B2", (Fraction(3, 2), Fraction(2)))
+    p = num.labels.q_of_gen(0) + num.labels.const(3)
+    t = TorusPoint((Fraction(-2, 3), Fraction(5)))
+    action = [[] for _ in range(num.dim)]
+    action[1] = [(0, (1, -2), p), (4, (0, 0), p), (4, (0, 0), -p)]
+    m = num.laplace_matrix(action, t)
+    assert m == ref_laplace_matrix(num, action, t)
+    assert m[0][1] == (Fraction(9, 4) + 3) * Fraction(-2, 3) / 25
+    assert type(m[4][1]) is Fraction and m[4][1] == 0  # touched, cancels
+    touched = {(0, 1), (4, 1)}
+    for r in range(num.dim):
+        for c in range(num.dim):
+            if (r, c) not in touched:
+                assert type(m[r][c]) is int and m[r][c] == 0
+    empty = num.laplace_matrix([[] for _ in range(num.dim)], t)
+    assert types(empty) == [[int] * num.dim] * num.dim and not any(map(any, empty))
+    # a triple whose polynomial is zero still touches its entry
+    zero_only = [[] for _ in range(num.dim)]
+    zero_only[2] = [(3, (1, 1), num.labels.zero())]
+    m = num.laplace_matrix(zero_only, t)
+    want = ref_laplace_matrix(num, zero_only, t)
+    assert m == want and types(m) == types(want)
+    assert type(m[3][2]) is Fraction
 
 
 def test_rank_one_intertwining_vector_closed_form():
