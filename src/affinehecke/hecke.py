@@ -246,34 +246,34 @@ class HeckeAlgebra:
     # -- inverses ------------------------------------------------------------
 
     def invert_basis(
-        self,
-        g: AffineWeylElem,
-        length_window: tuple[int, int] | None = None,
+        self, g: AffineWeylElem, targets: list[AffineWeylElem] | None = None
     ) -> HeckeElem:
-        """The inverse of a basis element T_g.
+        """The inverse of a basis element T_g, or its restriction to ``targets``.
 
-        Factors g through the length-zero subgroup and folds the one-letter
-        inverses right-to-left.  ``length_window = (lo, hi)`` restricts the
-        result to coefficients of basis terms with lo <= l(u) <= hi; terms
-        that can no longer reach the window are pruned mid-fold (each letter
-        moves lengths by at most one), leaving exactly the windowed slice of
-        the true inverse.
+        Factors ``g = om . s_{i_1} ... s_{i_k}`` through the length-zero
+        subgroup, folds the one-letter inverses right-to-left and relabels by
+        ``om^{-1}``.  With ``targets`` the result is exactly the restriction
+        of T_g^{-1} to them, and the fold keeps only what can reach them: a
+        state u with r letters left can only become ``u p``, p a product of
+        a subword of those letters (the subword property), and it lands on
+        the target v only if ``u p = v om``.  So u is kept while
+        ``l(u^{-1} v om) <= r`` for some v, measured by
+        ``AffineWeyl.distance_to`` once per id.  Distance 0 after the last
+        letter still admits ``v om`` times a length-zero element, so the last
+        states are matched against the targets themselves.
         """
         weyl = self.weyl
         om, word = weyl.factor_extended(g)
         cur: dict[int, LaurentPoly] = {weyl.gid(weyl.identity): self.labels.one()}
-        lens = weyl.lens
-        k = len(word)
-        for step, i in enumerate(reversed(word)):
-            cur = self._rmul_gen(cur, i, inverse=True)
-            if length_window is not None:
-                lo, hi = length_window
-                rest = k - 1 - step
-                cur = {
-                    u: c
-                    for u, c in cur.items()
-                    if lens[u] + rest >= lo and lens[u] - rest <= hi
-                }
+        if targets is not None:
+            ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
+            near = weyl.distance_to(ends, len(word))
+        for rest in range(len(word) - 1, -1, -1):
+            cur = self._rmul_gen(cur, word[rest], inverse=True)
+            if targets is not None:
+                cur = {u: c for u, c in cur.items() if near(u) <= rest}
+        if targets is not None:
+            cur = {u: c for u, c in cur.items() if u in ends}
         return self._from_ids(self._relabel_right(cur, weyl.inverse(om)))
 
     # -- serialization -------------------------------------------------------

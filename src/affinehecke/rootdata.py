@@ -352,12 +352,6 @@ def reflect(datum: RootDatum, root: Vec, x: Vec) -> Vec:
     return vsub(x, vscale(datum.pair(x, b), root))
 
 
-def coreflect(datum: RootDatum, root: Vec, y: Vec) -> Vec:
-    """Reflection of ``y`` in Y through the same root: ``y - <a, y> a^vee``."""
-    b = datum.coroot_of(root)
-    return vsub(y, vscale(datum.pair(root, y), b))
-
-
 def is_dominant(datum: RootDatum, x: Vec) -> bool:
     return all(datum.pair(x, b) >= 0 for b in datum.simple_coroots)
 

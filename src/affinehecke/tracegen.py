@@ -4,8 +4,8 @@ Two independent computations of tau(theta(x)) live here:
 
 * the direct route — build theta(x) in the Hecke algebra and read off the
   coefficient of the identity (plus a batched variant that shares one
-  translation inverse across many x and prunes it to the length window the
-  batch can touch);
+  translation inverse across many x and folds only the states that can
+  still reach the batch's targets);
 * the weighted-partition route — a sum over the ways of writing -x as a
   non-negative integer combination of positive roots of the non-reduced
   extension, each partition weighted by a product of per-root, per-
@@ -40,12 +40,13 @@ class RegionError(ValueError):
 
 class TorusPoint:
     """A multiplicative character of X, given by its values on the standard
-    coordinates; values are exact rationals or complex floats."""
+    coordinates; values are exact rationals (ints become Fractions) or
+    complex floats."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = tuple(Fraction(v) if isinstance(v, int) else v for v in images)
         if any(v == 0 for v in images):
             raise ValueError("torus point values must be nonzero")
         self.images = images
@@ -61,12 +62,10 @@ class TorusPoint:
         return out
 
     def _rational(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.images)
+        return all(isinstance(v, Fraction) for v in self.images)
 
     def inv(self) -> "TorusPoint":
-        return TorusPoint(tuple(
-            Fraction(1, v) if isinstance(v, int) else 1 / v for v in self.images
-        ))
+        return TorusPoint(tuple(1 / v for v in self.images))
 
     def conj(self) -> "TorusPoint":
         return TorusPoint(tuple(
@@ -236,8 +235,12 @@ class TraceGen:
 
         Every x is decomposed against a single dominant shift z (a common
         multiple of the sum of positive roots), so all traces are
-        coefficients of the one inverse T_{t_z}^{-1}; the inverse fold is
-        pruned to the window of target lengths the batch can reach.
+        coefficients of the one inverse T_{t_z}^{-1}, at the targets
+        ``t_{-y}`` with ``y = x + z``.  ``invert_basis`` is asked for exactly
+        those coefficients: by the subword property a fold state u with r
+        letters left can reach ``t_{-y}`` only if ``l(u^{-1} t_{-y}) <= r``,
+        and that length is an L1 distance between per-root vectors, so the
+        other states are dropped as soon as they fall out of reach.
         """
         weyl = self.weyl
         labels = self.labels
@@ -253,17 +256,15 @@ class TraceGen:
             n_here = 0 if idx is None or all(v == 0 for v in z) else z[idx] // two_rho[idx]
             n_shift = max(n_shift, n_here)
         z = vscale(n_shift, self.derived.two_rho)
-        targets: dict[Vec, tuple] = {}
-        lengths = []
-        for x in xs:
-            y = vadd(x, z)
-            tminus = weyl.translation(vneg(y))
-            lengths.append(weyl.length(tminus))
-            targets[x] = (y, tminus)
         if all(v == 0 for v in z):
             return {x: self.trace_theta_direct(x) for x in xs}
-        window = (min(lengths), max(lengths))
-        inv = self.hecke.invert_basis(weyl.translation(z), length_window=window)
+        targets: dict[Vec, tuple] = {}
+        for x in xs:
+            y = vadd(x, z)
+            targets[x] = (y, weyl.translation(vneg(y)))
+        inv = self.hecke.invert_basis(
+            weyl.translation(z), targets=[t for _y, t in targets.values()]
+        )
         out: dict[Vec, LaurentPoly] = {}
         zfac = labels.delta_sqrt(z)
         for x, (y, tminus) in targets.items():

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .rootdata import (
     DerivedRoots,
@@ -370,6 +371,82 @@ class AffineWeyl:
             if lens[self.step(u, i)] < lens[u]:
                 return i
         return None
+
+    def inverse_coords(self):
+        """The map ``u -> K(u^{-1})`` on ids; the per-W0 rows are built per call.
+
+        ``K_a(w t) = <t, a^vee> + [w a < 0]``, over the positive roots a, is
+        the summand of the length formula, and ``-K_a(g^{-1})`` numbers the
+        strip ``k < <x, a^vee> < k + 1`` that holds the alcove ``g(A)``.  So
+        ``l(u^{-1} v) = sum_a |K_a(u^{-1}) - K_a(v^{-1})|``, the walls between
+        ``u(A)`` and ``v(A)``, with no product formed.  For ``u = w t`` the
+        inverse is ``w^{-1} t_{-w t}``.
+        """
+        if self._wmul is None:
+            self._build_tables()
+        rows = []
+        for w in self._w0_list:
+            neg = self._neg[self._w_index[self.fin_inv(w).mx]]
+            rows.append([
+                (tuple(-sum(f * row[j] for f, row in zip(form, w.mx)) for j in range(self.rank)), n)
+                for form, n in zip(self._forms, neg)
+            ])
+        keys = self._keys
+
+        def coords(u: int) -> Vec:
+            w, t = keys[u]
+            return tuple(n + sum(map(mul, r, t)) for r, n in rows[w])
+
+        return coords
+
+    def distance_to(self, ends, cap: int):
+        """The map ``u -> min(cap, min over v in ends of l(u^{-1} v))`` on ids,
+        cached per id.
+
+        Each length is an L1 distance between ``inverse_coords`` vectors, and
+        the distances to all ends are summed at once: one int holds a field
+        per end, added up from per-root tables of packed ``|k_a - e_a|``.  A
+        field d gives ``d + half - 1 - r`` with its high bit clear exactly
+        when ``d <= r``, so the least such r is a bisection on the high bits.
+        A field is at most ``l(u) + l(v)``, and a state with
+        ``l(u) >= cap + max l(v)`` is at ``cap`` unpacked, so no field ever
+        carries into the next.
+        """
+        coords = self.inverse_coords()
+        lens = self.lens
+        ends = sorted(set(ends))
+        top = max((lens[v] for v in ends), default=0)
+        half = 1 << (cap + 2 * top).bit_length()
+        width = half.bit_length()
+        ones = sum(1 << (width * j) for j in range(len(ends)))
+        high = half * ones
+        offs = [(half - 1 - r) * ones for r in range(cap)]
+        cols = list(zip(*map(coords, ends)))
+        tables: list[dict[int, int]] = [{} for _ in cols]
+        best: dict[int, int] = {}
+
+        def dist(u: int) -> int:
+            d = best.get(u)
+            if d is None:
+                d = cap
+                if lens[u] < cap + top:
+                    s = 0
+                    for col, table, k in zip(cols, tables, coords(u)):
+                        p = table.get(k)
+                        if p is None:
+                            p = table[k] = sum(abs(k - e) << (width * j) for j, e in enumerate(col))
+                        s += p
+                    lo = 0
+                    while lo < d:
+                        mid = (lo + d) // 2
+                        if (s + offs[mid]) & high != high:
+                            d = mid
+                        else:
+                            lo = mid + 1
+                best[u] = d
+            return d
+
+        return dist
 
     # -- lengths and descents ------------------------------------------------
 

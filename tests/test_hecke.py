@@ -148,20 +148,22 @@ def test_invert_basis():
         assert H.mul(inv, H.basis(g)) == H.unit()
 
 
-def test_invert_basis_window_is_a_slice():
-    H = algebra("A2")
+@pytest.mark.parametrize("name", ["A2", "B2", "BnCn(2)", "GLn(3)", "A1-weight"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_invert_basis_targets_is_a_slice(name, data):
+    H = algebra(name)
     w = H.weyl
-    g = w.identity
-    for i in (0, 1, 2):
-        g = w.gen_step(g, i)[0]
-    full = H.invert_basis(g)
-    window = H.invert_basis(g, length_window=(1, 2))
-    for u, c in window.terms.items():
-        assert 1 <= w.length(u) <= 2
-        assert full.coeff(u) == c
-    for u, c in full.terms.items():
-        if 1 <= w.length(u) <= 2:
-            assert window.coeff(u) == c
+    word = data.draw(word_strategy(name, max_len=6))
+    near = w.elements_up_to_length(2)
+    for om in w.omega_elements():
+        g = om
+        for i in word:
+            g = w.gen_step(g, i)[0]
+        full = H.invert_basis(g)
+        targets = data.draw(st.lists(st.sampled_from(list(full.terms) + near), max_size=6))
+        sliced = H.invert_basis(g, targets=targets)
+        assert sliced.terms == {v: full.terms[v] for v in targets if v in full.terms}
 
 
 def test_invert_basis_through_the_length_zero_coset():

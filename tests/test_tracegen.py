@@ -5,8 +5,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affinehecke import (
     PoleError,
@@ -18,7 +16,7 @@ from affinehecke import (
 from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet
 from affinehecke.hecke import HeckeAlgebra
-from affinehecke.rootdata import vneg, vscale
+from affinehecke.rootdata import vneg
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
@@ -120,13 +118,27 @@ def test_direct_vanishes_off_the_negative_cone_sample():
         assert trace.trace_theta_direct(x).is_zero()
 
 
+# Points on and off the negative cone.  On G2 the pointwise route is slow
+# wherever theta(x) needs a large shift, so its points stay near the origin.
+SWEEP_POINTS = {
+    "A2": lambda tr: tr.negative_cone_points(3) + [(1, 0), (0, 1), (-1, 2), (2, -1)],
+    "BnCn(2)": lambda tr: tr.negative_cone_points(2) + [(1, 0), (1, 1), (1, -1), (-1, 1)],
+    "G2": lambda tr: [(-1, -1), (-1, 0), (0, -1), (0, 0), (1, 0), (1, 1)],
+    "GLn(3)": lambda tr: tr.negative_cone_points(2)
+    + list(itertools.product((-1, 0, 1), repeat=3)),
+}
+
+
 def test_trace_sweep_matches_pointwise_direct():
-    trace = formal_trace("A2")
-    xs = trace.negative_cone_points(3)
-    swept = trace.trace_sweep(xs)
-    assert set(swept) == set(xs)
-    for x in xs:
-        assert swept[x] == trace.trace_theta_direct(x)
+    for name, points in SWEEP_POINTS.items():
+        trace = formal_trace(name)
+        xs = sorted(set(points(trace)))
+        swept = trace.trace_sweep(xs)
+        assert set(swept) == set(xs)
+        assert any(v.is_zero() for v in swept.values()), name
+        assert not all(v.is_zero() for v in swept.values()), name
+        for x in xs:
+            assert swept[x] == trace.trace_theta_direct(x), (name, x)
 
 
 def test_trace_value_partition_is_the_evaluated_polynomial():
@@ -200,6 +212,16 @@ def test_torus_point_is_a_character():
     inv = t.inv()
     for x in [(1, 2), (-1, 3)]:
         assert t.value(x) * inv.value(x) == 1
+
+
+def test_torus_point_with_int_coordinates_is_exact():
+    t = TorusPoint((2, 3))
+    assert t == TorusPoint((Fraction(2), Fraction(3)))
+    assert t.value((-1, 0)) == Fraction(1, 2)
+    assert type(t.value((-1, 0))) is Fraction
+    assert type(t.value((0, 0))) is Fraction
+    assert t.inv() == TorusPoint((Fraction(1, 2), Fraction(1, 3)))
+    assert t.inv().value((1, 1)) == Fraction(1, 6)
 
 
 def test_torus_point_weyl_action():

@@ -286,3 +286,39 @@ def test_table_kernel_matches_matrix_route(name, data):
         assert len(w.inversion_levels(nxt)) == len(w.inversion_levels(back)) + 1
         back = nxt
     assert back == g
+
+
+DISTANCE_PRESETS = ["A2", "B2", "G2", "BnCn(2)", "BnCn(3)", "GLn(3)", "A1-weight"]
+
+
+def extended_elements(name):
+    """A length-zero element times ``affine_elements``: every Omega coset."""
+    w = group(name)
+    oms = st.sampled_from(w.omega_elements())
+    return st.builds(w.multiply, oms, affine_elements(name))
+
+
+@pytest.mark.parametrize("name", DISTANCE_PRESETS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_length_is_the_l1_distance_of_inverse_coords(name, data):
+    w = group(name)
+    u = data.draw(extended_elements(name))
+    v = data.draw(extended_elements(name))
+    coords = w.inverse_coords()
+    ku, kv = coords(w.gid(u)), coords(w.gid(v))
+    assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(w.multiply(w.inverse(u), v))
+    assert sum(map(abs, ku)) == w.length(u)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "BnCn(3)", "GLn(3)", "A1-weight"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_distance_to_is_the_capped_nearest_length(name, data):
+    w = group(name)
+    ends = data.draw(st.lists(extended_elements(name), max_size=5))
+    cap = data.draw(st.integers(min_value=0, max_value=80))
+    near = w.distance_to([w.gid(v) for v in ends], cap)
+    for u in data.draw(st.lists(extended_elements(name), min_size=1, max_size=4)):
+        dists = [w.length(w.multiply(w.inverse(u), v)) for v in ends]
+        assert near(w.gid(u)) == min(dists + [cap])
