@@ -14,14 +14,13 @@ Four subcommands over one exact engine:
 
 All output is JSON with sorted keys and a trailing newline; given the same
 configuration and seed, reruns are byte-identical.  Exit codes: 0 success,
-1 verification failure, 2 usage or configuration error.  The environment
-variable ``HECKE_TRACE_THREADS`` is reserved: ``trace`` still rejects a value
-that is not an integer (exit 2), but every subcommand runs on one thread.
+1 verification failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -165,21 +164,22 @@ class Job:
 
 def parse_coordinate(raw: str, mode: str):
     """One --t coordinate: "num/den" in rational mode, "re,im" (or a plain
-    float) in complex mode."""
+    float) in complex mode.  A complex coordinate must be finite."""
     if mode == "rational":
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational coordinate {raw!r}: {exc}")
     parts = raw.split(",")
+    if len(parts) > 2:
+        raise UsageError(f"bad complex coordinate {raw!r}: expected \"re,im\"")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*(float(p) for p in parts))
     except ValueError as exc:
         raise UsageError(f"bad complex coordinate {raw!r}: {exc}")
-    raise UsageError(f"bad complex coordinate {raw!r}: expected \"re,im\"")
+    if not cmath.isfinite(z):
+        raise UsageError(f"bad complex coordinate {raw!r}: not finite")
+    return z
 
 
 def num_obj(v):
@@ -197,16 +197,6 @@ def emit(obj: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("HECKE_TRACE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"HECKE_TRACE_THREADS must be an integer (got {raw!r})")
 
 
 def coordinate_box(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -227,7 +217,6 @@ def cmd_trace(args) -> int:
     job = Job(args)
     xs = coordinate_box(job.datum.rank, -args.box, args.box)
     xs.sort(key=lambda x: (height(job.datum, x), x))
-    thread_cap()  # reserved: validated, but the trace runs on one thread
     direct = job.trace.trace_sweep(xs)
     partition = [job.trace.trace_theta_partition(x) for x in xs]
     records = []

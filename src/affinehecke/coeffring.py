@@ -709,6 +709,8 @@ def vscale2(root: Vec) -> Vec:
 def _parse_rational(raw) -> Fraction:
     if isinstance(raw, Fraction):
         return raw
+    if isinstance(raw, bool):  # a subclass of int: JSON true would read as 1
+        raise LabelConfigError(f"label value must be a number, got {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if not isinstance(raw, (float, str)):

@@ -16,7 +16,9 @@ On top of the bare module action this file provides
 * the sesquilinear pairing and the associated matrix elements,
 * the spherical functional, its c-function series formula, and the
   plus-idempotent orthogonality identities in cleared (denominator-free)
-  polynomial form, and
+  polynomial form; a spherical value acts only on the spherical vector, so it
+  takes one Bernstein expansion of ``h·sym`` (``sym`` the sum of the finite
+  basis) rather than one per finite basis vector, and
 * a truncated check of the series identity relating the generating functional
   of the trace to the distinguished matrix element.
 
@@ -229,18 +231,30 @@ class PrincipalSeries:
                 last = exc
         raise last
 
-    def symbolic_action(self, h: HeckeElem) -> list[list[tuple[int, Vec, LaurentPoly]]]:
-        """Torus-independent description of the action of ``h``: per basis
-        column, triples (row, lattice point, label coefficient)."""
+    def symbolic_action(
+        self, h: HeckeElem, vectors: list[HeckeElem] | None = None
+    ) -> list[list[tuple[int, Vec, LaurentPoly]]]:
+        """Torus-independent description of ``h`` acting on module vectors.
+
+        ``vectors`` are finite-Hecke elements, read as module vectors
+        through ``T_w <-> T_w ⊗ 1``; by default the finite basis ``T_v`` in
+        :attr:`basis_order`, which gives the full square action.  Column
+        ``j`` is the Bernstein expansion of ``h * vectors[j]`` as triples
+        (row, lattice point, label coefficient).  Both the expansion and
+        :meth:`laplace_matrix` are linear, so the column of a sum of basis
+        vectors is the sum of their columns.
+        """
+        if vectors is None:
+            vectors = [self.hecke.basis(self.weyl.as_affine(v)) for v in self.basis_order]
         out = []
-        for v in self.basis_order:
-            prod = self.hecke.mul(h, self.hecke.basis(self.weyl.as_affine(v)))
-            coords = self.expand_auto(prod)
+        for vec in vectors:
+            coords = self.expand_auto(self.hecke.mul(h, vec))
             out.append([(self.index[w], x, c) for (w, x), c in coords.items()])
         return out
 
     def laplace_matrix(self, action: list, t: TorusPoint) -> list[list]:
-        """Matrix of a :meth:`symbolic_action` at the torus point ``t``.
+        """Matrix of a :meth:`symbolic_action` at the torus point ``t``:
+        ``dim`` rows, one column per column of ``action``.
 
         Entry ``(row, col)`` is the sum of ``poly(labels) * t(x)`` over the
         triples ``(row, x, poly)`` of column ``col``.  Each distinct monomial
@@ -263,7 +277,7 @@ class PrincipalSeries:
         n = len(vars_)
         keys = list({k for triples in action for _r, _x, p in triples for k in p.terms})
         points = list({x for triples in action for _r, x, _p in triples})
-        m = [[0] * self.dim for _ in range(self.dim)]
+        m = [[0] * len(action) for _ in range(self.dim)]
         label_nums, label_den = _monomial_values(
             [_unpack(k, n) for k in keys], [asg[v] for v in vars_]
         )
@@ -578,16 +592,24 @@ class PrincipalSeries:
         p0 = self.p0_value()
         return [1 / p0] * self.dim
 
-    def spherical(self, t: TorusPoint, h: HeckeElem | None = None, action: list | None = None):
+    def spherical(self, t: TorusPoint, h: HeckeElem):
         """The spherical functional: plus-idempotent matrix coefficient,
-        normalised to take value one at the unit element."""
-        if action is None:
-            if h is None:
-                raise ValueError("need either an element or a precomputed action")
-            action = self.symbolic_action(h)
-        m = self.laplace_matrix(action, t)
-        ones = [1] * self.dim
-        return self.pair(ones, mat_vec(m, ones)) / self._p0_val
+        normalised to take value one at the unit element.
+
+        It reads ``pair(1, h·1) / p0`` with ``1`` the spherical vector (the
+        all-ones coordinates of :meth:`symmetrizer`), so only ``h·1`` is
+        needed: one Bernstein expansion of ``h·sym`` rather than one per
+        finite basis vector.  The product ``h·sym`` is formed as it stands,
+        not through ``h·sym = P(q)·h`` for an invariant ``h``, so the value
+        stays independent of the formula it is checked against.
+        """
+        return self._spherical_of(self.symbolic_action(h, [self.symmetrizer()]), t)
+
+    def _spherical_of(self, sym_action: list, t: TorusPoint):
+        """:meth:`spherical` from the one-column action on the spherical
+        vector."""
+        col = [row[0] for row in self.laplace_matrix(sym_action, t)]
+        return self.pair([1] * self.dim, col) / self._p0_val
 
     def theta_plus_cleared(self, x: Vec) -> HeckeElem:
         """Denominator-free version of the spherical Bernstein element: the
@@ -606,10 +628,12 @@ class PrincipalSeries:
         return cached
 
     def _theta_plus_action(self, x: Vec) -> list:
+        """One-column action of the cleared element on the spherical
+        vector, cached per point."""
         x = tuple(x)
         act = self._plus_action.get(x)
         if act is None:
-            act = self.symbolic_action(self.theta_plus_cleared(x))
+            act = self.symbolic_action(self.theta_plus_cleared(x), [self.symmetrizer()])
             self._plus_action[x] = act
         return act
 
@@ -632,7 +656,7 @@ class PrincipalSeries:
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
         through the module action."""
-        val = self.spherical(t, action=self._theta_plus_action(x))
+        val = self._spherical_of(self._theta_plus_action(x), t)
         return val / (self._p0_val ** 2)
 
     def macdonald_value(self, t: TorusPoint, x: Vec):

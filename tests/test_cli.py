@@ -145,6 +145,30 @@ def test_spherical_complex_mode_small_diff(capsys):
         assert set(rec["macdonald"]) == {"im", "re"}
 
 
+def test_spherical_rank_three_exact(capsys):
+    code, out, err = run(
+        capsys,
+        ["spherical", "--datum", "BnCn(3)", "--labels", '{"s1":4,"s3":9,"s0":16}',
+         "--mode", "rational", "--box", "1"],
+    )
+    assert code == 0, err
+    recs = json.loads(out)["records"]
+    assert len(recs) == 4
+    assert all(r["skipped"] is False and r["diff"] == "0" for r in recs)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_spherical_non_finite_coordinate_exit_usage(capsys, value):
+    code, out, err = run(
+        capsys,
+        ["spherical", "--datum", "B2", "--labels", '{"s1":4,"s2":9}', "--mode", "complex",
+         "--t", value, "--t", "2", "--box", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: bad complex coordinate {value!r}: not finite"
+
+
 def test_spherical_seeded_point_when_t_missing(capsys):
     argv = [
         "spherical",
@@ -244,6 +268,20 @@ def test_non_finite_label_exit_usage(capsys, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad labels:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_boolean_label_exit_usage(capsys, value):
+    # bool is an int subclass: true must not be read as the label 1
+    code, out, err = run(
+        capsys,
+        ["series", "--datum", "A1-weight", "--labels", f'{{"s1": {value}}}',
+         "--mode", "rational", "--box", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad labels:") and "must be a number" in err
     assert len(err.strip().splitlines()) == 1
 
 

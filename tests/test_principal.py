@@ -127,7 +127,7 @@ def test_laplace_satisfies_the_quadratic_relation():
 
 def ref_laplace_matrix(ps, action, t):
     """The per-triple evaluation that laplace_matrix replaced."""
-    m = [[0] * ps.dim for _ in range(ps.dim)]
+    m = [[0] * len(action) for _ in range(ps.dim)]
     for col, triples in enumerate(action):
         for row, x, poly in triples:
             m[row][col] += poly.evaluate(ps.assignment) * t.value(x)
@@ -141,7 +141,7 @@ def term_sizes(ps, action, t):
     inside a coefficient such as ``c*q - c`` at ``q`` near 1, where the
     rounding error scales with ``|c*q| + |c|``, not with the difference.
     """
-    m = [[0] * ps.dim for _ in range(ps.dim)]
+    m = [[0] * len(action) for _ in range(ps.dim)]
     for col, triples in enumerate(action):
         for row, x, poly in triples:
             for e, c in poly.sorted_terms():
@@ -157,15 +157,19 @@ def types(m):
 @lru_cache(maxsize=None)
 def sample_actions(name):
     """Symbolic actions of a generator times a translation, of an
-    intertwining element, and of a cleared spherical Bernstein element."""
+    intertwining element, and of a cleared spherical Bernstein element; the
+    last also on the spherical vector alone (one column)."""
     ps = series(name)
     rank = ps.datum.rank
     dominant = next(
         x for x in sorted(itertools.product(range(3), repeat=rank), key=sum)
         if any(x) and is_dominant(ps.datum, x)
     )
-    elems = [sample_element(ps), ps.intertwiner_element(0), ps.theta_plus_cleared(dominant)]
-    return [ps.symbolic_action(h) for h in elems]
+    plus = ps.theta_plus_cleared(dominant)
+    elems = [sample_element(ps), ps.intertwiner_element(0), plus]
+    return [ps.symbolic_action(h) for h in elems] + [
+        ps.symbolic_action(plus, [ps.symmetrizer()])
+    ]
 
 
 def at_values(name, values):
@@ -236,7 +240,7 @@ def test_laplace_matrix_at_a_complex_point(name, exact_labels, floats, fracs, co
         size = term_sizes(num, action, t)
         assert types(got) == types(want)
         for r in range(ps.dim):
-            for c in range(ps.dim):
+            for c in range(len(action)):
                 assert abs(got[r][c] - want[r][c]) <= 1e-12 * size[r][c]
 
 
@@ -490,6 +494,57 @@ def test_spherical_vs_distinguished_element():
     lhs = ps.E_value(t, h=mid) / (p0 * p0)
     rhs = qw0 * ps.n_w_value(ps.longest, t.inv()) / p0 * ps.spherical(t, h=h)
     assert lhs == rhs
+
+
+SPHERICAL_DATA = [
+    ("A1-weight", A1Q4),
+    ("A2", A2Q4),
+    ("B2", (("s1", 4), ("s2", 9))),
+    ("BnCn(2)", BC2),
+    ("GLn(3)", (("s1", 4),)),
+]
+
+
+def ref_spherical(ps, action, t):
+    """``pair(1, m·1) / p0`` from the full action on the finite basis."""
+    ones = [1] * ps.dim
+    m = ps.laplace_matrix(action, t)
+    assert len(m[0]) == ps.dim
+    return ps.pair(ones, mat_vec(m, ones)) / ps.p0_value()
+
+
+def spherical_cases(ps):
+    """Cleared spherical elements at the three lowest dominant points, and a
+    non-invariant element, each with its full |W0|-column action."""
+    rank = ps.datum.rank
+    xs = [
+        x for x in sorted(itertools.product(range(3), repeat=rank), key=lambda x: (sum(x), x))
+        if is_dominant(ps.datum, x)
+    ][:3]
+    elems = [(x, ps.theta_plus_cleared(x)) for x in xs] + [(None, sample_element(ps))]
+    return [(x, h, ps.symbolic_action(h)) for x, h in elems]
+
+
+@pytest.mark.parametrize("name,items", SPHERICAL_DATA)
+def test_spherical_from_one_vector_matches_the_full_action(name, items):
+    ps = series(name, items)
+    p0sq = ps.p0_value() ** 2
+    cases = spherical_cases(ps)
+    for x, h, action in cases:
+        for seed in (0, 1, 2):
+            t = ps.seeded_point(seed)
+            want = ref_spherical(ps, action, t)
+            assert ps.spherical(t, h) == want, (x, seed)
+            if x is not None:
+                assert ps.spherical_theta_plus(t, x) == want / p0sq, (x, seed)
+    # complex points and float labels (no label class has a rational root);
+    # the symbolic actions do not depend on the labels, so they are reused
+    qs = {g: (2, 3, 5)[c] for g, c in ps.labels.class_of_s.items()}
+    psc = PrincipalSeries(ps.bernstein, ps.labels.numeric_assignment(qs, "complex"))
+    for x, h, action in cases:
+        for seed in (0, 1):
+            t = psc.seeded_point(seed, mode="complex")
+            assert abs(psc.spherical(t, h) - ref_spherical(psc, action, t)) < 1e-8, (x, seed)
 
 
 def test_plus_idempotent_is_fixed_by_normalised_intertwiners():
