@@ -3,8 +3,8 @@
 For dominant x the basis element is a unit multiple of a single T-term,
 ``theta(x) = delta_sqrt(-x) * T_{t_x}``; a general x is handled through the
 canonical decomposition x = y - z with y, z dominant and z a multiple of the
-sum of positive roots, via ``theta(x) = theta(y) * theta(z)^{-1}``.  The
-translation inverses this needs are cached per shift.
+sum of positive roots, via ``theta(x) = theta(y) * theta(z)^{-1}``: one fold
+of ``T_{t_y}`` through the inverse letters of ``t_z``.
 
 Everything downstream (the commutation relation with the generators, the
 center as orbit sums, the expansion of arbitrary elements over pairs
@@ -60,16 +60,8 @@ class Bernstein:
         self.labels = hecke.labels
         self.datum = hecke.weyl.datum
         self._theta_cache: dict[Vec, HeckeElem] = {}
-        self._inv_cache: dict[Vec, HeckeElem] = {}
 
     # -- the basis -----------------------------------------------------------
-
-    def _translation_inverse(self, z: Vec) -> HeckeElem:
-        inv = self._inv_cache.get(z)
-        if inv is None:
-            inv = self.hecke.invert_basis(self.weyl.translation(z))
-            self._inv_cache[z] = inv
-        return inv
 
     def theta(self, x: Vec) -> HeckeElem:
         x = tuple(x)
@@ -82,10 +74,10 @@ class Bernstein:
         if all(v == 0 for v in z):
             out = H.scale(H.basis(self.weyl.translation(x)), labels.delta_sqrt(vneg(x)))
         else:
-            # theta(y) * theta(z)^{-1}; the translations commute, so the
-            # inverse factor can absorb t_y in a single fold
-            inv = self._translation_inverse(z)
-            out = H.rmul_basis(inv, self.weyl.translation(y))
+            # theta(y) * theta(z)^{-1}: from T_{t_y} most inverse letters
+            # step down, so the support stays near theta(x)'s own size
+            ty, tz = self.weyl.translation(y), self.weyl.translation(z)
+            out = H.rmul_basis(H.basis(ty), tz, inverse=True)
             out = H.scale(out, labels.delta_sqrt(vneg(y)) * labels.delta_sqrt(z))
         self._theta_cache[x] = out
         return out

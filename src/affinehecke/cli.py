@@ -95,6 +95,8 @@ class Job:
     def __init__(self, args, need_numeric: bool = False):
         if args.box < 0:
             raise UsageError(f"--box must be >= 0 (got {args.box})")
+        if args.seed < 0:  # random.Random(-n) would give the point of seed n
+            raise UsageError(f"--seed must be >= 0 (got {args.seed})")
         self.args = args
         self.datum = load_datum(args.datum)
         self.weyl = AffineWeyl(self.datum)
@@ -519,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--box", type=int, default=3, help="coordinate box radius")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
-        p.add_argument("--seed", type=int, default=0, help="seed for generated torus points")
+        p.add_argument("--seed", type=int, default=0, help="seed (>= 0) for generated torus points")
         p.add_argument(
             "--t",
             action="append",

@@ -162,13 +162,40 @@ class HeckeAlgebra:
             return terms
         return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
 
-    def _fold(self, terms: dict[int, LaurentPoly], h: AffineWeylElem) -> dict:
-        """Right-multiply an id-keyed term dict by T_h."""
-        om, word = self.weyl.factor_extended(h)
-        cur = self._relabel_right(terms, om)
-        for i in word:
-            cur = self._rmul_gen(cur, i)
-        return cur
+    def _fold(self, terms: dict[int, LaurentPoly], h: AffineWeylElem, inverse: bool = False,
+              targets: list[AffineWeylElem] | None = None) -> dict:
+        """Right-multiply an id-keyed term dict by T_h, or by its inverse.
+
+        Factors ``h = om . s_{i_1} ... s_{i_k}`` through the length-zero
+        subgroup.  T_h relabels by om and folds the letters in order;
+        T_h^{-1} folds the one-letter inverses last letter first and
+        relabels by ``om^{-1}``.  With ``targets`` (inverse only) the result
+        is exactly the restriction to them, and the fold keeps only what can
+        reach them: a state u with r letters left can only become ``u p``,
+        p a product of a subword of those letters (the subword property),
+        and it lands on the target v only if ``u p = v om``.  So u is kept
+        while ``l(u^{-1} v om) <= r`` for some v, measured by
+        ``AffineWeyl.distance_to`` once per id.  Distance 0 after the last
+        letter still admits ``v om`` times a length-zero element, so the last
+        states are matched against the targets themselves.
+        """
+        weyl = self.weyl
+        om, word = weyl.factor_extended(h)
+        if not inverse:
+            terms = self._relabel_right(terms, om)
+            for i in word:
+                terms = self._rmul_gen(terms, i)
+            return terms
+        if targets is not None:
+            ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
+            near = weyl.distance_to(ends, len(word))
+        for rest in range(len(word) - 1, -1, -1):
+            terms = self._rmul_gen(terms, word[rest], inverse=True)
+            if targets is not None:
+                terms = {u: c for u, c in terms.items() if near(u) <= rest}
+        if targets is not None:
+            terms = {u: c for u, c in terms.items() if u in ends}
+        return self._relabel_right(terms, weyl.inverse(om))
 
     # -- ring operations -----------------------------------------------------
 
@@ -203,9 +230,9 @@ class HeckeAlgebra:
             self._guard(out)
         return self._from_ids(out)
 
-    def rmul_basis(self, a: HeckeElem, h: AffineWeylElem) -> HeckeElem:
-        """a * T_h without building the intermediate HeckeElem for T_h."""
-        return self._from_ids(self._fold(self._ids(a.terms), h))
+    def rmul_basis(self, a: HeckeElem, h: AffineWeylElem, inverse: bool = False) -> HeckeElem:
+        """a * T_h, or a * T_h^{-1}, without building T_h or its inverse."""
+        return self._from_ids(self._fold(self._ids(a.terms), h, inverse))
 
     def star(self, a: HeckeElem) -> HeckeElem:
         """The conjugate-linear anti-involution T_g -> T_{g^{-1}}.
@@ -248,33 +275,10 @@ class HeckeAlgebra:
     def invert_basis(
         self, g: AffineWeylElem, targets: list[AffineWeylElem] | None = None
     ) -> HeckeElem:
-        """The inverse of a basis element T_g, or its restriction to ``targets``.
-
-        Factors ``g = om . s_{i_1} ... s_{i_k}`` through the length-zero
-        subgroup, folds the one-letter inverses right-to-left and relabels by
-        ``om^{-1}``.  With ``targets`` the result is exactly the restriction
-        of T_g^{-1} to them, and the fold keeps only what can reach them: a
-        state u with r letters left can only become ``u p``, p a product of
-        a subword of those letters (the subword property), and it lands on
-        the target v only if ``u p = v om``.  So u is kept while
-        ``l(u^{-1} v om) <= r`` for some v, measured by
-        ``AffineWeyl.distance_to`` once per id.  Distance 0 after the last
-        letter still admits ``v om`` times a length-zero element, so the last
-        states are matched against the targets themselves.
-        """
-        weyl = self.weyl
-        om, word = weyl.factor_extended(g)
-        cur: dict[int, LaurentPoly] = {weyl.gid(weyl.identity): self.labels.one()}
-        if targets is not None:
-            ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
-            near = weyl.distance_to(ends, len(word))
-        for rest in range(len(word) - 1, -1, -1):
-            cur = self._rmul_gen(cur, word[rest], inverse=True)
-            if targets is not None:
-                cur = {u: c for u, c in cur.items() if near(u) <= rest}
-        if targets is not None:
-            cur = {u: c for u, c in cur.items() if u in ends}
-        return self._from_ids(self._relabel_right(cur, weyl.inverse(om)))
+        """The inverse of a basis element T_g, or its restriction to
+        ``targets``: the inverse fold of the unit (see ``_fold``)."""
+        one = {self.weyl.gid(self.weyl.identity): self.labels.one()}
+        return self._from_ids(self._fold(one, g, inverse=True, targets=targets))
 
     # -- serialization -------------------------------------------------------
 

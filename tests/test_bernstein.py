@@ -1,5 +1,6 @@
 """Commutative-basis elements: multiplicativity, commutation, center, expansion."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -10,7 +11,7 @@ from affinehecke import BoxError, build_preset
 from affinehecke.bernstein import Bernstein, GroupAlgebraElem
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra
-from affinehecke.rootdata import is_dominant, vadd, vneg, vscale, vsub
+from affinehecke.rootdata import dominant_decomposition, is_dominant, vadd, vneg, vscale, vsub
 from affinehecke.weyl import AffineWeyl
 
 
@@ -68,6 +69,60 @@ def test_theta_inverse_pairs_cancel():
     for x in [(1, 0), (0, 1), (2, -1)]:
         minus = tuple(-v for v in x)
         assert H.mul(B.theta(x), B.theta(minus)) == H.unit()
+
+
+def ref_invert_basis(H, g):
+    """T_g^{-1} from the one-letter inverses, last letter first, then the
+    relabel by om^{-1}: the loop the inverse fold replaced, kept apart from it."""
+    weyl = H.weyl
+    om, word = weyl.factor_extended(g)
+    cur = {weyl.gid(weyl.identity): H.labels.one()}
+    for i in reversed(word):
+        cur = H._rmul_gen(cur, i, inverse=True)
+    return H._from_ids(H._relabel_right(cur, weyl.inverse(om)))
+
+
+def non_dominant_points(B, box):
+    pts = itertools.product(range(-box, box + 1), repeat=B.datum.rank)
+    return [x for x in pts if not is_dominant(B.datum, x)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "BnCn(2)", "GLn(3)", "A1-weight"])
+def test_theta_matches_the_full_inverse_route(name):
+    # theta(x) = theta(y) theta(z)^{-1} as it was built before: the whole
+    # T_{t_z}^{-1}, then a fold through t_y
+    B = tower(name)
+    H = B.hecke
+    labels = B.labels
+    for x in non_dominant_points(B, 2):
+        y, z = dominant_decomposition(B.datum, x)
+        old = H.rmul_basis(ref_invert_basis(H, B.weyl.translation(z)), B.weyl.translation(y))
+        old = H.scale(old, labels.delta_sqrt(vneg(y)) * labels.delta_sqrt(z))
+        assert B.theta(x) == old, (name, x)
+
+
+@pytest.mark.parametrize("name, box", [("G2", 2), ("BnCn(3)", 1)])
+def test_theta_times_theta_of_the_shift_is_theta_of_the_dominant_part(name, box):
+    B = tower(name)
+    H = B.hecke
+    for x in non_dominant_points(B, box):
+        y, z = dominant_decomposition(B.datum, x)
+        assert H.mul(B.theta(x), B.theta(z)) == B.theta(y), (name, x)
+
+
+@pytest.mark.parametrize("name", ["A1-weight", "GLn(3)"])
+def test_rmul_basis_inverse_undoes_rmul_basis(name):
+    # translations by weights outside the root lattice have a length-zero
+    # factor om != e, so the relabel by om^{-1} is exercised
+    B = tower(name)
+    H = B.hecke
+    w = B.weyl
+    a = H.add(B.theta((-1,) + (0,) * (B.datum.rank - 1)), H.basis(w.simple_affine(0)))
+    for x in itertools.product((-1, 0, 1), repeat=B.datum.rank):
+        g = w.multiply(w.translation(x), w.simple_affine(1 % len(w.fundamental)))
+        inv = H.rmul_basis(a, g, inverse=True)
+        assert inv == H.mul(a, ref_invert_basis(H, g)), (name, x)
+        assert H.rmul_basis(inv, g) == a, (name, x)
 
 
 def test_embed_is_an_algebra_map():

@@ -183,6 +183,16 @@ def test_spherical_seeded_point_when_t_missing(capsys):
     assert out1 == out2
 
 
+def test_negative_seed_exit_usage(capsys):
+    argv = ["spherical", "--datum", "A2", "--labels", Q4_A2, "--box", "1", "--seed"]
+    code, out, err = run(capsys, argv + ["-1"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --seed must be >= 0 (got -1)"
+    code, _, _ = run(capsys, argv + ["0"])
+    assert code == 0
+
+
 def test_spherical_refuses_formal_mode(capsys):
     code, _, err = run(
         capsys,
@@ -238,6 +248,17 @@ def test_verify_single_suite(capsys):
     assert [s["suite"] for s in obj["suites"]] == ["quadratic"]
     assert obj["suites"][0]["cases"] == 3
     assert obj["suites"][0]["failures"] == []
+
+
+@pytest.mark.parametrize("datum, cases", [("G2", 18), ("BnCn(3)", 81)])
+def test_verify_lusztig_on_long_words(capsys, datum, cases):
+    code, out, err = run(capsys, ["verify", "--datum", datum, "--box", "1", "--suite", "lusztig"])
+    assert code == 0, err
+    (suite,) = json.loads(out)["suites"]
+    assert suite["suite"] == "lusztig"
+    assert suite["pass"] is True
+    assert suite["cases"] == cases
+    assert suite["failures"] == []
 
 
 def test_verify_unknown_suite(capsys):

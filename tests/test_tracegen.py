@@ -118,8 +118,14 @@ def test_direct_vanishes_off_the_negative_cone_sample():
         assert trace.trace_theta_direct(x).is_zero()
 
 
-# Points on and off the negative cone.  On G2 the pointwise route is slow
-# wherever theta(x) needs a large shift, so its points stay near the origin.
+def test_two_methods_agree_on_g2_at_large_shifts():
+    # theta(x) at these points needs the shift z = 2*(2 rho), at (-1, 1) 3*(2 rho)
+    trace = formal_trace("G2")
+    for x in [(-1, 1), (0, 1), (1, -1), (-2, 0), (0, -2)]:
+        assert trace.trace_theta_direct(x) == trace.trace_theta_partition(x), x
+
+
+# Points on and off the negative cone.
 SWEEP_POINTS = {
     "A2": lambda tr: tr.negative_cone_points(3) + [(1, 0), (0, 1), (-1, 2), (2, -1)],
     "BnCn(2)": lambda tr: tr.negative_cone_points(2) + [(1, 0), (1, 1), (1, -1), (-1, 1)],
