@@ -13,7 +13,7 @@ center as orbit sums, the expansion of arbitrary elements over pairs
 
 from __future__ import annotations
 
-from .coeffring import LaurentPoly
+from .coeffring import LaurentPoly, accumulate
 from .hecke import HeckeAlgebra, HeckeElem
 from .rootdata import Vec, dominant_decomposition, is_dominant, vadd, vneg, vscale, vsub
 from .weyl import FiniteWeylElem
@@ -41,13 +41,7 @@ class GroupAlgebraElem:
         out: dict[Vec, LaurentPoly] = {}
         for x, c in self.terms.items():
             for y, d in other.terms.items():
-                key = vadd(x, y)
-                s = out.get(key)
-                s = c * d if s is None else s + c * d
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, vadd(x, y), c * d)
         return GroupAlgebraElem(out)
 
 
@@ -84,10 +78,7 @@ class Bernstein:
 
     def embed(self, a: GroupAlgebraElem) -> HeckeElem:
         H = self.hecke
-        out = H.zero()
-        for x, c in a.terms.items():
-            out = H.add(out, H.scale(self.theta(x), c))
-        return out
+        return H.add(*(H.scale(self.theta(x), c) for x, c in a.terms.items()))
 
     # -- the commutation relation --------------------------------------------
 
@@ -117,43 +108,31 @@ class Bernstein:
         )
 
         n = datum.pair(tuple(x), acheck)
-        doubled = all(v % 2 == 0 for v in acheck)
-        rhs = H.zero()
-        if not doubled:
-            coeff = labels.q_root(alpha) - labels.one()
-            if n >= 0:
-                for j in range(n):
-                    rhs = H.add(rhs, H.scale(self.theta(vsub(tuple(x), vscale(j, alpha))), coeff))
-            else:
-                for j in range(-n):
-                    rhs = H.sub(rhs, H.scale(self.theta(vsub(sx, vscale(j, alpha))), coeff))
-        else:
-            # n is even here: the pairing against a coroot divisible by 2
-            two_alpha = vscale(2, alpha)
-            a_coeff = labels.q_root(two_alpha) * labels.q_root(alpha) - labels.one()
-            b_coeff = labels.q_root_sqrt(two_alpha) * (labels.q_root(alpha) - labels.one())
+        # the sum runs down from x for n >= 0, and from s x with a minus sign
+        base, sign = (tuple(x), 1) if n >= 0 else (sx, -1)
+        if all(v % 2 == 0 for v in acheck):
+            # n is even here: the pairing against a coroot divisible by 2;
+            # the even and odd steps alternate between two coefficients
             if n % 2 != 0:
                 raise AssertionError("pairing with a doubled coroot must be even")
-            if n >= 0:
-                base, sign, m = tuple(x), 1, n // 2
-            else:
-                base, sign, m = sx, -1, (-n) // 2
-            for j in range(m):
-                even_term = H.scale(self.theta(vsub(base, vscale(2 * j, alpha))), a_coeff)
-                odd_term = H.scale(self.theta(vsub(base, vscale(2 * j + 1, alpha))), b_coeff)
-                both = H.add(even_term, odd_term)
-                rhs = H.add(rhs, both) if sign > 0 else H.sub(rhs, both)
+            two_alpha = vscale(2, alpha)
+            coeffs = [
+                labels.q_root(two_alpha) * labels.q_root(alpha) - labels.one(),
+                labels.q_root_sqrt(two_alpha) * (labels.q_root(alpha) - labels.one()),
+            ]
+        else:
+            coeffs = [labels.q_root(alpha) - labels.one()]
+        rhs = H.add(*(
+            H.scale(self.theta(vsub(base, vscale(j, alpha))), coeffs[j % len(coeffs)] * sign)
+            for j in range(abs(n))
+        ))
         return lhs, rhs
 
     # -- the center ----------------------------------------------------------
 
     def center_element(self, x: Vec) -> HeckeElem:
         """The orbit sum over the finite Weyl orbit of x: a central element."""
-        H = self.hecke
-        out = H.zero()
-        for y in self.weyl.orbit(tuple(x)):
-            out = H.add(out, self.theta(y))
-        return out
+        return self.hecke.add(*(self.theta(y) for y in self.weyl.orbit(tuple(x))))
 
     # -- the star involution on the basis --------------------------------------
 
@@ -206,7 +185,8 @@ class Bernstein:
         # delta_sqrt(xp - z0): its exponents are linear in the point
         weights: dict[Vec, LaurentPoly] = {}
         out: dict[tuple[FiniteWeylElem, Vec], LaurentPoly] = {}
-        for g, c in shifted.terms.items():
+        for u, c in shifted.terms.items():
+            g = weyl.elem(u)
             xp = g.trans
             if not is_dominant(self.datum, xp):
                 raise BoxError(
@@ -229,11 +209,10 @@ class Bernstein:
     ) -> HeckeElem:
         """Inverse of :meth:`expand_in_bernstein`: sum of c * T_w theta(x)."""
         H = self.hecke
-        out = H.zero()
-        for (w, x), c in coords.items():
-            term = H.mul(H.basis(self.weyl.as_affine(w)), self.theta(x))
-            out = H.add(out, H.scale(term, c))
-        return out
+        return H.add(*(
+            H.scale(H.mul(H.basis(self.weyl.as_affine(w)), self.theta(x)), c)
+            for (w, x), c in coords.items()
+        ))
 
 
 def _unit_vectors(rank: int):

@@ -60,14 +60,23 @@ class UsageError(Exception):
 # -- configuration loading ---------------------------------------------------
 
 
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a configuration file; one that cannot be read (a
+    directory, no permission, not UTF-8) is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}")
+
+
 def load_datum(spec: str):
     try:
         return build_preset(spec)
     except RootSystemError as exc:
         if not os.path.exists(spec):
             raise UsageError(f"datum {spec!r}: {exc} (and no file by that name)")
-    with open(spec, "r", encoding="utf-8") as fh:
-        return datum_from_json(fh.read())
+    return datum_from_json(read_text(spec, "datum"))
 
 
 def load_label_values(raw: str) -> dict | None:
@@ -76,10 +85,7 @@ def load_label_values(raw: str) -> dict | None:
         return None
     text = raw
     if not raw.lstrip().startswith("{"):
-        if not os.path.exists(raw):
-            raise UsageError(f"labels file not found: {raw!r}")
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(raw, "labels")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,8 +201,11 @@ def num_obj(v):
 def emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -411,6 +411,18 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     )
 
 
+def accumulate(out: dict, key, c: LaurentPoly) -> None:
+    """Add ``c`` into ``out[key]`` in place; a sum that cancels drops the
+    key, so a dict built only through here holds no zero coefficient."""
+    s = out.get(key)
+    if s is not None:
+        c = s + c
+    if c.terms:
+        out[key] = c
+    elif s is not None:
+        del out[key]
+
+
 def poly_to_obj(p: LaurentPoly) -> dict:
     return {
         "vars": list(p.vars),

@@ -1,11 +1,15 @@
 """The Iwahori-Hecke algebra on the T-basis.
 
 Elements are finitely supported maps from extended affine Weyl elements to
-Laurent-polynomial coefficients.  Multiplication factors the right-hand
-element's basis words through the length-zero subgroup and applies the
-quadratic relation one generator at a time; everything else (the star
-anti-involution, the trace, the inner product, basis inverses) reduces to
-that single step rule:
+Laurent-polynomial coefficients, keyed by the Weyl group's int ids
+(``AffineWeyl.gid``) from end to end: the folds, sums and products work on
+ids, and elements are converted only at the edge (``basis``, ``unit``,
+``coeff``, ``tau``, the fold's right-hand ``h`` and the JSON records).
+
+Multiplication factors the right-hand element's basis words through the
+length-zero subgroup and applies the quadratic relation one generator at a
+time; everything else (the star anti-involution, the trace, the inner
+product, basis inverses) reduces to that single step rule:
 
     T_u * T_s = T_{us}                     if l(us) = l(u) + 1
     T_u * T_s = (q_s - 1) T_u + q_s T_{us} if l(us) = l(u) - 1
@@ -13,7 +17,7 @@ that single step rule:
 
 from __future__ import annotations
 
-from .coeffring import LabelSet, LaurentPoly, obj_to_poly, poly_to_obj
+from .coeffring import LabelSet, LaurentPoly, accumulate, obj_to_poly, poly_to_obj
 from .weyl import AffineWeyl, AffineWeylElem
 
 MAX_SUPPORT = 1_000_000
@@ -24,18 +28,16 @@ class SupportError(RuntimeError):
 
 
 class HeckeElem:
-    """A finitely supported element in the T-basis."""
+    """A finitely supported element in the T-basis, keyed by the ids of its
+    algebra's Weyl group; read a coefficient with :meth:`HeckeAlgebra.coeff`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[AffineWeylElem, LaurentPoly]):
-        self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
+    def __init__(self, terms: dict[int, LaurentPoly]):
+        self.terms = {u: c for u, c in terms.items() if not c.is_zero()}
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, g: AffineWeylElem) -> LaurentPoly | None:
-        return self.terms.get(g)
 
     def support_size(self) -> int:
         return len(self.terms)
@@ -66,37 +68,35 @@ class HeckeAlgebra:
         return HeckeElem({})
 
     def unit(self) -> HeckeElem:
-        return HeckeElem({self.weyl.identity: self.labels.one()})
+        return self.basis(self.weyl.identity)
 
     def basis(self, g: AffineWeylElem) -> HeckeElem:
-        return HeckeElem({g: self.labels.one()})
+        return HeckeElem({self.weyl.gid(g): self.labels.one()})
 
-    def from_terms(self, terms: dict[AffineWeylElem, LaurentPoly]) -> HeckeElem:
-        return HeckeElem(dict(terms))
+    def coeff(self, a: HeckeElem, g: AffineWeylElem) -> LaurentPoly | None:
+        """The coefficient of T_g in a, or None off its support."""
+        return a.terms.get(self.weyl.gid(g))
 
     # -- linear structure ----------------------------------------------------
 
-    def add(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        out = dict(a.terms)
-        for g, c in b.terms.items():
-            s = out.get(g)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
+    def add(self, *elems: HeckeElem) -> HeckeElem:
+        """The sum of the elements, accumulated left to right."""
+        out: dict[int, LaurentPoly] = {}
+        for b in elems:
+            for u, c in b.terms.items():
+                accumulate(out, u, c)
         return HeckeElem(out)
 
     def sub(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        return self.add(a, self.scale(b, -1))
+        out = dict(a.terms)
+        for u, c in b.terms.items():
+            accumulate(out, u, -c)
+        return HeckeElem(out)
 
     def scale(self, a: HeckeElem, c) -> HeckeElem:
-        return HeckeElem({g: cc * c for g, cc in a.terms.items()})
+        return HeckeElem({u: cc * c for u, cc in a.terms.items()})
 
     # -- generator steps -----------------------------------------------------
-    #
-    # The folds below work on term dicts keyed by the Weyl group's int ids;
-    # keys are converted once on entry and once on exit.
 
     def _guard(self, terms: dict) -> None:
         if len(terms) > MAX_SUPPORT:
@@ -104,14 +104,6 @@ class HeckeAlgebra:
                 f"support exceeded {MAX_SUPPORT} basis terms; "
                 "the computation is out of desk scale"
             )
-
-    def _ids(self, terms: dict[AffineWeylElem, LaurentPoly]) -> dict[int, LaurentPoly]:
-        gid = self.weyl.gid
-        return {gid(g): c for g, c in terms.items()}
-
-    def _from_ids(self, terms: dict[int, LaurentPoly]) -> HeckeElem:
-        elem = self.weyl.elem
-        return HeckeElem({elem(u): c for u, c in terms.items()})
 
     def _rmul_gen(self, terms: dict[int, LaurentPoly], i: int, inverse: bool = False) -> dict:
         """Right-multiply an id-keyed term dict by T_{s_i}, or by its inverse.
@@ -209,42 +201,37 @@ class HeckeAlgebra:
         """
         if not a.terms or not b.terms:
             return HeckeElem({})
-        weyl = self.weyl
-        cost_fold = len(a.terms) * sum(weyl.length(h) for h in b.terms)
-        cost_star = len(b.terms) * sum(weyl.length(g) for g in a.terms)
+        lens = self.weyl.lens
+        cost_fold = len(a.terms) * sum(lens[h] for h in b.terms)
+        cost_star = len(b.terms) * sum(lens[u] for u in a.terms)
         if cost_star < cost_fold:
             return self.star(self._mul_fold(self.star(b), self.star(a)))
         return self._mul_fold(a, b)
 
     def _mul_fold(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        left = self._ids(a.terms)
+        elem = self.weyl.elem
         out: dict[int, LaurentPoly] = {}
         for h, d in b.terms.items():
-            for g, c in self._fold(left, h).items():
-                s = out.get(g)
-                s = c * d if s is None else s + c * d
-                if s.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = s
+            for u, c in self._fold(a.terms, elem(h)).items():
+                accumulate(out, u, c * d)
             self._guard(out)
-        return self._from_ids(out)
+        return HeckeElem(out)
 
     def rmul_basis(self, a: HeckeElem, h: AffineWeylElem, inverse: bool = False) -> HeckeElem:
         """a * T_h, or a * T_h^{-1}, without building T_h or its inverse."""
-        return self._from_ids(self._fold(self._ids(a.terms), h, inverse))
+        return HeckeElem(self._fold(a.terms, h, inverse))
 
     def star(self, a: HeckeElem) -> HeckeElem:
         """The conjugate-linear anti-involution T_g -> T_{g^{-1}}.
 
         Coefficients here are real (rational in the v), so conjugation is
         the identity on them."""
-        weyl = self.weyl
-        return HeckeElem({weyl.inverse(g): c for g, c in a.terms.items()})
+        inv = self.weyl.inverse_id
+        return HeckeElem({inv(u): c for u, c in a.terms.items()})
 
     def tau(self, a: HeckeElem) -> LaurentPoly:
         """The trace: the coefficient of the identity."""
-        c = a.terms.get(self.weyl.identity)
+        c = self.coeff(a, self.weyl.identity)
         return c if c is not None else self.labels.zero()
 
     def tau_pair(self, a: HeckeElem, b: HeckeElem) -> LaurentPoly:
@@ -253,21 +240,22 @@ class HeckeAlgebra:
         weyl = self.weyl
         labels = self.labels
         out = labels.zero()
-        for g, c in a.terms.items():
-            d = b.terms.get(weyl.inverse(g))
+        for u, c in a.terms.items():
+            d = b.terms.get(weyl.inverse_id(u))
             if d is not None:
-                out = out + c * d * labels.q_of_w(g)
+                out = out + c * d * labels.q_of_w(weyl.elem(u))
         return out
 
     def inner(self, a: HeckeElem, b: HeckeElem) -> LaurentPoly:
         """Hermitian inner product tau(star(a) * b); the T-basis is
         orthogonal with squared norm q(g)."""
+        elem = self.weyl.elem
         labels = self.labels
         out = labels.zero()
-        for g, c in a.terms.items():
-            d = b.terms.get(g)
+        for u, c in a.terms.items():
+            d = b.terms.get(u)
             if d is not None:
-                out = out + c * d * labels.q_of_w(g)
+                out = out + c * d * labels.q_of_w(elem(u))
         return out
 
     # -- inverses ------------------------------------------------------------
@@ -277,25 +265,22 @@ class HeckeAlgebra:
     ) -> HeckeElem:
         """The inverse of a basis element T_g, or its restriction to
         ``targets``: the inverse fold of the unit (see ``_fold``)."""
-        one = {self.weyl.gid(self.weyl.identity): self.labels.one()}
-        return self._from_ids(self._fold(one, g, inverse=True, targets=targets))
+        return HeckeElem(self._fold(self.unit().terms, g, inverse=True, targets=targets))
 
     # -- serialization -------------------------------------------------------
 
     def elem_to_obj(self, a: HeckeElem) -> list[dict]:
         weyl = self.weyl
         records = [
-            {"elem": weyl.elem_to_obj(g), "coeff": poly_to_obj(c)}
-            for g, c in a.terms.items()
+            {"elem": weyl.elem_to_obj(weyl.elem(u)), "coeff": poly_to_obj(c)}
+            for u, c in a.terms.items()
         ]
         records.sort(key=lambda r: (r["elem"]["word"], r["elem"]["translation"]))
         return records
 
     def elem_from_obj(self, obj: list[dict]) -> HeckeElem:
         weyl = self.weyl
-        terms: dict[AffineWeylElem, LaurentPoly] = {}
+        terms: dict[int, LaurentPoly] = {}
         for rec in obj:
-            g = weyl.elem_from_obj(rec["elem"])
-            c = obj_to_poly(rec["coeff"])
-            terms[g] = terms.get(g, self.labels.zero()) + c
+            accumulate(terms, weyl.gid(weyl.elem_from_obj(rec["elem"])), obj_to_poly(rec["coeff"]))
         return HeckeElem(terms)

@@ -32,11 +32,11 @@ import random
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import LaurentPoly, _unpack, power_table
+from .coeffring import LaurentPoly, _unpack, accumulate, power_table
 from .hecke import HeckeElem
 from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
 from .tracegen import PoleError, TorusPoint, TraceGen
-from .weyl import AffineWeylElem, FiniteWeylElem
+from .weyl import FiniteWeylElem
 
 
 class ModeError(RuntimeError):
@@ -221,7 +221,7 @@ class PrincipalSeries:
         if h.is_zero():
             return {}
         base = max(
-            [1] + [abs(v) for g in h.terms for v in g.trans]
+            [1] + [abs(v) for u in h.terms for v in self.weyl.elem(u).trans]
         )
         last = None
         for box in (base, 2 * base + 2, 4 * base + 6):
@@ -581,10 +581,7 @@ class PrincipalSeries:
         """Sum of all finite basis elements (un-normalised plus idempotent)."""
         if self._sym_elem is None:
             H = self.hecke
-            out = H.zero()
-            for w in self.basis_order:
-                out = H.add(out, H.basis(self.weyl.as_affine(w)))
-            self._sym_elem = out
+            self._sym_elem = H.add(*(H.basis(self.weyl.as_affine(w)) for w in self.basis_order))
         return self._sym_elem
 
     def t0_plus_vector(self) -> list:
@@ -647,11 +644,11 @@ class PrincipalSeries:
         p0sq = self._p0_val ** 2
         vars_ = self.labels.vars
         terms = {}
-        for g, c in cleared.terms.items():
+        for u, c in cleared.terms.items():
             value = Fraction(c.evaluate(asg)) / p0sq
             if value:
-                terms[g] = LaurentPoly.const(vars_, value)
-        return self.hecke.from_terms(terms)
+                terms[u] = LaurentPoly.const(vars_, value)
+        return HeckeElem(terms)
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
@@ -690,21 +687,15 @@ class PrincipalSeries:
         sym = self.symmetrizer()
         line1 = H.mul(H.mul(sym, H.basis(tx)), sym)
         px = self.labels.poincare(stab)
-        partial = H.zero()
-        for u in reps:
-            partial = H.add(partial, H.basis(weyl.as_affine(u)))
+        partial = H.add(*(H.basis(weyl.as_affine(u)) for u in reps))
         line2 = H.scale(H.mul(H.mul(partial, H.basis(tx)), sym), px)
         coeff = self.labels.q_of_fin(w_up) * px
-        terms: dict[AffineWeylElem, LaurentPoly] = {}
+        terms: dict[int, LaurentPoly] = {}
         for u in reps:
             left = weyl.multiply(weyl.as_affine(u), tx)
             for v in self.basis_order:
-                g = weyl.multiply(left, weyl.as_affine(v))
-                if g in terms:
-                    terms[g] = terms[g] + coeff
-                else:
-                    terms[g] = coeff
-        line3 = H.from_terms(terms)
+                accumulate(terms, weyl.gid(weyl.multiply(left, weyl.as_affine(v))), coeff)
+        line3 = HeckeElem(terms)
         return line1, line2, line3
 
     def inner_plus(self, x: Vec, y: Vec) -> LaurentPoly:

@@ -268,7 +268,7 @@ class TraceGen:
         out: dict[Vec, LaurentPoly] = {}
         zfac = labels.delta_sqrt(z)
         for x, (y, tminus) in targets.items():
-            c = inv.terms.get(tminus)
+            c = self.hecke.coeff(inv, tminus)
             if c is None:
                 out[x] = labels.zero()
             else:

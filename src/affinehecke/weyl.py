@@ -344,6 +344,12 @@ class AffineWeyl:
             g = self._elems[u] = AffineWeylElem(self._w0_list[w], t)
         return g
 
+    def inverse_id(self, u: int) -> int:
+        """The id of ``u^{-1}``: ``(w t)^{-1} = w^{-1} t_{-w t}``, as in :meth:`inverse`."""
+        w, t = self._keys[u]
+        fin = self._w0_list[w]
+        return self._intern(self._w_index[self.fin_inv(fin).mx], vneg(fin.apply_x(t)))
+
     def step(self, u: int, i: int) -> int:
         """The id of ``u s_i``; fills ``nxt[i]`` in both directions.
 

@@ -397,6 +397,33 @@ def test_labels_from_file(tmp_path, capsys):
     assert obj["records"][1]["trace"] == "9/4"
 
 
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+@pytest.mark.parametrize("flag", ["--datum", "--labels"])
+def test_unreadable_config_file_exit_usage(tmp_path, capsys, flag, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["trace", flag, str(path), "--box", "1"])
+    assert_one_line_usage_error(code, out, err)
+
+
+def test_out_in_missing_directory_exit_usage(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["series", "--datum", "A1-weight", "--box", "1",
+                                  "--out", str(target)])
+    assert_one_line_usage_error(code, out, err)
+    assert not target.exists()
+
+
 def test_spherical_zero_coordinate_exit_usage(capsys):
     code, out, err = run(
         capsys,

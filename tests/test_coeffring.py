@@ -20,6 +20,7 @@ from affinehecke.coeffring import (
     MAX_EXP,
     ExponentOverflowError,
     LabelSet,
+    accumulate,
     obj_to_poly,
     poly_to_obj,
     power_table,
@@ -523,3 +524,14 @@ def test_numeric_assignment_errors():
     # complex mode takes non-square values
     asg = L.numeric_assignment({"s1": 2, "s2": 2, "s0": 2}, "complex")
     assert abs(asg["v1"] ** 2 - 2) < 1e-12
+
+
+def test_accumulate_adds_in_place_and_drops_a_cancelled_key():
+    p = LaurentPoly(VARS, {(1, 0): 2, (0, -1): 1})
+    out = {"k": p}
+    accumulate(out, "k", p)
+    assert out == {"k": p * 2}
+    accumulate(out, "k", p * -2)
+    assert out == {}
+    accumulate(out, "z", p - p)  # a zero summand stores nothing
+    assert out == {}

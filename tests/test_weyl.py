@@ -322,3 +322,14 @@ def test_distance_to_is_the_capped_nearest_length(name, data):
     for u in data.draw(st.lists(extended_elements(name), min_size=1, max_size=4)):
         dists = [w.length(w.multiply(w.inverse(u), v)) for v in ends]
         assert near(w.gid(u)) == min(dists + [cap])
+
+
+@pytest.mark.parametrize("name", DISTANCE_PRESETS)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_inverse_id_is_the_id_of_the_inverse(name, data):
+    w = group(name)
+    g = data.draw(extended_elements(name))
+    u = w.gid(g)
+    assert w.inverse_id(u) == w.gid(w.inverse(g))
+    assert w.inverse_id(w.inverse_id(u)) == u
