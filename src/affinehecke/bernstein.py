@@ -99,7 +99,6 @@ class Bernstein:
         alpha = datum.simple_roots[i]
         acheck = datum.simple_coroots[i]
         H = self.hecke
-        labels = self.labels
         s = weyl.simple_affine(i)
         sx = weyl.act_point(s, tuple(x))
         lhs = H.sub(
@@ -110,23 +109,20 @@ class Bernstein:
         n = datum.pair(tuple(x), acheck)
         # the sum runs down from x for n >= 0, and from s x with a minus sign
         base, sign = (tuple(x), 1) if n >= 0 else (sx, -1)
-        if all(v % 2 == 0 for v in acheck):
-            # n is even here: the pairing against a coroot divisible by 2;
-            # the even and odd steps alternate between two coefficients
-            if n % 2 != 0:
-                raise AssertionError("pairing with a doubled coroot must be even")
-            two_alpha = vscale(2, alpha)
-            coeffs = [
-                labels.q_root(two_alpha) * labels.q_root(alpha) - labels.one(),
-                labels.q_root_sqrt(two_alpha) * (labels.q_root(alpha) - labels.one()),
-            ]
-        else:
-            coeffs = [labels.q_root(alpha) - labels.one()]
+        coeffs = self.commutation_coeffs(alpha)
         rhs = H.add(*(
-            H.scale(self.theta(vsub(base, vscale(j, alpha))), coeffs[j % len(coeffs)] * sign)
+            H.scale(self.theta(vsub(base, vscale(j, alpha))), coeffs[j % 2] * sign)
             for j in range(abs(n))
         ))
         return lhs, rhs
+
+    def commutation_coeffs(self, alpha: Vec) -> tuple[LaurentPoly, LaurentPoly]:
+        """``(1/(AB) - 1, 1/A - 1/B)`` for the pair (A, B) of ``alpha`` from
+        ``LabelSet.c_pair``: the coefficients of the even and odd steps of the
+        commutation relation, both ``q_alpha - 1`` unless ``2*alpha`` is in
+        the non-reduced extension."""
+        a, b = self.labels.c_pair(alpha)
+        return (a * b).inverse() - self.labels.one(), a.inverse() - b.inverse()
 
     # -- the center ----------------------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import json
 import os
 import sys
@@ -208,6 +209,18 @@ def emit(obj: dict, out: str | None) -> None:
             raise UsageError(f"cannot write --out {out!r}: {exc}")
     else:
         sys.stdout.write(text)
+
+
+def check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that ``emit`` could not open (a directory, or
+    a file in a missing directory) before any work, with ``emit``'s message."""
+    if out and os.path.isdir(out):
+        code = errno.EISDIR
+    elif out and not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write --out {out!r}: {OSError(code, os.strerror(code), out)}")
 
 
 def coordinate_box(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -567,6 +580,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rootdata import Vec, vneg
+from .rootdata import Vec, vneg, vscale
 from .weyl import AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 
@@ -451,7 +451,7 @@ class LabelSet:
 
     One Laurent variable per conjugacy class of affine generators; all label
     functions (generator parameters, affine-root labels with the crossed rule
-    for coroots divisible by 2, root labels, halved-coroot labels, the
+    for coroots divisible by 2, the per-root c-function pair ``c_pair``, the
     translation weight ``delta`` and its square root, full products ``q(w)``)
     return monomials or polynomials in those variables.
     """
@@ -516,10 +516,6 @@ class LabelSet:
             weyl.generator_names[j]: self.gen_class[j]
             for j in range(len(weyl.fundamental))
         }
-        self.q_of_class: dict[int, LaurentPoly] = {
-            i: LaurentPoly.monomial(self.vars, self._unit_exps(i, 2))
-            for i in range(len(self.vars))
-        }
         # orbits of coroots divisible by 2 carry crossed level labels:
         # orbit -> (class labelling even levels, class labelling odd levels)
         self.special_swap: dict[int, tuple[int, int]] = {}
@@ -530,6 +526,7 @@ class LabelSet:
                     self._key_to_class[(o, 0)],
                 )
         self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
+        self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
         # non-reduced extension: delta_sqrt(x) has v_c-exponent <x, F_c>
         forms = [[0] * datum.rank for _ in self.vars]
@@ -605,26 +602,27 @@ class LabelSet:
                 return tuple(x - y for x, y in zip(e1, e0))
         return None
 
-    def q_root(self, root: Vec) -> LaurentPoly:
-        """Label ``q_{beta^vee}`` of a vector in the non-reduced extension;
-        1 whenever ``beta`` is not in it."""
-        e = self.root_label_half_exps(root)
-        if e is None:
-            return self.one()
-        return self._mono(tuple(2 * x for x in e))
+    def c_pair(self, root: Vec) -> tuple[LaurentPoly, LaurentPoly]:
+        """The monomials ``(A_a, B_a)`` that fix every per-root c-function
+        formula at ``a = root``:
 
-    def q_root_sqrt(self, root: Vec) -> LaurentPoly:
-        e = self.root_label_half_exps(root)
-        if e is None:
-            return self.one()
-        return self._mono(e)
+            A_a = (q_{2a}^{1/2} q_a)^{-1},   B_a = q_{2a}^{-1/2},
 
-    def q_half(self, root: Vec) -> LaurentPoly:
-        """Label of the halved coroot, i.e. the label of ``2*root``."""
-        return self.q_root(vscale2(root))
-
-    def q_half_sqrt(self, root: Vec) -> LaurentPoly:
-        return self.q_root_sqrt(vscale2(root))
+        where ``q_b`` is the label ``q_{b^vee}`` of ``b`` in the non-reduced
+        extension and 1 for any other vector; so ``q_a = A_a^{-1} B_a``,
+        ``q_{2a} = B_a^{-2}``, and ``B_a = 1`` unless ``2a`` is in the extension.  The
+        c-function factor is ``c(a, t) = (1 - A_a u) / (1 - B_a u)`` with
+        ``u = t(-a)``.  Memoised per root.
+        """
+        root = tuple(root)
+        pair = self._pairs.get(root)
+        if pair is None:
+            zero = (0,) * len(self.vars)
+            ea = self.root_label_half_exps(root) or zero
+            eb = self.root_label_half_exps(vscale(2, root)) or zero
+            a = self._mono(tuple(-2 * x - y for x, y in zip(ea, eb)))
+            pair = self._pairs[root] = (a, self._mono(tuple(-y for y in eb)))
+        return pair
 
     # -- multiplicative extensions -------------------------------------------
 
@@ -712,10 +710,6 @@ class LabelSet:
             else:
                 out[var] = math.sqrt(float(q))
         return out
-
-
-def vscale2(root: Vec) -> Vec:
-    return tuple(2 * v for v in root)
 
 
 def _parse_rational(raw) -> Fraction:

@@ -248,15 +248,8 @@ class HeckeAlgebra:
 
     def inner(self, a: HeckeElem, b: HeckeElem) -> LaurentPoly:
         """Hermitian inner product tau(star(a) * b); the T-basis is
-        orthogonal with squared norm q(g)."""
-        elem = self.weyl.elem
-        labels = self.labels
-        out = labels.zero()
-        for u, c in a.terms.items():
-            d = b.terms.get(u)
-            if d is not None:
-                out = out + c * d * labels.q_of_w(elem(u))
-        return out
+        orthogonal with squared norm q(g) (exact, since q(g^{-1}) = q(g))."""
+        return self.tau_pair(self.star(a), b)
 
     # -- inverses ------------------------------------------------------------
 

@@ -302,51 +302,36 @@ class PrincipalSeries:
 
     # -- intertwining elements (symbolic) ------------------------------------
 
-    def _is_doubled_simple(self, i: int) -> bool:
-        alpha = self.datum.simple_roots[i]
-        return tuple(2 * v for v in alpha) in self._nr_pos_set
-
     def r1_of_simple(self, i: int) -> Vec:
         """The non-multipliable positive root proportional to the i-th
         simple root."""
         alpha = self.datum.simple_roots[i]
-        if self._is_doubled_simple(i):
-            return tuple(2 * v for v in alpha)
-        return alpha
+        two = vscale(2, alpha)
+        return two if two in self._nr_pos_set else alpha
 
     def intertwiner_element(self, i: int) -> HeckeElem:
         """The intertwining element attached to the i-th simple reflection."""
         H = self.hecke
-        labels = self.labels
-        alpha = self.datum.simple_roots[i]
+        alpha, top = self.datum.simple_roots[i], self.r1_of_simple(i)
         ts = H.basis(self.weyl.simple_affine(i))
-        if not self._is_doubled_simple(i):
-            out = H.sub(ts, H.mul(self.bernstein.theta(vneg(alpha)), ts))
-            const = labels.one() - labels.q_root(alpha)
-            return H.add(out, H.scale(H.unit(), const))
-        two = vscale(2, alpha)
-        out = H.sub(ts, H.mul(self.bernstein.theta(vneg(two)), ts))
-        c0 = labels.one() - labels.q_half(alpha) * labels.q_root(alpha)
-        c1 = labels.q_half_sqrt(alpha) * (labels.q_root(alpha) - labels.one())
-        out = H.add(out, H.scale(H.unit(), c0))
-        return H.sub(out, H.scale(self.bernstein.theta(vneg(alpha)), c1))
+        c0, c1 = self.bernstein.commutation_coeffs(alpha)
+        out = H.sub(ts, H.mul(self.bernstein.theta(vneg(top)), ts))
+        out = H.add(out, H.scale(H.unit(), -c0))
+        if top != alpha:
+            out = H.sub(out, H.scale(self.bernstein.theta(vneg(alpha)), c1))
+        return out
 
     def intertwiner_element_right(self, i: int) -> HeckeElem:
         """The same element written with the Bernstein factors on the right."""
         H = self.hecke
-        labels = self.labels
-        alpha = self.datum.simple_roots[i]
+        alpha, top = self.datum.simple_roots[i], self.r1_of_simple(i)
         ts = H.basis(self.weyl.simple_affine(i))
-        if not self._is_doubled_simple(i):
-            out = H.sub(ts, H.mul(ts, self.bernstein.theta(alpha)))
-            const = labels.q_root(alpha) - labels.one()
-            return H.add(out, H.scale(self.bernstein.theta(alpha), const))
-        two = vscale(2, alpha)
-        out = H.sub(ts, H.mul(ts, self.bernstein.theta(two)))
-        c0 = labels.q_half(alpha) * labels.q_root(alpha) - labels.one()
-        c1 = labels.q_half_sqrt(alpha) * (labels.q_root(alpha) - labels.one())
-        out = H.add(out, H.scale(self.bernstein.theta(two), c0))
-        return H.add(out, H.scale(self.bernstein.theta(alpha), c1))
+        c0, c1 = self.bernstein.commutation_coeffs(alpha)
+        out = H.sub(ts, H.mul(ts, self.bernstein.theta(top)))
+        out = H.add(out, H.scale(self.bernstein.theta(top), c0))
+        if top != alpha:
+            out = H.add(out, H.scale(self.bernstein.theta(alpha), c1))
+        return out
 
     def intertwiner_word(self, word: tuple[int, ...]) -> HeckeElem:
         """Product of intertwining elements along a word of simple indices."""
@@ -355,25 +340,30 @@ class PrincipalSeries:
             out = self.hecke.mul(out, self.intertwiner_element(i))
         return out
 
-    def n_element(self, beta: Vec) -> HeckeElem:
-        """The normalisation factor attached to a (signed) non-multipliable
-        root, as an element of the commutative subalgebra."""
-        H = self.hecke
-        labels = self.labels
+    def _n_root(self, beta: Vec) -> tuple[Vec, bool]:
+        """The positive root whose ``c_pair`` fixes the normalisation factor
+        at a signed non-multipliable root ``beta``, and whether it is half
+        of ``±beta`` (so that the factor has a middle term)."""
         pos = beta if beta in self._r1_pos_set else vneg(beta)
         if pos not in self._r1_pos_set:
             raise ValueError(f"{beta} is not a non-multipliable root")
-        half_pos = _half(pos)
-        if half_pos is not None and half_pos in self._r0_pos_set:
-            alpha = half_pos
-            half_signed = _half(beta)
-            qa = labels.q_root(alpha)
-            const = labels.q_half(alpha) * qa
-            mid = labels.q_half_sqrt(alpha) * (qa - labels.one())
-            out = H.scale(H.unit(), const)
-            out = H.add(out, H.scale(self.bernstein.theta(half_signed), mid))
-            return H.sub(out, self.bernstein.theta(beta))
-        out = H.scale(H.unit(), labels.q_root(pos))
+        half = _half(pos)
+        if half is not None and half in self._r0_pos_set:
+            return half, True
+        return pos, False
+
+    def n_element(self, beta: Vec) -> HeckeElem:
+        """The normalisation factor attached to a (signed) non-multipliable
+        root, as an element of the commutative subalgebra:
+        ``1/(AB) + (1/A - 1/B) theta(beta/2) - theta(beta)``, the middle
+        term only when ``beta/2`` is a root."""
+        H = self.hecke
+        alpha, doubled = self._n_root(beta)
+        a, b = self.labels.c_pair(alpha)
+        out = H.scale(H.unit(), (a * b).inverse())
+        if doubled:
+            mid = a.inverse() - b.inverse()
+            out = H.add(out, H.scale(self.bernstein.theta(_half(beta)), mid))
         return H.sub(out, self.bernstein.theta(beta))
 
     def d_element(self, beta: Vec) -> HeckeElem:
@@ -384,17 +374,15 @@ class PrincipalSeries:
     # -- numeric root factors ------------------------------------------------
 
     def n_value(self, beta: Vec, t: TorusPoint):
-        pos = beta if beta in self._r1_pos_set else vneg(beta)
-        if pos not in self._r1_pos_set:
-            raise ValueError(f"{beta} is not a non-multipliable root")
-        half_pos = _half(pos)
-        if half_pos is not None and half_pos in self._r0_pos_set:
-            alpha = half_pos
-            qa = self._val(self.labels.q_root(alpha))
-            qh = self._val(self.labels.q_half(alpha))
-            qhs = self._val(self.labels.q_half_sqrt(alpha))
-            return qh * qa + qhs * (qa - 1) * t.value(_half(beta)) - t.value(beta)
-        return self._val(self.labels.q_root(pos)) - t.value(beta)
+        """``n_element(beta)`` evaluated on the module attached to ``t``."""
+        alpha, doubled = self._n_root(beta)
+        a, b = self.labels.c_pair(alpha)
+        # floats round as q_a = B/A, q_{2a}^{1/2} = 1/B, q_{2a} multiplied out
+        qa = self._val(a.inverse() * b)
+        if not doubled:
+            return qa - t.value(beta)
+        qhs, qh = self._val(b.inverse()), self._val(b ** -2)
+        return qh * qa + qhs * (qa - 1) * t.value(_half(beta)) - t.value(beta)
 
     def r1_inversions(self, w: FiniteWeylElem) -> list[Vec]:
         """Positive non-multipliable roots sent negative by ``w``."""

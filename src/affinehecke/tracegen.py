@@ -104,18 +104,21 @@ class TraceGen:
         self._d_cache: dict[tuple[Vec, int], LaurentPoly] = {}
         self._d_value_cache: dict[tuple[Vec, int], object] = {}
         self._root_coords: list[tuple[Vec, tuple[int, ...]]] | None = None
+        self._nonreduced = {
+            r for root, _c in self.derived.nonreduced_positive for r in (root, vneg(root))
+        }
+        self._c_inv_values: dict[Vec, tuple] = {}
 
     # -- d coefficients ------------------------------------------------------
 
     def d_coeff(self, root: Vec, k: int) -> LaurentPoly:
         """The weight of multiplicity k on one positive root of the
-        non-reduced extension:
+        non-reduced extension, in the pair (A, B) of ``LabelSet.c_pair``:
 
-            d(a; k) = (q_{a*} - 1)(q_{a*/2} q_{a*} - 1)(C^k - C^{-k}) / (C^2 - 1)
+            d(a; k) = (B/A - 1)(1/(AB) - 1)(A^{-k} - A^{k}) / (A^{-2} - 1)
 
-        with C = q_{a*/2}^{1/2} q_{a*} (a* the coroot); d(a; 0) = 1.  The
-        division is carried out exactly in the Laurent ring and a failure is
-        a loud error, never a silent approximation.
+        and d(a; 0) = 1.  The division is carried out exactly in the Laurent
+        ring and a failure is a loud error, never a silent approximation.
         """
         if k < 0:
             raise ValueError("multiplicity must be non-negative")
@@ -127,13 +130,11 @@ class TraceGen:
         if k == 0:
             out = labels.one()
         else:
-            q = labels.q_root(root)
-            q_half = labels.q_root(vscale(2, root))
-            c_mono = labels.q_root_sqrt(vscale(2, root)) * q
-            num = (q - labels.one()) * (q_half * q - labels.one()) * (
-                c_mono ** k - c_mono ** (-k)
-            )
-            den = c_mono ** 2 - labels.one()
+            one = labels.one()
+            a, b = labels.c_pair(root)
+            a_inv = a.inverse()
+            num = (b * a_inv - one) * ((a * b).inverse() - one) * (a_inv ** k - a ** k)
+            den = a_inv ** 2 - one
             try:
                 out = exact_divide(num, den)
             except ExactDivisionError as exc:
@@ -283,20 +284,18 @@ class TraceGen:
         return [self.d_coeff(root, k) for k in range(order + 1)]
 
     def inverse_cc_series(self, root: Vec, order: int) -> list[LaurentPoly]:
-        """The expansion of 1/(q_{a*} c(a,t) c(a,t^{-1})) in powers of
+        """The expansion of 1/(q_a c(a,t) c(a,t^{-1})) in powers of
         u = t(-root), computed by power-series inversion:
 
             = (1 - Bu)(1 - B^{-1}u) / ((1 - Au)(1 - A^{-1}u))
 
-        with A = q_{a*/2}^{-1/2} q_{a*}^{-1} and B = q_{a*/2}^{-1/2}; the
-        scalar prefactor collapses to 1.
+        with (A, B) from ``LabelSet.c_pair``; the scalar prefactor collapses
+        to 1.
         """
-        labels = self.labels
-        one = labels.one()
-        a_mono = (labels.q_root_sqrt(vscale(2, root)) * labels.q_root(root)).inverse()
-        b_mono = labels.q_root_sqrt(vscale(2, root)).inverse()
-        s_a = a_mono + a_mono.inverse()
-        s_b = b_mono + b_mono.inverse()
+        one = self.labels.one()
+        a, b = self.labels.c_pair(root)
+        s_a = a + a.inverse()
+        s_b = b + b.inverse()
         # 1/((1-Au)(1-A^{-1}u)) = 1/(1 - s_a u + u^2): linear recurrence
         g = [one, s_a]
         while len(g) < order + 3:
@@ -322,57 +321,34 @@ class TraceGen:
         return self.assignment
 
     def c_factor(self, root: Vec, t: TorusPoint):
-        """One factor of the c-function,
-
-            c(a, t) = (1 - q_{a*/2}^{-1/2} q_{a*}^{-1} t(-a))
-                    / (1 - q_{a*/2}^{-1/2} t(-a)),
-
-        for a root of the non-reduced extension (the value is 1 for any
-        other vector, matching the convention that absent labels are 1)."""
+        """One factor of the c-function, c(a, t) = (1 - A u) / (1 - B u) with
+        u = t(-a) and (A, B) from ``LabelSet.c_pair``, for a root of the
+        non-reduced extension (the value is 1 for any other vector, matching
+        the convention that absent labels are 1)."""
         root = tuple(root)
-        if not self._in_nonreduced(root):
+        if root not in self._nonreduced:
             return Fraction(1)
-        asg = self._need_assignment()
-        labels = self.labels
-        q = labels.q_root(root).evaluate(asg)
-        qh_sqrt = labels.q_root_sqrt(vscale(2, root)).evaluate(asg)
+        inv = self._c_inv_values.get(root)
+        if inv is None:
+            # 1/A as the product of the label values 1/B and q_a = B/A, so
+            # floating-point values round as that product does
+            asg = self._need_assignment()
+            a, b = self.labels.c_pair(root)
+            b_inv = b.inverse().evaluate(asg)
+            inv = self._c_inv_values[root] = (b_inv * (a.inverse() * b).evaluate(asg), b_inv)
+        a_inv, b_inv = inv
         u = t.value(vneg(root))
-        num = 1 - u / (qh_sqrt * q)
-        den = 1 - u / qh_sqrt
+        num = 1 - u / a_inv
+        den = 1 - u / b_inv
         if den == 0:
             raise PoleError(f"c-function pole at root {root}")
         return num / den
 
-    def _in_nonreduced(self, root: Vec) -> bool:
-        for r, _c in self.derived.nonreduced_positive:
-            if root == r or root == vneg(r):
-                return True
-        return False
-
-    def c_full(self, t: TorusPoint, grouping: str = "nr"):
-        """The product of c-factors over positive roots.  ``grouping``
-        selects an equivalent factorization: "nr" (all positive non-reduced
-        roots), "r0" (base roots, doubled partner folded in), "r1" (the
-        reduced subsystem of non-divisible scaling)."""
-        if grouping == "nr":
-            roots = [r for r, _c in self.derived.nonreduced_positive]
-        elif grouping == "r0":
-            roots = []
-            for r in self.derived.positive_roots:
-                roots.append(r)
-                if self._in_nonreduced(vscale(2, r)):
-                    roots.append(vscale(2, r))
-        elif grouping == "r1":
-            roots = []
-            for r, _c in self.derived.r1_positive:
-                roots.append(r)
-                half = _half_vector(r)
-                if half is not None and self._in_nonreduced(half):
-                    roots.append(half)
-        else:
-            raise ValueError(f"unknown grouping {grouping!r}")
+    def c_full(self, t: TorusPoint):
+        """The product of c-factors over the positive roots of the
+        non-reduced extension."""
         out = None
-        for r in roots:
+        for r, _c in self.derived.nonreduced_positive:
             v = self.c_factor(r, t)
             out = v if out is None else out * v
         return out if out is not None else Fraction(1)
@@ -440,8 +416,3 @@ class TraceGen:
         gap = abs(lhs - rhs)
         return lhs, rhs, gap
 
-
-def _half_vector(root: Vec) -> Vec | None:
-    if all(v % 2 == 0 for v in root):
-        return tuple(v // 2 for v in root)
-    return None

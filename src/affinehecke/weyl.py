@@ -177,6 +177,7 @@ class AffineWeyl:
         self.lens: list[int] = []
         self.nxt: list[list[int]] = [[] for _ in self.fundamental]
         self._wmul: list[list[int]] | None = None
+        self._winv: list[int] = []
         self._forms: list[Vec] = []
         self._neg: list[tuple[int, ...]] = []
         self._fund_neg: list[tuple[bool, ...]] = []
@@ -299,6 +300,7 @@ class AffineWeyl:
         order = self.enumerate_w0()
         idx = self._w_index
         self._wmul = [[idx[self.fin_mul(w, s).mx] for s in self._gen_fins] for w in order]
+        self._winv = [idx[self.fin_inv(w).mx] for w in order]
         self._forms = [self._form(b) for b in self.derived.positive_coroots]
         pos, pos_co = self._pos_root_set, self._pos_coroot_set
         self._neg = [
@@ -347,8 +349,7 @@ class AffineWeyl:
     def inverse_id(self, u: int) -> int:
         """The id of ``u^{-1}``: ``(w t)^{-1} = w^{-1} t_{-w t}``, as in :meth:`inverse`."""
         w, t = self._keys[u]
-        fin = self._w0_list[w]
-        return self._intern(self._w_index[self.fin_inv(fin).mx], vneg(fin.apply_x(t)))
+        return self._intern(self._winv[w], vneg(self._w0_list[w].apply_x(t)))
 
     def step(self, u: int, i: int) -> int:
         """The id of ``u s_i``; fills ``nxt[i]`` in both directions.
@@ -391,11 +392,10 @@ class AffineWeyl:
         if self._wmul is None:
             self._build_tables()
         rows = []
-        for w in self._w0_list:
-            neg = self._neg[self._w_index[self.fin_inv(w).mx]]
+        for w, winv in zip(self._w0_list, self._winv):
             rows.append([
                 (tuple(-sum(f * row[j] for f, row in zip(form, w.mx)) for j in range(self.rank)), n)
-                for form, n in zip(self._forms, neg)
+                for form, n in zip(self._forms, self._neg[winv])
             ])
         keys = self._keys
 

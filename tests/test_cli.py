@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, determinism, suites."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from affinehecke import build_preset, datum_to_json
 from affinehecke.cli import main
 from affinehecke.rootdata import PRESET_NAMES
+from affinehecke.tracegen import TraceGen
 
 Q4_A1 = '{"s1": 4, "s0": 4}'
 Q4_A2 = '{"s1": 4, "s2": 4, "s0": 4}'
@@ -181,6 +183,29 @@ def test_spherical_seeded_point_when_t_missing(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# The bench's one spherical workload (B2) has no doubled roots: these pin the
+# c-function and intertwiner paths of BnCn(2), exact and in floating point.
+@pytest.mark.parametrize(
+    "datum,labels,mode,digest",
+    [
+        ("BnCn(2)", '{"s1":4,"s2":9,"s0":16}', "rational",
+         "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36"),
+        ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
+         "f0197fd821ee70bfe68ba4f0deca3e4025806ff4f6dc28b2f0403b928c531aee"),
+        ("B2", '{"s1":2,"s2":3}', "complex",
+         "f8e6dddc0dc07626ce279a08501b751d296a686c2256c984d9758c82563d0789"),
+    ],
+)
+def test_spherical_report_digest(capsys, datum, labels, mode, digest):
+    code, out, _ = run(
+        capsys,
+        ["spherical", "--datum", datum, "--labels", labels, "--mode", mode,
+         "--box", "2", "--seed", "0"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_negative_seed_exit_usage(capsys):
@@ -422,6 +447,19 @@ def test_out_in_missing_directory_exit_usage(tmp_path, capsys):
                                   "--out", str(target)])
     assert_one_line_usage_error(code, out, err)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, kind):
+    def no_sweep(self, xs):
+        raise AssertionError("the trace ran before --out was checked")
+
+    monkeypatch.setattr(TraceGen, "trace_sweep", no_sweep)
+    target = tmp_path / "missing" / "r.json" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, ["trace", "--datum", "A1-weight", "--box", "1",
+                                  "--out", str(target)])
+    assert_one_line_usage_error(code, out, err)
+    assert "cannot write --out" in err
 
 
 def test_spherical_zero_coordinate_exit_usage(capsys):

@@ -482,6 +482,29 @@ def test_delta_sqrt_is_multiplicative():
         assert L.delta(x) == L.delta_sqrt(x) ** 2
 
 
+PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
+
+
+def root_label(L, root):
+    """``q_{root^vee}`` read off the half-exponents; 1 off the extension."""
+    e = L.root_label_half_exps(root)
+    return L.one() if e is None else LaurentPoly.monomial(L.vars, tuple(2 * x for x in e))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_c_pair_recovers_the_root_labels(name):
+    L = labels(name)
+    nonreduced = {r for r, _ in L.weyl.derived.nonreduced_positive}
+    for root in nonreduced:
+        a, b = L.c_pair(root)
+        two = tuple(2 * v for v in root)
+        assert root_label(L, root) != L.one()
+        assert a.inverse() * b == root_label(L, root)
+        assert b ** -2 == root_label(L, two)
+        if two not in nonreduced:
+            assert b == L.one()
+
+
 def test_numeric_assignment_rational():
     L = labels("BnCn(2)")
     asg = L.numeric_assignment({"s1": 4, "s2": 9, "s0": 25}, "rational")

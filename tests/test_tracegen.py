@@ -177,6 +177,13 @@ def test_c_factor_value():
     assert numeric.c_full(t) == Fraction(255, 47488)
 
 
+def test_c_full_value_with_doubled_roots():
+    items = (("s1", 4), ("s2", 9), ("s0", 16))
+    numeric = numeric_trace("BnCn(2)", items)
+    t = TorusPoint((Fraction(1, 7), Fraction(2, 23)))
+    assert numeric.c_full(t) == Fraction(47957, 197821440)
+
+
 def test_c_factor_pole():
     items = (("s1", 4), ("s0", 4))
     numeric = numeric_trace("A1-weight", items)
