@@ -38,6 +38,7 @@ from .rootdata import (
     datum_to_json,
     derive,
     dominant_decomposition,
+    dominant_shift,
     height,
     in_negative_cone,
     in_root_lattice,
@@ -75,6 +76,7 @@ __all__ = [
     "datum_to_json",
     "derive",
     "dominant_decomposition",
+    "dominant_shift",
     "exact_divide",
     "height",
     "in_negative_cone",

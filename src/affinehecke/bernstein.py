@@ -8,19 +8,24 @@ of ``T_{t_y}`` through the inverse letters of ``t_z``.
 
 Everything downstream (the commutation relation with the generators, the
 center as orbit sums, the expansion of arbitrary elements over pairs
-``T_w theta(x)``) is built from that one constructor.
+``T_w theta(x)``) is built from that one constructor.  The expansion uses the
+same move the other way: it reads its shift off the element, the least
+multiple of 2rho that takes the W0-orbits of the translations in its support
+into the dominant cone, where every ``T_w theta(x)`` is one T-term.
 """
 
 from __future__ import annotations
 
 from .coeffring import LaurentPoly, accumulate
 from .hecke import HeckeAlgebra, HeckeElem
-from .rootdata import Vec, dominant_decomposition, is_dominant, vadd, vneg, vscale, vsub
+from .rootdata import (
+    Vec, dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
+)
 from .weyl import FiniteWeylElem
 
 
 class BoxError(ValueError):
-    """Raised when an expansion does not fit the requested coordinate box."""
+    """Raised when a shifted expansion has a term off the dominant range."""
 
 
 class GroupAlgebraElem:
@@ -144,38 +149,23 @@ class Bernstein:
 
     # -- expansion over the product basis --------------------------------------
 
-    def shift_for_box(self, box: int) -> int:
-        """A shift multiplier N such that x + N*(sum of positive roots) is
-        dominant for every x with coordinates bounded by the box."""
-        datum = self.datum
-        worst = 0
-        for acheck in datum.simple_coroots:
-            row = sum(abs(datum.pair(tuple(e), acheck)) for e in _unit_vectors(datum.rank))
-            worst = max(worst, row)
-        return (box * worst + 1) // 2 + 1
+    def expand_in_bernstein(self, h: HeckeElem) -> dict[tuple[FiniteWeylElem, Vec], LaurentPoly]:
+        """Exact coordinates of h over the product basis T_w theta(x).
 
-    def expand_in_bernstein(
-        self, h: HeckeElem, box: int
-    ) -> dict[tuple[FiniteWeylElem, Vec], LaurentPoly]:
-        """Exact coordinates of h over the product basis T_w theta(x),
-        for x with all coordinates in [-box, box].
-
-        Works by translating far into the dominant cone: after multiplying
-        by theta of a large dominant shift, every surviving product basis
-        element is a single T-term whose translation part is dominant, and
-        coordinates can be read off termwise.  A support outside the box is
-        reported, never truncated.
+        The coordinates of ``T_{w t_y}`` lie in the convex hull of the orbit
+        ``W0 y`` (Lusztig 1989), so with ``z0`` the dominant shift of the
+        orbits of the translations in h's support, multiplying by
+        ``theta(z0)`` takes every ``T_w theta(x)`` to the single T-term
+        ``T_{w t_{x+z0}}`` with ``x + z0`` dominant, and coordinates are read
+        off termwise.  A term off the dominant range breaks that invariant and
+        raises BoxError.
         """
         weyl = self.weyl
         labels = self.labels
-        H = self.hecke
-        if h.is_zero():
-            return {}
-        if box < 0:
-            raise BoxError("box must be nonnegative")
-        N = self.shift_for_box(box)
-        z0 = vscale(N, self.weyl.derived.two_rho)
-        shifted = H.rmul_basis(h, weyl.translation(z0))
+        ys = {weyl.elem(u).trans for u in h.terms}
+        n = dominant_shift(self.datum, [x for y in ys for x in weyl.orbit(y)])
+        z0 = vscale(n, weyl.derived.two_rho)
+        shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
         # delta_sqrt(xp - z0): its exponents are linear in the point
@@ -186,14 +176,10 @@ class Bernstein:
             xp = g.trans
             if not is_dominant(self.datum, xp):
                 raise BoxError(
-                    "box too small: expansion leaves the dominant range "
+                    "expansion leaves the dominant range "
                     f"(term at translation {xp} after shifting by {z0})"
                 )
             x = vsub(xp, z0)
-            if any(abs(v) > box for v in x):
-                raise BoxError(
-                    f"box too small: expansion has a term at {x}, outside [-{box}, {box}]"
-                )
             weight = weights.get(x)
             if weight is None:
                 weight = weights[x] = labels.delta_sqrt(x)
@@ -210,7 +196,3 @@ class Bernstein:
             for (w, x), c in coords.items()
         ))
 
-
-def _unit_vectors(rank: int):
-    for i in range(rank):
-        yield tuple(1 if j == i else 0 for j in range(rank))

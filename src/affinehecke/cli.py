@@ -102,8 +102,6 @@ class Job:
     def __init__(self, args, need_numeric: bool = False):
         if args.box < 0:
             raise UsageError(f"--box must be >= 0 (got {args.box})")
-        if args.seed < 0:  # random.Random(-n) would give the point of seed n
-            raise UsageError(f"--seed must be >= 0 (got {args.seed})")
         self.args = args
         self.datum = load_datum(args.datum)
         self.weyl = AffineWeyl(self.datum)
@@ -475,6 +473,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_spherical(args) -> int:
+    if args.seed < 0:  # random.Random(-n) would give the point of seed n
+        raise UsageError(f"--seed must be >= 0 (got {args.seed})")
     job = Job(args, need_numeric=True)
     ps = job.principal
     t = job.torus_point()
@@ -543,13 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--box", type=int, default=3, help="coordinate box radius")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
-        p.add_argument("--seed", type=int, default=0, help="seed (>= 0) for generated torus points")
-        p.add_argument(
-            "--t",
-            action="append",
-            default=None,
-            help='torus coordinate, repeated per basis direction: "num/den" or "re,im"',
-        )
 
     p = sub.add_parser("trace", help="both trace methods over a coordinate box")
     common(p)
@@ -571,6 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spherical", help="spherical function vs c-function formula")
     common(p, numeric_default=True)
+    p.add_argument("--seed", type=int, default=0, help="seed (>= 0) for generated torus points")
+    p.add_argument(
+        "--t",
+        action="append",
+        default=None,
+        help='torus coordinate, repeated per basis direction: "num/den" or "re,im"',
+    )
     p.set_defaults(func=cmd_spherical)
 
     return parser

@@ -511,11 +511,6 @@ class LabelSet:
             weyl.generator_names[j]: self.vars[self.gen_class[j]]
             for j in range(len(weyl.fundamental))
         }
-        # generator name -> class index, and class index -> parameter monomial
-        self.class_of_s: dict[str, int] = {
-            weyl.generator_names[j]: self.gen_class[j]
-            for j in range(len(weyl.fundamental))
-        }
         # orbits of coroots divisible by 2 carry crossed level labels:
         # orbit -> (class labelling even levels, class labelling odd levels)
         self.special_swap: dict[int, tuple[int, int]] = {}
@@ -561,9 +556,6 @@ class LabelSet:
         """The parameter ``q(s_j)`` of the j-th fundamental generator."""
         return self._mono(self._unit_exps(self.gen_class[j], 2))
 
-    def v_of_gen(self, j: int) -> LaurentPoly:
-        return self._mono(self._unit_exps(self.gen_class[j], 1))
-
     def affine_label_class(self, coroot: Vec, level: int) -> int:
         """The class whose parameter labels the affine root ``(coroot, level)``."""
         o = self.orbit_id.get(coroot)
@@ -581,9 +573,6 @@ class LabelSet:
     def affine_label_half_exps(self, coroot: Vec, level: int) -> tuple[int, ...]:
         """v-exponents of the square root of the affine-root label."""
         return self._unit_exps(self.affine_label_class(coroot, level), 1)
-
-    def affine_label(self, coroot: Vec, level: int) -> LaurentPoly:
-        return self._mono(self._unit_exps(self.affine_label_class(coroot, level), 2))
 
     def root_label_half_exps(self, root: Vec) -> tuple[int, ...] | None:
         """v-exponents of ``q_{beta^vee}^{1/2}`` for ``beta`` in the

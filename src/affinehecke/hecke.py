@@ -39,9 +39,6 @@ class HeckeElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support_size(self) -> int:
-        return len(self.terms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElem) and self.terms == other.terms
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bernstein import Bernstein, BoxError
+from .bernstein import Bernstein
 from .coeffring import LaurentPoly, _unpack, accumulate, power_table
 from .hecke import HeckeElem
 from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
@@ -216,21 +216,6 @@ class PrincipalSeries:
 
     # -- module action -------------------------------------------------------
 
-    def expand_auto(self, h: HeckeElem) -> dict[tuple[FiniteWeylElem, Vec], LaurentPoly]:
-        """Product-basis coordinates of ``h`` with an automatically grown box."""
-        if h.is_zero():
-            return {}
-        base = max(
-            [1] + [abs(v) for u in h.terms for v in self.weyl.elem(u).trans]
-        )
-        last = None
-        for box in (base, 2 * base + 2, 4 * base + 6):
-            try:
-                return self.bernstein.expand_in_bernstein(h, box)
-            except BoxError as exc:
-                last = exc
-        raise last
-
     def symbolic_action(
         self, h: HeckeElem, vectors: list[HeckeElem] | None = None
     ) -> list[list[tuple[int, Vec, LaurentPoly]]]:
@@ -248,7 +233,7 @@ class PrincipalSeries:
             vectors = [self.hecke.basis(self.weyl.as_affine(v)) for v in self.basis_order]
         out = []
         for vec in vectors:
-            coords = self.expand_auto(self.hecke.mul(h, vec))
+            coords = self.bernstein.expand_in_bernstein(self.hecke.mul(h, vec))
             out.append([(self.index[w], x, c) for (w, x), c in coords.items()])
         return out
 
@@ -725,7 +710,7 @@ class PrincipalSeries:
             action = self.symbolic_action(h)
         rhs = delta_inv * self.E_value(t, action=action)
 
-        coords = self.expand_auto(h)
+        coords = self.bernstein.expand_in_bernstein(h)
         ys = {x for (_w, x) in coords}
         xs: set[Vec] = set()
         for y in ys:

@@ -356,20 +356,21 @@ def is_dominant(datum: RootDatum, x: Vec) -> bool:
     return all(datum.pair(x, b) >= 0 for b in datum.simple_coroots)
 
 
-def dominant_decomposition(datum: RootDatum, x: Vec) -> tuple[Vec, Vec]:
-    """Write ``x = y - z`` with ``y``, ``z`` dominant and ``z`` a minimal
-    multiple of the positive-root sum.
-
-    ``z = N * 2rho`` where ``N`` is the smallest non-negative integer making
-    ``x + z`` dominant; since ``<2rho, a_i^vee> = 2`` this is a max of
-    ceilings over the simple coroots.
-    """
+def dominant_shift(datum: RootDatum, xs: list[Vec]) -> int:
+    """The least ``N >= 0`` with ``x + N * 2rho`` dominant for every ``x`` in
+    ``xs``; since ``<2rho, a_i^vee> = 2`` this is a max of ceilings over the
+    simple coroots."""
     n = 0
-    for b in datum.simple_coroots:
-        v = datum.pair(x, b)
-        if v < 0:
-            n = max(n, -(v // 2))  # ceil(-v / 2)
-    z = vscale(n, derive(datum).two_rho)
+    for x in xs:
+        for b in datum.simple_coroots:
+            n = max(n, -(datum.pair(x, b) // 2))  # ceil(-<x, b> / 2)
+    return n
+
+
+def dominant_decomposition(datum: RootDatum, x: Vec) -> tuple[Vec, Vec]:
+    """Write ``x = y - z`` with ``y``, ``z`` dominant and ``z`` the minimal
+    multiple of the positive-root sum, ``dominant_shift(datum, [x]) * 2rho``."""
+    z = vscale(dominant_shift(datum, [x]), derive(datum).two_rho)
     return vadd(x, z), z
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .bernstein import Bernstein
 from .coeffring import ExactDivisionError, LabelSet, LaurentPoly, exact_divide
-from .rootdata import Vec, dominant_decomposition, height, vadd, vneg, vscale
+from .rootdata import Vec, dominant_shift, height, vadd, vneg, vscale
 from .weyl import FiniteWeylElem
 
 
@@ -234,8 +234,9 @@ class TraceGen:
     def trace_sweep(self, xs: list[Vec]) -> dict[Vec, LaurentPoly]:
         """Direct traces for a batch of x, sharing one translation inverse.
 
-        Every x is decomposed against a single dominant shift z (a common
-        multiple of the sum of positive roots), so all traces are
+        Every x is decomposed against one dominant shift z, the least
+        multiple of the sum of positive roots that makes every ``x + z``
+        dominant (``rootdata.dominant_shift``), so all traces are
         coefficients of the one inverse T_{t_z}^{-1}, at the targets
         ``t_{-y}`` with ``y = x + z``.  ``invert_basis`` is asked for exactly
         those coefficients: by the subword property a fold state u with r
@@ -245,18 +246,8 @@ class TraceGen:
         """
         weyl = self.weyl
         labels = self.labels
-        datum = self.datum
         xs = [tuple(x) for x in xs]
-        if not xs:
-            return {}
-        n_shift = 0
-        for x in xs:
-            _y, z = dominant_decomposition(datum, x)
-            two_rho = self.derived.two_rho
-            idx = next((i for i, v in enumerate(two_rho) if v), None)
-            n_here = 0 if idx is None or all(v == 0 for v in z) else z[idx] // two_rho[idx]
-            n_shift = max(n_shift, n_here)
-        z = vscale(n_shift, self.derived.two_rho)
+        z = vscale(dominant_shift(self.datum, xs), self.derived.two_rho)
         if all(v == 0 for v in z):
             return {x: self.trace_theta_direct(x) for x in xs}
         targets: dict[Vec, tuple] = {}

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinehecke import BoxError, build_preset
+from affinehecke import bernstein
 from affinehecke.bernstein import Bernstein, GroupAlgebraElem
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
-from affinehecke.rootdata import dominant_decomposition, is_dominant, vadd, vneg, vscale, vsub
+from affinehecke.rootdata import (
+    dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
+)
 from affinehecke.weyl import AffineWeyl
 
 
@@ -35,7 +38,7 @@ def test_theta_at_zero_is_the_unit():
 def test_theta_of_dominant_weight_is_a_weighted_translation():
     B = tower("A1-weight")
     th = B.theta((1,))
-    assert th.support_size() == 1
+    assert len(th.terms) == 1
     g = B.weyl.translation((1,))
     assert B.hecke.coeff(th, g) == B.labels.delta_sqrt((-1,))
     # the concrete value: v^-1 against the single translation
@@ -44,7 +47,7 @@ def test_theta_of_dominant_weight_is_a_weighted_translation():
 
 def test_theta_of_antidominant_weight_spreads_out():
     B = tower("A1-weight")
-    assert B.theta((-1,)).support_size() == 2
+    assert len(B.theta((-1,)).terms) == 2
 
 
 @given(small_vectors(2), small_vectors(2))
@@ -188,7 +191,7 @@ def test_expand_roundtrip():
         H.mul(H.basis(w.simple_affine(0)), B.theta((1, -1))),
         H.basis(w.simple_affine(1)),
     )
-    coords = B.expand_in_bernstein(h, box=4)
+    coords = B.expand_in_bernstein(h)
     assert coords
     assert B.reassemble(coords) == h
 
@@ -197,26 +200,44 @@ def test_expand_roundtrip():
 @settings(deadline=None, max_examples=10)
 def test_expand_of_theta_is_a_single_row(x):
     B = tower("B2")
-    coords = B.expand_in_bernstein(B.theta(x), box=3)
+    coords = B.expand_in_bernstein(B.theta(x))
     nonzero = {(wf, y): c for (wf, y), c in coords.items() if not c.is_zero()}
     assert list(nonzero) == [(B.weyl.id_fin, x)]
     assert nonzero[(B.weyl.id_fin, x)] == B.labels.one()
 
 
-def test_expand_raises_on_a_box_that_is_too_small():
+def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
+    # T_{t_x} at antidominant x has coordinates that need the whole shift
+    # read off its support, so one multiple of 2rho less leaves the dominant
+    # range, which the per-term guard reports
     B = tower("A2")
-    with pytest.raises(BoxError):
-        B.expand_in_bernstein(B.theta((4, 4)), box=1)
+    x = (-2, -2)
+    h = B.hecke.basis(B.weyl.translation(x))
+    shift = dominant_shift(B.datum, B.weyl.orbit(x))
+    assert shift == dominant_shift(B.datum, [y for (_w, y) in B.expand_in_bernstein(h)]) > 0
+    monkeypatch.setattr(bernstein, "dominant_shift", lambda datum, xs: shift - 1)
+    with pytest.raises(BoxError, match="leaves the dominant range"):
+        B.expand_in_bernstein(h)
+
+
+def ref_shift_for_box(datum, box):
+    """A multiplier N such that x + N*2rho is dominant for every x with
+    coordinates bounded by the box: the guess expand_in_bernstein took from a
+    caller-given box before it read the shift off the element."""
+    units = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
+    worst = max(sum(abs(datum.pair(e, b)) for e in units) for b in datum.simple_coroots)
+    return (box * worst + 1) // 2 + 1
 
 
 def ref_expand_in_bernstein(B, h, box):
-    """The read-off expand_in_bernstein replaced: scale the shifted element
-    by delta_sqrt(-z0), then each term by delta_sqrt of its translation."""
+    """The read-off expand_in_bernstein replaced: shift by the box's guess,
+    scale the shifted element by delta_sqrt(-z0), then each term by
+    delta_sqrt of its translation; a term outside the box is a BoxError."""
     H = B.hecke
     labels = B.labels
     if h.is_zero():
         return {}
-    z0 = vscale(B.shift_for_box(box), B.weyl.derived.two_rho)
+    z0 = vscale(ref_shift_for_box(B.datum, box), B.weyl.derived.two_rho)
     shifted = H.scale(H.rmul_basis(h, B.weyl.translation(z0)), labels.delta_sqrt(vneg(z0)))
     out = {}
     for u, c in shifted.terms.items():
@@ -253,25 +274,33 @@ def hecke_elements(draw, B):
     return out
 
 
+def ref_expand_at_first_box(B, h):
+    """The reference at the first box it accepts."""
+    for box in itertools.count():
+        try:
+            return ref_expand_in_bernstein(B, h, box)
+        except BoxError:
+            pass
+
+
 @pytest.mark.parametrize("name", ["B2", "BnCn(2)"])
 @given(data=st.data())
 @settings(deadline=None, max_examples=15)
 def test_expand_matches_the_scale_then_multiply_read_off(name, data):
+    # item order too: complex-mode float sums follow it
     B = tower(name)
     h = data.draw(hecke_elements(B))
-    box = data.draw(st.integers(0, 3))
-    try:
-        want = ref_expand_in_bernstein(B, h, box)
-    except BoxError as exc:
-        with pytest.raises(BoxError) as got:
-            B.expand_in_bernstein(h, box)
-        assert str(got.value) == str(exc)
-    else:
-        assert list(B.expand_in_bernstein(h, box).items()) == list(want.items())
+    assert list(B.expand_in_bernstein(h).items()) == list(ref_expand_at_first_box(B, h).items())
 
 
-def test_shift_for_box_is_monotone():
-    B = tower("BnCn(2)")
-    shifts = [B.shift_for_box(k) for k in range(5)]
-    assert all(b >= a for a, b in zip(shifts, shifts[1:]))
-    assert all(s >= 0 for s in shifts)
+@pytest.mark.parametrize(
+    "name, length",
+    [("A1-weight", 10), ("A1-root", 10), ("A2", 7), ("B2", 7), ("C2", 7), ("G2", 7),
+     ("BnCn(2)", 7), ("GLn(3)", 5), ("BnCn(3)", 4)],
+)
+def test_expand_of_basis_elements_matches_the_read_off(name, length):
+    B = tower(name)
+    for g in B.weyl.elements_up_to_length(length, omega_box=1):
+        h = B.hecke.basis(g)
+        got = B.expand_in_bernstein(h)
+        assert list(got.items()) == list(ref_expand_at_first_box(B, h).items()), (name, g)

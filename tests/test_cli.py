@@ -218,6 +218,19 @@ def test_negative_seed_exit_usage(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["trace", "verify", "series"])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--t", "1/5"]])
+def test_torus_point_flags_are_spherical_only(capsys, command, flag):
+    # only spherical evaluates at a torus point; elsewhere the flags are
+    # refused instead of accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--datum", "A1-weight", "--box", "1", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_spherical_refuses_formal_mode(capsys):
     code, _, err = run(
         capsys,

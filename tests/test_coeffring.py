@@ -415,10 +415,11 @@ def test_affine_label_swaps_parity():
     even_cls, odd_cls = L.special_swap[orbit]
     assert L.affine_label_class(doubled, 0) == even_cls
     assert L.affine_label_class(doubled, 1) == odd_cls
-    even = L.affine_label(doubled, 0)
-    odd = L.affine_label(doubled, 1)
+    even = L.affine_label_half_exps(doubled, 0)
+    odd = L.affine_label_half_exps(doubled, 1)
     assert even != odd
-    assert len(even.terms) == 1 and len(odd.terms) == 1
+    # each label is the square of a single variable
+    assert sorted(even) == sorted(odd) == [0] * (len(L.vars) - 1) + [1]
     # a coroot not divisible by 2 ignores the level entirely
     plain = (1, -1)
     assert L.affine_label_class(plain, 0) == L.affine_label_class(plain, 5)
@@ -428,7 +429,7 @@ def test_q_of_gen_is_squared_variable():
     L = labels("BnCn(2)")
     for j, name in enumerate(["s1", "s2", "s0"]):
         q = L.q_of_gen(j)
-        v = L.v_of_gen(j)
+        v = LaurentPoly.monomial(L.vars, tuple(int(c == L.gen_class[j]) for c in range(len(L.vars))))
         assert q == v * v
 
 

@@ -206,7 +206,7 @@ def test_laplace_matrix_with_fractional_square_roots(name):
     # q = 9/4, 4/25 and 49/9 have the square roots 3/2, 2/5 and 7/3
     ps = series(name)
     qs = ("9/4", "4/25", "49/9")  # one per label class
-    items = {g: qs[c] for g, c in ps.labels.class_of_s.items()}
+    items = {g: qs[c] for g, c in zip(ps.weyl.generator_names, ps.labels.gen_class)}
     asg = ps.labels.numeric_assignment(items, "rational")
     assert asg[ps.labels.vars[0]] == Fraction(3, 2)
     num = PrincipalSeries(ps.bernstein, asg)
@@ -539,7 +539,7 @@ def test_spherical_from_one_vector_matches_the_full_action(name, items):
                 assert ps.spherical_theta_plus(t, x) == want / p0sq, (x, seed)
     # complex points and float labels (no label class has a rational root);
     # the symbolic actions do not depend on the labels, so they are reused
-    qs = {g: (2, 3, 5)[c] for g, c in ps.labels.class_of_s.items()}
+    qs = {g: (2, 3, 5)[c] for g, c in zip(ps.weyl.generator_names, ps.labels.gen_class)}
     psc = PrincipalSeries(ps.bernstein, ps.labels.numeric_assignment(qs, "complex"))
     for x, h, action in cases:
         for seed in (0, 1):

@@ -14,6 +14,7 @@ from affinehecke import (
     datum_to_json,
     derive,
     dominant_decomposition,
+    dominant_shift,
     height,
     in_negative_cone,
     in_root_lattice,
@@ -163,20 +164,38 @@ def test_height_is_additive():
     )
 
 
-@given(small_vectors(2))
-def test_dominant_decomposition_b2(x):
-    datum = build_preset("B2")
+RANK_TWO = ("A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)")
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+@given(x=small_vectors(2))
+def test_dominant_decomposition_rank2(name, x):
+    datum = build_preset(name)
     y, z = dominant_decomposition(datum, x)
     assert vadd(x, z) == y
     assert is_dominant(datum, y)
     assert is_dominant(datum, z)
     two_rho = derive(datum).two_rho
     # z is a non-negative multiple of the positive-root sum, minimal
-    assert z[0] % two_rho[0] == 0
-    n = z[0] // two_rho[0]
+    idx = next(i for i, v in enumerate(two_rho) if v)
+    assert z[idx] % two_rho[idx] == 0
+    n = z[idx] // two_rho[idx]
     assert z == vscale(n, two_rho)
+    assert n == dominant_shift(datum, [x])
     if n > 0:
         assert not is_dominant(datum, vadd(x, vscale(n - 1, two_rho)))
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+@given(xs=st.lists(small_vectors(2), max_size=4))
+def test_dominant_shift_of_a_batch_is_the_least_common_shift(name, xs):
+    datum = build_preset(name)
+    two_rho = derive(datum).two_rho
+    n = dominant_shift(datum, xs)
+    assert n == max([dominant_shift(datum, [x]) for x in xs], default=0)
+    assert all(is_dominant(datum, vadd(x, vscale(n, two_rho))) for x in xs)
+    if n > 0:
+        assert not all(is_dominant(datum, vadd(x, vscale(n - 1, two_rho))) for x in xs)
 
 
 @given(small_vectors(2))
