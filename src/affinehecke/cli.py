@@ -240,11 +240,11 @@ def cmd_trace(args) -> int:
     xs = coordinate_box(job.datum.rank, -args.box, args.box)
     xs.sort(key=lambda x: (height(job.datum, x), x))
     direct = job.trace.trace_sweep(xs)
-    partition = [job.trace.trace_theta_partition(x) for x in xs]
+    partition = job.trace.trace_theta_partition(xs)
     records = []
     all_equal = True
-    for x, part in zip(xs, partition):
-        dir_poly = direct[x]
+    for x in xs:
+        part, dir_poly = partition[x], direct[x]
         equal = part == dir_poly
         all_equal = all_equal and equal
         records.append(
@@ -331,10 +331,11 @@ def suite_trace_oracle(job: Job, failures: list) -> int:
     radius = min(job.args.box, 5)
     xs = job.trace.negative_cone_points(radius)
     direct = job.trace.trace_sweep(xs)
+    partition = job.trace.trace_theta_partition(xs)
     cases = 0
     for x in xs:
         cases += 1
-        if not job.trace.trace_theta_partition(x) == direct[x]:
+        if not partition[x] == direct[x]:
             failures.append(f"partition vs direct mismatch at {x}")
     return cases
 
@@ -524,23 +525,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, numeric_default=False):
+    def common(p, mode="formal"):
+        """Shared flags; ``mode`` is the --mode default, None where nothing is evaluated."""
         p.add_argument(
             "--datum",
             default="A1-weight",
             help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a root-datum JSON file",
         )
-        p.add_argument(
-            "--labels",
-            default="formal",
-            help='"formal", inline JSON mapping generator names to values, or a JSON file path',
-        )
-        p.add_argument(
-            "--mode",
-            choices=("formal", "rational", "complex"),
-            default="rational" if numeric_default else "formal",
-            help="coefficient arithmetic for evaluations",
-        )
+        if mode is None:
+            p.set_defaults(mode="formal", labels="formal")
+        else:
+            p.add_argument(
+                "--labels",
+                default="formal",
+                help='"formal", inline JSON mapping generator names to values, or a JSON file path',
+            )
+            p.add_argument(
+                "--mode",
+                choices=("formal", "rational", "complex"),
+                default=mode,
+                help="coefficient arithmetic for evaluations",
+            )
         p.add_argument("--box", type=int, default=3, help="coordinate box radius")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
 
@@ -549,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify", help="run named identity suites")
-    common(p)
+    common(p, mode=None)  # the identities are checked exactly
     p.add_argument(
         "--suite",
         action="append",
@@ -563,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("spherical", help="spherical function vs c-function formula")
-    common(p, numeric_default=True)
+    common(p, mode="rational")
     p.add_argument("--seed", type=int, default=0, help="seed (>= 0) for generated torus points")
     p.add_argument(
         "--t",

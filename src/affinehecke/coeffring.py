@@ -287,14 +287,16 @@ class LaurentPoly:
     # -- evaluation
 
     def evaluate(self, values: dict[str, object]):
-        """Evaluate at scalars (Fraction, float or complex) per variable."""
+        """Evaluate at scalars (Fraction, float or complex) per variable,
+        summing in sorted monomial order so that a float value depends on
+        the polynomial only, not on the order its terms were built in."""
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"no value for variable(s) {missing}")
         n = len(self.vars)
         vals = [values[v] for v in self.vars]
         total = None
-        for k, c in self.terms.items():
+        for k, c in sorted(self.terms.items()):
             term = c
             for x, e in zip(vals, _unpack(k, n)):
                 if e:

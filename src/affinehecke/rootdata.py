@@ -228,6 +228,22 @@ def generate_roots(
     return roots, coroots
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_rows(rows, what: str) -> tuple[Vec, ...]:
+    """``rows`` as a tuple of int tuples.  Anything else (a row that is not
+    a list, an entry that is a string, a float or a bool) is refused rather
+    than converted, so ``2.5`` is never read as ``2``."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise RootSystemError(f"{what} must be a list of lists of integers")
+    bad = [v for row in rows for v in row if not _is_int(v)]
+    if bad:
+        raise RootSystemError(f"{what} entries must be integers, got {bad[0]!r}")
+    return tuple(tuple(row) for row in rows)
+
+
 def make_datum(
     rank: int,
     pairing: list[list[int]],
@@ -236,13 +252,15 @@ def make_datum(
     name: str = "",
 ) -> RootDatum:
     """Validate inputs, generate the closure, and assemble a datum."""
-    P = tuple(tuple(int(v) for v in row) for row in pairing)
+    if not _is_int(rank):
+        raise RootSystemError(f"rank must be an integer, got {rank!r}")
+    P = _int_rows(pairing, "pairing")
     if len(P) != rank or any(len(row) != rank for row in P):
         raise RootSystemError("pairing matrix must be square of size rank")
     if int_inverse(P) is None:
         raise RootSystemError("pairing matrix must be unimodular")
-    sr = tuple(tuple(int(v) for v in a) for a in simple_roots)
-    sc = tuple(tuple(int(v) for v in b) for b in simple_coroots)
+    sr = _int_rows(simple_roots, "simple_roots")
+    sc = _int_rows(simple_coroots, "simple_coroots")
     roots, coroots = generate_roots(sr, sc, P)
     datum = RootDatum(rank, P, sr, sc, roots, coroots, name=name)
     derive(datum)  # run the derived checks eagerly
@@ -476,12 +494,14 @@ def datum_from_json(text: str) -> RootDatum:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RootSystemError(f"bad datum JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise RootSystemError("datum JSON must be an object")
     try:
-        rank = int(obj["rank"])
+        rank = obj["rank"]
         pairing = obj["pairing"]
         simple_roots = obj["simple_roots"]
         simple_coroots = obj["simple_coroots"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise RootSystemError(f"datum JSON missing field: {exc}") from exc
     if "labels" in obj:
         raise RootSystemError(

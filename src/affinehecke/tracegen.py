@@ -6,10 +6,12 @@ Two independent computations of tau(theta(x)) live here:
   coefficient of the identity (plus a batched variant that shares one
   translation inverse across many x and folds only the states that can
   still reach the batch's targets);
-* the weighted-partition route — a sum over the ways of writing -x as a
-  non-negative integer combination of positive roots of the non-reduced
-  extension, each partition weighted by a product of per-root, per-
-  multiplicity Laurent polynomials d(root; k).
+* the weighted-partition route — the coefficients of a product of per-root
+  series sum_k d(a; k) u_a^k, one for each positive root a of the
+  non-reduced extension, read for a whole batch of x at once; the
+  coefficient at -x sums, over the ways of writing -x as a non-negative
+  integer combination of those roots, the products of the per-root,
+  per-multiplicity Laurent polynomials d(a; k).
 
 Their agreement is the content of the generating-function identity
 
@@ -21,11 +23,12 @@ whose numeric truncations `generating_check` evaluates inside the region
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .bernstein import Bernstein
-from .coeffring import ExactDivisionError, LabelSet, LaurentPoly, exact_divide
-from .rootdata import Vec, dominant_shift, height, vadd, vneg, vscale
+from .coeffring import ExactDivisionError, LabelSet, LaurentPoly, accumulate, exact_divide
+from .rootdata import Vec, dominant_shift, height, in_negative_cone, vadd, vneg, vscale
 from .weyl import FiniteWeylElem
 
 
@@ -102,7 +105,6 @@ class TraceGen:
         self.derived = bernstein.weyl.derived
         self.assignment = assignment
         self._d_cache: dict[tuple[Vec, int], LaurentPoly] = {}
-        self._d_value_cache: dict[tuple[Vec, int], object] = {}
         self._root_coords: list[tuple[Vec, tuple[int, ...]]] | None = None
         self._nonreduced = {
             r for root, _c in self.derived.nonreduced_positive for r in (root, vneg(root))
@@ -144,16 +146,7 @@ class TraceGen:
         self._d_cache[key] = out
         return out
 
-    def d_value(self, root: Vec, k: int):
-        """d(root; k) evaluated at the numeric assignment."""
-        key = (tuple(root), k)
-        cached = self._d_value_cache.get(key)
-        if cached is None:
-            cached = self.d_coeff(root, k).evaluate(self._need_assignment())
-            self._d_value_cache[key] = cached
-        return cached
-
-    # -- partitions ----------------------------------------------------------
+    # -- the partition route -------------------------------------------------
 
     def _positive_roots_with_coords(self) -> list[tuple[Vec, tuple[int, ...]]]:
         if self._root_coords is None:
@@ -165,65 +158,44 @@ class TraceGen:
             self._root_coords = out
         return self._root_coords
 
-    def partitions(self, target: Vec):
-        """All ways of writing the target as a non-negative integer
-        combination of the positive non-reduced roots, as maps
-        root -> multiplicity; depth-first in a fixed root order."""
-        coords = self.derived.root_coordinates(self.datum, tuple(target))
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return
-        rem = tuple(int(c) for c in coords)
-        if any(c < 0 for c in rem):
-            return
-        roots = self._positive_roots_with_coords()
+    def trace_theta_partition(self, xs: list[Vec]) -> dict[Vec, LaurentPoly]:
+        """tau(theta(x)) for a batch of x by the weighted-partition formula.
 
-        def dfs(i: int, rem: tuple[int, ...], acc: list[tuple[Vec, int]]):
-            if all(v == 0 for v in rem):
-                # remaining roots contribute multiplicity zero
-                yield dict(acc)
-                return
-            if i == len(roots):
-                return
-            root, rc = roots[i]
-            bound = min(
-                (r // c for r, c in zip(rem, rc) if c > 0), default=0
-            )
-            for m in range(bound, -1, -1):
-                nxt = tuple(r - m * c for r, c in zip(rem, rc))
-                if any(v < 0 for v in nxt):
-                    continue
-                if m:
-                    acc.append((root, m))
-                yield from dfs(i + 1, nxt, acc)
-                if m:
-                    acc.pop()
+        The generating series sum_x tau(theta_x) t(-x) is the product, over
+        the positive roots a of the non-reduced extension, of the per-root
+        series sum_k d(a; k) u_a^k with u_a = t(-a).  Its coefficients are
+        read in the simple-root coordinates p of -x, folding in one root at
+        a time,
 
-        yield from dfs(0, rem, [])
+            new[p] = sum_k d(a; k) old[p - k c_a],
 
-    def trace_theta_partition(self, x: Vec) -> LaurentPoly:
-        """tau(theta(x)) via the weighted partition formula: zero off the
-        negative cone, else a sum over partitions of -x."""
-        labels = self.labels
-        out = labels.zero()
-        for pi in self.partitions(vneg(tuple(x))):
-            term = labels.one()
-            for root, m in pi.items():
-                term = term * self.d_coeff(root, m)
-            out = out + term
-        return out
-
-    def trace_value_partition(self, x: Vec):
-        """Numeric tau(theta(x)) through the partition formula."""
-        self._need_assignment()
-        total = None
-        for pi in self.partitions(vneg(tuple(x))):
-            term = 1
-            for root, m in pi.items():
-                term = term * self.d_value(root, m)
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+        over the cells below some target: that set is closed under
+        p -> p - k c_a, so each value depends on its own point only.  An x
+        off the negative cone or with -x off the root lattice gets zero.
+        """
+        datum = self.datum
+        cells_of = {
+            x: tuple(-int(c) for c in self.derived.root_coordinates(datum, x))
+            for x in map(tuple, xs)
+            if in_negative_cone(datum, x)
+        }
+        cells = set()
+        for p in cells_of.values():
+            cells.update(itertools.product(*(range(c + 1) for c in p)))
+        table = {(0,) * len(datum.simple_roots): self.labels.one()}
+        for root, step in self._positive_roots_with_coords():
+            new: dict[tuple[int, ...], LaurentPoly] = {}
+            for p in cells:
+                k, below = 0, p
+                while min(below) >= 0:
+                    old = table.get(below)
+                    if old is not None:
+                        accumulate(new, p, self.d_coeff(root, k) * old)
+                    k += 1
+                    below = tuple(a - b for a, b in zip(below, step))
+            table = new
+        zero = self.labels.zero()
+        return {x: table.get(cells_of.get(x), zero) for x in map(tuple, xs)}
 
     # -- the direct trace ----------------------------------------------------
 
@@ -389,12 +361,11 @@ class TraceGen:
     def generating_check(self, t: TorusPoint, box_radius: int):
         """Truncated left side vs closed-form right side of the generating
         identity; returns (lhs_partial, rhs, gap)."""
-        self._need_assignment()
+        asg = self._need_assignment()
         self.check_region(t)
         lhs = None
-        for x in self.negative_cone_points(box_radius):
-            tau_val = self.trace_value_partition(x)
-            term = tau_val * t.value(vneg(x))
+        for x, tau in self.trace_theta_partition(self.negative_cone_points(box_radius)).items():
+            term = tau.evaluate(asg) * t.value(vneg(x))
             lhs = term if lhs is None else lhs + term
         if lhs is None:
             lhs = Fraction(0)

@@ -231,6 +231,17 @@ def test_torus_point_flags_are_spherical_only(capsys, command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--mode", "rational"], ["--labels", Q4_A1]])
+def test_verify_takes_no_mode_or_labels(capsys, flag):
+    # the suites check exact identities, so there is nothing to evaluate
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--datum", "A1-weight", "--box", "1", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_spherical_refuses_formal_mode(capsys):
     code, _, err = run(
         capsys,
@@ -452,6 +463,39 @@ def test_unreadable_config_file_exit_usage(tmp_path, capsys, flag, kind):
         path.write_bytes(b"\xff\xfe{}")
     code, out, err = run(capsys, ["trace", flag, str(path), "--box", "1"])
     assert_one_line_usage_error(code, out, err)
+
+
+A1_ROOT_JSON = {"rank": 1, "pairing": [[1]], "simple_roots": [[1]], "simple_coroots": [[2]]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rank", "x", "rank must be an integer, got 'x'"),
+        ("rank", True, "rank must be an integer, got True"),
+        ("pairing", [["a"]], "pairing entries must be integers, got 'a'"),
+        ("simple_roots", [1], "simple_roots must be a list of lists of integers"),
+        ("simple_roots", "ab", "simple_roots must be a list of lists of integers"),
+        ("simple_coroots", [[2.5]], "simple_coroots entries must be integers, got 2.5"),
+        ("simple_coroots", [[False]], "simple_coroots entries must be integers, got False"),
+    ],
+)
+def test_malformed_datum_file_exit_usage(tmp_path, capsys, field, value, message):
+    # entries are JSON ints and rows are lists: nothing is converted, so 2.5
+    # is refused rather than read as 2
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**A1_ROOT_JSON, field: value}), encoding="utf-8")
+    code, out, err = run(capsys, ["trace", "--datum", str(path), "--box", "1"])
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == f"error: {message}"
+
+
+def test_datum_file_that_is_not_an_object_exit_usage(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps([A1_ROOT_JSON]), encoding="utf-8")
+    code, out, err = run(capsys, ["trace", "--datum", str(path), "--box", "1"])
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == "error: datum JSON must be an object"
 
 
 def test_out_in_missing_directory_exit_usage(tmp_path, capsys):

@@ -101,6 +101,19 @@ def test_evaluate_rational_and_complex():
     assert abs(val - 4.5) < 1e-12
 
 
+def test_evaluate_does_not_depend_on_the_order_terms_were_built():
+    # at u = v = 1e16 the float sum u + 1 - v is 0 or 1 depending on the
+    # order of its terms; equal polynomials must evaluate bit-identically
+    u, v, one = (LaurentPoly.monomial(VARS, e) for e in [(1, 0), (0, 1), (0, 0)])
+    p = (u + one) - v
+    q = (u - v) + one
+    assert p == q and list(p.terms) != list(q.terms)
+    for big in (1e16, complex(1e16, 0.0), complex(1e16, 1e16)):
+        at = {"u": big, "v": big}
+        assert repr(p.evaluate(at)) == repr(q.evaluate(at))
+        assert type(p.evaluate(at)) is type(big)
+
+
 @given(
     st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool),
     st.integers(-6, 6),
