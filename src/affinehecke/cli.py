@@ -228,10 +228,6 @@ def coordinate_box(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return points
 
 
-def sort_key(datum):
-    return lambda x: (height(datum, vneg(x)), x)
-
-
 # -- trace -------------------------------------------------------------------
 
 
@@ -446,15 +442,12 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     job = Job(args)
-    bound = args.box * sum(
-        abs(v) for v in job.weyl.derived.two_rho_check
-    )
     xs = [
         x
-        for x in job.trace.negative_cone_points(int(bound) + 1)
-        if all(abs(c) <= args.box for c in x)
+        for x in coordinate_box(job.datum.rank, -args.box, args.box)
+        if in_negative_cone(job.datum, x)
     ]
-    xs.sort(key=sort_key(job.datum))
+    xs.sort(key=lambda x: (height(job.datum, vneg(x)), x))
     values = job.trace.trace_sweep(xs)
     records = [
         {

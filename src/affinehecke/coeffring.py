@@ -509,19 +509,6 @@ class LabelSet:
             return "v" + weyl.generator_names[gen_index][1:]
 
         self.vars: tuple[str, ...] = tuple(var_name(g[0]) for g in self.class_gens)
-        self.class_of_gen: dict[str, str] = {
-            weyl.generator_names[j]: self.vars[self.gen_class[j]]
-            for j in range(len(weyl.fundamental))
-        }
-        # orbits of coroots divisible by 2 carry crossed level labels:
-        # orbit -> (class labelling even levels, class labelling odd levels)
-        self.special_swap: dict[int, tuple[int, int]] = {}
-        for (o, parity) in self.class_keys:
-            if (o, 1 - parity) in self._key_to_class and parity == 0:
-                self.special_swap[o] = (
-                    self._key_to_class[(o, 1)],
-                    self._key_to_class[(o, 0)],
-                )
         self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
         self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive

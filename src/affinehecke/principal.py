@@ -5,7 +5,11 @@ characters given by torus points; inducing such a character up to the full
 algebra yields a module of dimension equal to the order of the finite Weyl
 group.  This module realises that module concretely: every algebra element
 acts by a square matrix over the finite Hecke basis (exact rationals when the
-labels and the torus point are rational, complex floats otherwise).
+labels and the torus point are rational, complex floats otherwise).  The
+finite Hecke algebra needs no engine of its own: left multiplication by a
+finite basis element ``T_w`` is the module action of ``T_w``, the same at
+every torus point, and products of finite-Hecke vectors, the longest element
+in the matrix-element pairing and the intertwining operators all read it.
 
 On top of the bare module action this file provides
 
@@ -128,9 +132,7 @@ class PrincipalSeries:
             ]
             self._p0_val = sum(self._q_fin_vals)
 
-        self._gen_mat: dict[tuple[int, bool], list[list]] = {}
-        self._right_mul: dict[int, list[list]] = {}
-        self._left_w0_mat: list[list] | None = None
+        self._left: list[list[list] | None] = [None] * self.dim
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
         self._rs_action: dict[int, list] = {}
         self._rs_matrix: dict[tuple, list[list]] = {}
@@ -157,54 +159,28 @@ class PrincipalSeries:
         self._need_numeric()
         return self._p0_val
 
-    # -- finite Hecke engine over numeric labels -----------------------------
+    # -- the finite Hecke algebra inside the module --------------------------
 
-    def _gen_q(self, i: int):
-        return self._val(self.labels.q_of_gen(i))
-
-    def _gen_matrix(self, i: int, right: bool) -> list[list]:
-        """Matrix of multiplication by ``T_{s_i}`` on the finite basis, on
-        the right or on the left."""
-        m = self._gen_mat.get((i, right))
+    def left_matrix(self, j: int) -> list[list]:
+        """Matrix of left multiplication by the j-th finite basis element
+        ``T_w`` on the finite basis: its module action.  ``T_w`` has no
+        translation part, so the matrix is the same at every torus point and
+        is read at the identity point."""
+        m = self._left[j]
         if m is None:
-            qi = self._gen_q(i)
-            s = self.weyl.simple_reflections[i]
-            m = [[0] * self.dim for _ in range(self.dim)]
-            for j, w in enumerate(self.basis_order):
-                ws = self.weyl.fin_mul(w, s) if right else self.weyl.fin_mul(s, w)
-                if self.weyl.finite_length(ws) > self.weyl.finite_length(w):
-                    m[self.index[ws]][j] += 1
-                else:
-                    m[j][j] += qi - 1
-                    m[self.index[ws]][j] += qi
-            self._gen_mat[(i, right)] = m
+            one = TorusPoint((1,) * self.weyl.rank)
+            m = self.laplace(self.hecke.basis(self.weyl.as_affine(self.basis_order[j])), one)
+            self._left[j] = m
         return m
-
-    def _right_mul_matrix(self, j: int) -> list[list]:
-        """Matrix of right multiplication by the j-th finite basis element."""
-        m = self._right_mul.get(j)
-        if m is None:
-            m = [[int(i == k) for k in range(self.dim)] for i in range(self.dim)]
-            for i in self.weyl.fin_word(self.basis_order[j]):
-                m = mat_mul(self._gen_matrix(i, right=True), m)
-            self._right_mul[j] = m
-        return m
-
-    def _left_w0(self) -> list[list]:
-        if self._left_w0_mat is None:
-            m = [[int(i == k) for k in range(self.dim)] for i in range(self.dim)]
-            for i in reversed(self.weyl.fin_word(self.longest)):
-                m = mat_mul(self._gen_matrix(i, right=False), m)
-            self._left_w0_mat = m
-        return self._left_w0_mat
 
     def h0_product(self, a: list, b: list) -> list:
-        """Product of two finite-Hecke elements given by coefficient vectors."""
+        """Product ``a·b`` of two finite-Hecke elements given by coefficient
+        vectors: the sum of ``a_j T_j·b``."""
         out = [0] * self.dim
-        for j, c in enumerate(b):
+        for j, c in enumerate(a):
             if c == 0:
                 continue
-            col = mat_vec(self._right_mul_matrix(j), a)
+            col = mat_vec(self.left_matrix(j), b)
             for k in range(self.dim):
                 out[k] += c * col[k]
         return out
@@ -464,88 +440,53 @@ class PrincipalSeries:
         if cached is None:
             tb = t.conj().inv()
             w0u = self.weyl.fin_mul(self.longest, u)
-            cached = mat_vec(self._left_w0(), self.r_vector(w0u, tb))
+            cached = mat_vec(self.left_matrix(self.index[self.longest]), self.r_vector(w0u, tb))
             self._bra_cache[key] = cached
         return list(cached)
 
-    def matrix_element(
-        self,
-        u: FiniteWeylElem,
-        v: FiniteWeylElem,
-        t: TorusPoint,
-        h: HeckeElem | None = None,
-        action: list | None = None,
-    ):
-        """Pairing of the ``u``-side left vector against ``h`` applied to the
-        ``v``-side intertwining vector."""
-        if action is None:
-            if h is None:
-                raise ValueError("need either an element or a precomputed action")
-            action = self.symbolic_action(h)
+    def matrix_element(self, u: FiniteWeylElem, v: FiniteWeylElem, t: TorusPoint, action: list):
+        """Pairing of the ``u``-side left vector against an element, given by
+        its :meth:`symbolic_action`, applied to the ``v``-side intertwining
+        vector."""
         m = self.laplace_matrix(action, t)
         return self.pair(self.bra_vector(u, t), mat_vec(m, self.r_vector(v, t)))
 
-    def E_value(self, t: TorusPoint, h: HeckeElem | None = None, action: list | None = None):
+    def E_value(self, t: TorusPoint, action: list):
         """The distinguished matrix element (both indices at the identity)."""
         e = self.basis_order[0]
-        return self.matrix_element(e, e, t, h=h, action=action)
+        return self.matrix_element(e, e, t, action)
 
-    def char_value(self, t: TorusPoint, h: HeckeElem | None = None, action: list | None = None):
+    def char_value(self, t: TorusPoint, action: list):
         """Trace of the module action; the character of the module."""
-        if action is None:
-            if h is None:
-                raise ValueError("need either an element or a precomputed action")
-            action = self.symbolic_action(h)
         return mat_trace(self.laplace_matrix(action, t))
-
-    def right_mul_matrix_of_vector(self, vec: list) -> list[list]:
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            m = self._right_mul_matrix(j)
-            for a in range(self.dim):
-                row = m[a]
-                orow = out[a]
-                for b in range(self.dim):
-                    if row[b]:
-                        orow[b] += c * row[b]
-        return out
 
     def intertwiner_operator(self, w: FiniteWeylElem, t: TorusPoint) -> list[list]:
         """Matrix of the module map attached to ``w`` from the module at ``t``
         to the module at ``w(t)``: right multiplication by the intertwining
-        vector of the inverse element evaluated at ``w(t)``."""
+        vector ``r`` of the inverse element evaluated at ``w(t)``, so column
+        ``j`` is ``T_j·r``."""
         winv = self.weyl.fin_inv(w)
         wt = t.apply_w(self.weyl, w)
-        return self.right_mul_matrix_of_vector(self.r_vector(winv, wt))
+        r = self.r_vector(winv, wt)
+        cols = [mat_vec(self.left_matrix(j), r) for j in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def matrix_element_shift(
-        self,
-        u: FiniteWeylElem,
-        v: FiniteWeylElem,
-        i: int,
-        t: TorusPoint,
-        h: HeckeElem | None = None,
-        action: list | None = None,
+        self, u: FiniteWeylElem, v: FiniteWeylElem, i: int, t: TorusPoint, action: list
     ):
         """Both sides of the index-shift identity for matrix elements,
         specialised to the i-th simple reflection.  Only the simple case is
         provided; the general shift is out of scope."""
-        if action is None:
-            if h is None:
-                raise ValueError("need either an element or a precomputed action")
-            action = self.symbolic_action(h)
         s = self.weyl.simple_reflections[i]
         st = t.apply_w(self.weyl, s)
         us = self.weyl.fin_mul(u, s)
         vs = self.weyl.fin_mul(v, s)
-        lhs = self.matrix_element(u, v, t, action=action)
+        lhs = self.matrix_element(u, v, t, action)
         num = self.n_w_value(v, t) * self.n_w_value(us, st)
         den = self.n_w_value(u, t) * self.n_w_value(vs, st)
         if den == 0:
             raise PoleError("normalisation factor vanishes in the shift ratio")
-        rhs = (num / den) * self.matrix_element(us, vs, st, action=action)
+        rhs = (num / den) * self.matrix_element(us, vs, st, action)
         return lhs, rhs
 
     # -- spherical functional ------------------------------------------------
@@ -695,20 +636,19 @@ class PrincipalSeries:
 
     # -- truncated series identity -------------------------------------------
 
-    def eisenstein_check(self, t: TorusPoint, h: HeckeElem, box_radius: int, action: list | None = None):
+    def eisenstein_check(self, t: TorusPoint, h: HeckeElem, box_radius: int, action: list):
         """Truncated check of the series identity: the scalar product of the
         generating functional against ``h``, scaled by the full intertwiner
         square factor, against the distinguished matrix element scaled by the
-        inverse-point root product.  Returns (lhs, rhs, gap)."""
+        inverse-point root product.  ``action`` is the
+        :meth:`symbolic_action` of ``h``.  Returns (lhs, rhs, gap)."""
         asg = self._need_numeric()
         self.trace.check_region(t)
         dd = self.d_w_value(self.longest, t)
         delta_inv = self.delta_value(t.inv())
         if dd == 0:
             raise PoleError("the intertwiner square factor vanishes at this point")
-        if action is None:
-            action = self.symbolic_action(h)
-        rhs = delta_inv * self.E_value(t, action=action)
+        rhs = delta_inv * self.E_value(t, action)
 
         coords = self.bernstein.expand_in_bernstein(h)
         ys = {x for (_w, x) in coords}

@@ -220,8 +220,6 @@ class TraceGen:
         labels = self.labels
         xs = [tuple(x) for x in xs]
         z = vscale(dominant_shift(self.datum, xs), self.derived.two_rho)
-        if all(v == 0 for v in z):
-            return {x: self.trace_theta_direct(x) for x in xs}
         targets: dict[Vec, tuple] = {}
         for x in xs:
             y = vadd(x, z)

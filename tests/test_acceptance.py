@@ -262,7 +262,7 @@ def test_criterion_10_truncated_series_check(capsys):
         for name, h in helems.items():
             act = ps.symbolic_action(h)
             gaps = [
-                ps.eisenstein_check(t, h, radius, action=act)[2]
+                ps.eisenstein_check(t, h, radius, act)[2]
                 for radius in range(4, 44, 4)
             ]
             assert all(b <= a for a, b in zip(gaps, gaps[1:])), (name, gaps)

@@ -52,14 +52,6 @@ def test_trace_output_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
-def test_trace_respects_thread_cap(capsys, monkeypatch):
-    argv = ["trace", "--datum", "A2", "--box", "2"]
-    _, serial, _ = run(capsys, argv)
-    monkeypatch.setenv("HECKE_TRACE_THREADS", "4")
-    _, threaded, _ = run(capsys, argv)
-    assert serial == threaded
-
-
 def test_trace_rank_three_oracle(capsys):
     code, out, _ = run(capsys, ["trace", "--datum", "BnCn(3)", "--box", "1"])
     assert code == 0

@@ -406,16 +406,34 @@ EXPECTED_CLASSES = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CLASSES))
 def test_generator_classes(name):
-    assert labels(name).class_of_gen == EXPECTED_CLASSES[name]
+    L = labels(name)
+    names = L.weyl.generator_names
+    assert {g: L.vars[c] for g, c in zip(names, L.gen_class)} == EXPECTED_CLASSES[name]
+
+
+# a coroot divisible by 2 -> (class labelling its even levels, class
+# labelling its odd levels); the other coroots of its orbit follow it
+CROSSED_LEVELS = {
+    "A1-weight": {},
+    "B2": {},
+    "A1-root": {(2,): (1, 0)},
+    "BnCn(2)": {(0, 2): (2, 1)},
+    "BnCn(3)": {(0, 0, 2): (2, 1)},
+}
 
 
 def test_crossed_level_labels():
     # only the data with a coroot divisible by 2 carry the level swap
-    assert labels("A1-weight").special_swap == {}
-    assert labels("B2").special_swap == {}
-    assert labels("A1-root").special_swap == {0: (1, 0)}
-    assert labels("BnCn(2)").special_swap == {1: (2, 1)}
-    assert labels("BnCn(3)").special_swap == {1: (2, 1)}
+    for name, crossed in CROSSED_LEVELS.items():
+        L = labels(name)
+        swaps = {L.orbit_id[c]: classes for c, classes in crossed.items()}
+        for coroot, orbit in L.orbit_id.items():
+            even = L.affine_label_class(coroot, 0)
+            odd = L.affine_label_class(coroot, 1)
+            if orbit in swaps:
+                assert (even, odd) == swaps[orbit], (name, coroot)
+            else:
+                assert even == odd, (name, coroot)
 
 
 def test_affine_label_swaps_parity():
@@ -424,10 +442,10 @@ def test_affine_label_swaps_parity():
     # odd-level generator and vice versa
     L = labels("BnCn(2)")
     doubled = (0, 2)  # coroot of the short simple root, divisible by 2
-    orbit = L.orbit_id[doubled]
-    even_cls, odd_cls = L.special_swap[orbit]
-    assert L.affine_label_class(doubled, 0) == even_cls
-    assert L.affine_label_class(doubled, 1) == odd_cls
+    # even levels take the class of s0 (v0), odd levels that of s2 (v2)
+    assert L.vars == ("v1", "v2", "v0")
+    assert L.affine_label_class(doubled, 0) == 2
+    assert L.affine_label_class(doubled, 1) == 1
     even = L.affine_label_half_exps(doubled, 0)
     odd = L.affine_label_half_exps(doubled, 1)
     assert even != odd

@@ -325,9 +325,10 @@ def test_matrix_element_of_unit_with_doubled_labels():
     w = ps.weyl
     t = ps.seeded_point(2)
     qw0 = ps.trace.q_w0_value()
+    unit = ps.symbolic_action(ps.hecke.unit())
     for u in ps.basis_order[:3]:
         for v in ps.basis_order:
-            val = ps.matrix_element(u, v, t, h=ps.hecke.unit())
+            val = ps.matrix_element(u, v, t, unit)
             if u == v:
                 assert val == qw0 * ps.delta_value(t.apply_w(w, u))
             else:
@@ -341,25 +342,25 @@ def test_character_as_weighted_diagonal_sum():
     h = sample_element(ps)
     act = ps.symbolic_action(h)
     qw0 = ps.trace.q_w0_value()
-    assert ps.char_value(t, action=act) == mat_trace(ps.laplace_matrix(act, t))
+    assert ps.char_value(t, act) == mat_trace(ps.laplace_matrix(act, t))
     by_elements = (
         sum(
-            ps.matrix_element(u, u, t, action=act)
+            ps.matrix_element(u, u, t, act)
             / ps.delta_value(t.apply_w(w, u))
             for u in ps.basis_order
         )
         / qw0
     )
-    assert ps.char_value(t, action=act) == by_elements
+    assert ps.char_value(t, act) == by_elements
     by_shifts = (
         sum(
-            ps.E_value(t.apply_w(w, u), action=act)
+            ps.E_value(t.apply_w(w, u), act)
             / ps.delta_value(t.apply_w(w, u))
             for u in ps.basis_order
         )
         / qw0
     )
-    assert ps.char_value(t, action=act) == by_shifts
+    assert ps.char_value(t, act) == by_shifts
 
 
 def test_matrix_elements_are_homogeneous():
@@ -369,12 +370,13 @@ def test_matrix_elements_are_homogeneous():
     t = TorusPoint((Fraction(3, 5),))
     h = sample_element(ps)
     x1, x2 = (1,), (-1,)
-    wrapped = H.mul(H.mul(B.theta(x1), h), B.theta(x2))
+    wrapped = ps.symbolic_action(H.mul(H.mul(B.theta(x1), h), B.theta(x2)))
+    act = ps.symbolic_action(h)
     for u in ps.basis_order:
         for v in ps.basis_order:
-            lhs = ps.matrix_element(u, v, t, h=wrapped)
+            lhs = ps.matrix_element(u, v, t, wrapped)
             scale = t.apply_w(ps.weyl, u).value(x1) * t.apply_w(ps.weyl, v).value(x2)
-            assert lhs == scale * ps.matrix_element(u, v, t, h=h)
+            assert lhs == scale * ps.matrix_element(u, v, t, act)
 
 
 def test_matrix_elements_separate_points():
@@ -386,9 +388,9 @@ def test_matrix_elements_separate_points():
     probes = []
     for a in ps.basis_order:
         for x in ((0,), (1,), (-1,)):
-            probes.append(H.mul(H.basis(w.as_affine(a)), B.theta(x)))
+            probes.append(ps.symbolic_action(H.mul(H.basis(w.as_affine(a)), B.theta(x))))
     rows = [
-        [ps.matrix_element(u, v, t, h=p) for p in probes]
+        [ps.matrix_element(u, v, t, p) for p in probes]
         for u in ps.basis_order
         for v in ps.basis_order
     ]
@@ -398,11 +400,11 @@ def test_matrix_elements_separate_points():
 def test_index_shift_along_a_simple_reflection():
     ps = series("A2", A2Q4)
     t = ps.seeded_point(6)
-    h = sample_element(ps)
+    act = ps.symbolic_action(sample_element(ps))
     for i in (0, 1):
         for u in ps.basis_order:
             for v in ps.basis_order:
-                lhs, rhs = ps.matrix_element_shift(u, v, i, t, h=h)
+                lhs, rhs = ps.matrix_element_shift(u, v, i, t, act)
                 assert lhs == rhs, (i, u, v)
 
 
@@ -424,6 +426,100 @@ def test_intertwiner_functional_equation():
         lhs = mat_trace(mat_mul(comp, ps.laplace(h, ut)))
         rhs = ps.d_w_value(u, t) * mat_trace(mat_mul(psi, ps.laplace(h, t)))
         assert lhs == rhs, u
+
+
+# -- the finite Hecke algebra against the generator engine -------------------
+
+
+def ref_finite_matrices(ps):
+    """The generator engine that ``left_matrix`` replaced: the quadratic
+    relation for each ``T_{s_i}`` on the finite basis, with the descent read
+    off ``finite_length``, multiplied along reduced words.  Returns, per
+    element of ``basis_order``, the matrices of left and of right
+    multiplication by ``T_w``."""
+    weyl = ps.weyl
+    n = ps.dim
+
+    def gen_matrix(i, right):
+        qi = ps._val(ps.labels.q_of_gen(i))
+        s = weyl.simple_reflections[i]
+        m = [[0] * n for _ in range(n)]
+        for j, w in enumerate(ps.basis_order):
+            ws = weyl.fin_mul(w, s) if right else weyl.fin_mul(s, w)
+            if weyl.finite_length(ws) > weyl.finite_length(w):
+                m[ps.index[ws]][j] += 1
+            else:
+                m[j][j] += qi - 1
+                m[ps.index[ws]][j] += qi
+        # a generator matrix has at most two entries per row
+        return [[(p, c) for p, c in enumerate(row) if c] for row in m]
+
+    def product(gen, m):
+        return [[sum(c * m[p][col] for p, c in row) for col in range(n)] for row in gen]
+
+    gens = {
+        (i, right): gen_matrix(i, right)
+        for i in range(len(weyl.simple_reflections))
+        for right in (False, True)
+    }
+    ident = [[int(i == k) for k in range(n)] for i in range(n)]
+    cache = {False: {}, True: {}}
+
+    def of(w, right):
+        # left: T_w = T_{s_i} T_{s_i w} for the first letter i of a reduced
+        # word; right: x T_w = (x T_{w s_i}) T_{s_i} for the last letter i
+        out = cache[right]
+        if w not in out:
+            word = weyl.fin_word(w)
+            if not word:
+                out[w] = ident
+            else:
+                i = word[-1] if right else word[0]
+                s = weyl.simple_reflections[i]
+                rest = weyl.fin_mul(w, s) if right else weyl.fin_mul(s, w)
+                out[w] = product(gens[i, right], of(rest, right))
+        return out[w]
+
+    return [[of(w, right) for w in ps.basis_order] for right in (False, True)]
+
+
+FINITE_DATA = [
+    "A1-weight", "A1-root", "A2", "B2", "C2", "G2",
+    "BnCn(1)", "BnCn(2)", "BnCn(3)", "GLn(2)", "GLn(3)", "GLn(4)",
+]  # every preset with at most 48 finite Weyl group elements
+
+
+@pytest.mark.parametrize("name", FINITE_DATA)
+def test_finite_hecke_matrices_match_the_generator_engine(name):
+    base = series(name)
+    assert base.dim <= 48
+    qs = {g: (4, 9, 25)[c] for g, c in zip(base.weyl.generator_names, base.labels.gen_class)}
+    ps = PrincipalSeries(base.bernstein, base.labels.numeric_assignment(qs, "rational"))
+    left, right = ref_finite_matrices(ps)
+    assert [ps.left_matrix(j) for j in range(ps.dim)] == left
+    rng = random.Random(name)
+    a, b = [0] * ps.dim, [0] * ps.dim
+    for vec in (a, b):
+        for j in rng.sample(range(ps.dim), min(ps.dim, 3)):
+            vec[j] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 4))
+    want = [0] * ps.dim
+    for j, c in enumerate(b):
+        if c:
+            want = [x + c * y for x, y in zip(want, mat_vec(right[j], a))]
+    assert ps.h0_product(a, b) == want
+    t = ps.seeded_point(0)
+    w0 = ps.index[ps.longest]
+    # a simple reflection and the longest element: each reaches a long
+    # intertwining vector on one side
+    for u in (ps.basis_order[1], ps.longest):
+        tb = t.conj().inv()
+        ref_bra = mat_vec(left[w0], ps.r_vector(ps.weyl.fin_mul(ps.longest, u), tb))
+        assert ps.bra_vector(u, t) == ref_bra, u
+        r = ps.r_vector(ps.weyl.fin_inv(u), t.apply_w(ps.weyl, u))
+        ref_op = [[0] * ps.dim for _ in range(ps.dim)]
+        for j, c in enumerate(r):
+            ref_op = [[x + c * y for x, y in zip(o, m)] for o, m in zip(ref_op, right[j])]
+        assert ps.intertwiner_operator(u, t) == ref_op, u
 
 
 # -- star and adjunction at a complex point ----------------------------------
@@ -491,7 +587,7 @@ def test_spherical_vs_distinguished_element():
     qw0 = ps.trace.q_w0_value()
     h = sample_element(ps)
     mid = H.mul(H.mul(sym, h), sym)
-    lhs = ps.E_value(t, h=mid) / (p0 * p0)
+    lhs = ps.E_value(t, ps.symbolic_action(mid)) / (p0 * p0)
     rhs = qw0 * ps.n_w_value(ps.longest, t.inv()) / p0 * ps.spherical(t, h=h)
     assert lhs == rhs
 
@@ -595,8 +691,8 @@ def test_eisenstein_gap_shrinks():
     t = TorusPoint((10**-0.5,))
     h = ps.hecke.basis(ps.weyl.simple_affine(0))
     act = ps.symbolic_action(h)
-    _, _, wide = ps.eisenstein_check(t, h, 16, action=act)
-    _, _, narrow = ps.eisenstein_check(t, h, 8, action=act)
+    _, _, wide = ps.eisenstein_check(t, h, 16, act)
+    _, _, narrow = ps.eisenstein_check(t, h, 8, act)
     assert wide < narrow
 
 
@@ -604,7 +700,8 @@ def test_eisenstein_with_unit_reduces_to_the_generating_identity():
     ps = series("A1-weight", A1Q4, mode="complex")
     t = TorusPoint((10**-0.5,))
     qw0 = ps.trace.q_w0_value()
-    lhs, rhs, _ = ps.eisenstein_check(t, ps.hecke.unit(), 30)
+    unit = ps.hecke.unit()
+    lhs, rhs, _ = ps.eisenstein_check(t, unit, 30, ps.symbolic_action(unit))
     glhs, grhs, _ = ps.trace.generating_check(t, 30)
     factor = ps.d_w_value(ps.longest, t)
     alt = (

@@ -16,7 +16,7 @@ from affinehecke import (
 from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet
 from affinehecke.hecke import HeckeAlgebra
-from affinehecke.rootdata import vneg
+from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
@@ -229,6 +229,16 @@ def test_trace_sweep_matches_pointwise_direct():
         assert not all(v.is_zero() for v in swept.values()), name
         for x in xs:
             assert swept[x] == trace.trace_theta_direct(x), (name, x)
+    # batches with every point dominant need no shift: T_e is inverted
+    for name in ("A1-weight", "A2", "BnCn(2)", "G2", "GLn(3)"):
+        trace = formal_trace(name)
+        rank = trace.datum.rank
+        xs = [x for x in itertools.product(range(3), repeat=rank) if is_dominant(trace.datum, x)]
+        assert (0,) * rank in xs and len(xs) > 1, name
+        swept = trace.trace_sweep(xs)
+        assert swept == {x: trace.trace_theta_direct(x) for x in xs}, name
+        assert swept[(0,) * rank] == trace.labels.one()
+        assert trace.trace_sweep([]) == {}
 
 
 def test_negative_cone_points_rank_one():
