@@ -34,7 +34,7 @@ class GroupAlgebraElem:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Vec, LaurentPoly]):
-        self.terms = {x: c for x, c in terms.items() if not c.is_zero()}
+        self.terms = {x: c for x, c in terms.items() if c}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupAlgebraElem) and self.terms == other.terms

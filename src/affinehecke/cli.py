@@ -347,7 +347,7 @@ def suite_support(job: Job, failures: list) -> int:
     cases = 0
     for x in xs:
         cases += 1
-        if not direct[x].is_zero():
+        if direct[x]:
             failures.append(f"trace nonzero off the negative cone at {x}")
     return cases
 

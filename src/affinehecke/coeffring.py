@@ -165,8 +165,8 @@ class LaurentPoly:
 
     # -- predicates and views
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         n = len(self.vars)
@@ -366,9 +366,9 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     :class:`ExponentOverflowError` when a remainder term could leave the
     packed field.
     """
-    if g.is_zero():
+    if not g:
         raise ExactDivisionError("division by zero")
-    if f.is_zero():
+    if not f:
         return LaurentPoly.zero(f.vars)
     f._check(g)
     n = len(f.vars)
@@ -413,13 +413,14 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     )
 
 
-def accumulate(out: dict, key, c: LaurentPoly) -> None:
+def accumulate(out: dict, key, c) -> None:
     """Add ``c`` into ``out[key]`` in place; a sum that cancels drops the
-    key, so a dict built only through here holds no zero coefficient."""
+    key, so a dict built only through here holds no zero coefficient.
+    ``c`` is any coefficient: a Laurent polynomial or an exact number."""
     s = out.get(key)
     if s is not None:
         c = s + c
-    if c.terms:
+    if c:
         out[key] = c
     elif s is not None:
         del out[key]
@@ -498,17 +499,14 @@ class LabelSet:
         for j, key in enumerate(keys):
             class_members.setdefault(key, []).append(j)
         ordered = sorted(class_members.items(), key=lambda kv: kv[1][0])
-        self.class_keys: list[tuple[int, int]] = [k for k, _ in ordered]
-        self.class_gens: list[list[int]] = [g for _, g in ordered]
         self._key_to_class: dict[tuple[int, int], int] = {
-            k: i for i, k in enumerate(self.class_keys)
+            k: i for i, (k, _) in enumerate(ordered)
         }
         self.gen_class: list[int] = [self._key_to_class[k] for k in keys]
-
-        def var_name(gen_index: int) -> str:
-            return "v" + weyl.generator_names[gen_index][1:]
-
-        self.vars: tuple[str, ...] = tuple(var_name(g[0]) for g in self.class_gens)
+        # each class's variable is named after its first generator
+        self.vars: tuple[str, ...] = tuple(
+            "v" + weyl.generator_names[gens[0]][1:] for _, gens in ordered
+        )
         self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
         self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
@@ -544,6 +542,10 @@ class LabelSet:
     def q_of_gen(self, j: int) -> LaurentPoly:
         """The parameter ``q(s_j)`` of the j-th fundamental generator."""
         return self._mono(self._unit_exps(self.gen_class[j], 2))
+
+    def q_of_gen_inv(self, j: int) -> LaurentPoly:
+        """The inverse ``q(s_j)^{-1}`` of the j-th generator's parameter."""
+        return self._mono(self._unit_exps(self.gen_class[j], -2))
 
     def affine_label_class(self, coroot: Vec, level: int) -> int:
         """The class whose parameter labels the affine root ``(coroot, level)``."""
@@ -646,6 +648,10 @@ class LabelSet:
 
     # -- numeric assignments -------------------------------------------------
 
+    def at(self, assignment: dict) -> "LabelValues":
+        """The labels read at an exact assignment (see :class:`LabelValues`)."""
+        return LabelValues(self, assignment)
+
     def numeric_assignment(self, q_values: dict[str, object], mode: str) -> dict[str, object]:
         """Turn per-generator ``q`` values into per-class ``v`` values.
 
@@ -688,6 +694,45 @@ class LabelSet:
             else:
                 out[var] = math.sqrt(float(q))
         return out
+
+
+class LabelValues:
+    """A :class:`LabelSet` read at an exact label assignment.
+
+    It answers the lookups the Hecke folds and the Bernstein expansion make
+    (``one``, ``zero``, ``q_of_gen``, ``q_of_gen_inv``, ``delta_sqrt``) with
+    numbers instead of monomials, so an algebra built over it folds exact
+    numbers.  Every value is an int where it is integral and a Fraction
+    otherwise: with integral generator parameters a forward fold runs on
+    ints.  Values are evaluated at Fraction labels, so no inverse is ever
+    taken as ``int ** -1``, which would be a float.
+    """
+
+    def __init__(self, labels: LabelSet, assignment: dict):
+        values = {v: assignment[v] for v in labels.vars}
+        if not all(isinstance(x, (int, Fraction)) for x in values.values()):
+            raise LabelConfigError("a numeric label view needs exact rational values")
+        self.weyl = labels.weyl
+        self._labels = labels
+        self._values = {v: Fraction(x) for v, x in values.items()}
+
+    def _value(self, poly: LaurentPoly):
+        return _ratio(poly.evaluate(self._values))
+
+    def one(self) -> int:
+        return 1
+
+    def zero(self) -> int:
+        return 0
+
+    def q_of_gen(self, j: int):
+        return self._value(self._labels.q_of_gen(j))
+
+    def q_of_gen_inv(self, j: int):
+        return self._value(self._labels.q_of_gen_inv(j))
+
+    def delta_sqrt(self, x: Vec):
+        return self._value(self._labels.delta_sqrt(x))
 
 
 def _parse_rational(raw) -> Fraction:

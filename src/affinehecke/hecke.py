@@ -1,10 +1,11 @@
 """The Iwahori-Hecke algebra on the T-basis.
 
 Elements are finitely supported maps from extended affine Weyl elements to
-Laurent-polynomial coefficients, keyed by the Weyl group's int ids
-(``AffineWeyl.gid``) from end to end: the folds, sums and products work on
-ids, and elements are converted only at the edge (``basis``, ``unit``,
-``coeff``, ``tau``, the fold's right-hand ``h`` and the JSON records).
+coefficients (Laurent polynomials, or exact numbers at given labels), keyed
+by the Weyl group's int ids (``AffineWeyl.gid``) from end to end: the folds,
+sums and products work on ids, and elements are converted only at the edge
+(``basis``, ``unit``, ``coeff``, ``tau``, the fold's right-hand ``h`` and the
+JSON records).
 
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
@@ -17,7 +18,7 @@ product, basis inverses) reduces to that single step rule:
 
 from __future__ import annotations
 
-from .coeffring import LabelSet, LaurentPoly, accumulate, obj_to_poly, poly_to_obj
+from .coeffring import LabelSet, LabelValues, LaurentPoly, accumulate, obj_to_poly, poly_to_obj
 from .weyl import AffineWeyl, AffineWeylElem
 
 MAX_SUPPORT = 1_000_000
@@ -33,8 +34,8 @@ class HeckeElem:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, LaurentPoly]):
-        self.terms = {u: c for u, c in terms.items() if not c.is_zero()}
+    def __init__(self, terms: dict):
+        self.terms = {u: c for u, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -48,16 +49,22 @@ class HeckeElem:
 
 
 class HeckeAlgebra:
-    """Arithmetic context: a Weyl group, its labels, and the T-basis rules."""
+    """Arithmetic context: a Weyl group, its labels, and the T-basis rules.
 
-    def __init__(self, weyl: AffineWeyl, labels: LabelSet | None = None):
+    The coefficients are whatever the labels return: Laurent polynomials
+    over a :class:`LabelSet`, exact numbers over its view
+    :meth:`LabelSet.at`.  Every rule touches them only through ``+ - *``
+    and truthiness, so one fold serves both.
+    """
+
+    def __init__(self, weyl: AffineWeyl, labels: LabelSet | LabelValues | None = None):
         self.weyl = weyl
         self.labels = labels if labels is not None else LabelSet(weyl)
         if self.labels.weyl is not weyl:
             raise ValueError("labels were built for a different Weyl group")
         n = len(weyl.fundamental)
         self._q_gen = [self.labels.q_of_gen(i) for i in range(n)]
-        self._q_gen_inv = [q.inverse() for q in self._q_gen]
+        self._q_gen_inv = [self.labels.q_of_gen_inv(i) for i in range(n)]
 
     # -- constructors --------------------------------------------------------
 
@@ -70,7 +77,7 @@ class HeckeAlgebra:
     def basis(self, g: AffineWeylElem) -> HeckeElem:
         return HeckeElem({self.weyl.gid(g): self.labels.one()})
 
-    def coeff(self, a: HeckeElem, g: AffineWeylElem) -> LaurentPoly | None:
+    def coeff(self, a: HeckeElem, g: AffineWeylElem):
         """The coefficient of T_g in a, or None off its support."""
         return a.terms.get(self.weyl.gid(g))
 
@@ -78,7 +85,7 @@ class HeckeAlgebra:
 
     def add(self, *elems: HeckeElem) -> HeckeElem:
         """The sum of the elements, accumulated left to right."""
-        out: dict[int, LaurentPoly] = {}
+        out: dict = {}
         for b in elems:
             for u, c in b.terms.items():
                 accumulate(out, u, c)
@@ -102,7 +109,7 @@ class HeckeAlgebra:
                 "the computation is out of desk scale"
             )
 
-    def _rmul_gen(self, terms: dict[int, LaurentPoly], i: int, inverse: bool = False) -> dict:
+    def _rmul_gen(self, terms: dict, i: int, inverse: bool = False) -> dict:
         """Right-multiply an id-keyed term dict by T_{s_i}, or by its inverse.
 
         A term whose step goes up (down, for the inverse) maps to one term;
@@ -115,7 +122,7 @@ class HeckeAlgebra:
         lens = weyl.lens
         fill = weyl.step
         q = self._q_gen_inv[i] if inverse else self._q_gen[i]
-        out: dict[int, LaurentPoly] = {}
+        out: dict = {}
         get = out.get
         for u, c in terms.items():
             us = nxt[u]
@@ -127,31 +134,31 @@ class HeckeAlgebra:
                     out[us] = c  # term dicts hold no zero coefficient
                 else:
                     s = s + c
-                    if s.terms:
+                    if s:
                         out[us] = s
                     else:
                         del out[us]
                 continue
-            cq = c * q  # a monomial product: one shift of every key
+            cq = c * q  # q is a monomial: one shift of every key of a polynomial c
             for g, d in ((us, cq), (u, cq - c)) if inverse else ((u, cq - c), (us, cq)):
                 s = get(g)
                 if s is not None:
                     d = s + d
-                if d.terms:
+                if d:
                     out[g] = d
                 elif s is not None:
                     del out[g]
         self._guard(out)
         return out
 
-    def _relabel_right(self, terms: dict[int, LaurentPoly], om: AffineWeylElem) -> dict:
+    def _relabel_right(self, terms: dict, om: AffineWeylElem) -> dict:
         """Right-multiply by T_om for a length-zero om (a free relabeling)."""
         weyl = self.weyl
         if om == weyl.identity:
             return terms
         return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
 
-    def _fold(self, terms: dict[int, LaurentPoly], h: AffineWeylElem, inverse: bool = False,
+    def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False,
               targets: list[AffineWeylElem] | None = None) -> dict:
         """Right-multiply an id-keyed term dict by T_h, or by its inverse.
 
@@ -207,7 +214,7 @@ class HeckeAlgebra:
 
     def _mul_fold(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         elem = self.weyl.elem
-        out: dict[int, LaurentPoly] = {}
+        out: dict = {}
         for h, d in b.terms.items():
             for u, c in self._fold(a.terms, elem(h)).items():
                 accumulate(out, u, c * d)
@@ -226,7 +233,7 @@ class HeckeAlgebra:
         inv = self.weyl.inverse_id
         return HeckeElem({inv(u): c for u, c in a.terms.items()})
 
-    def tau(self, a: HeckeElem) -> LaurentPoly:
+    def tau(self, a: HeckeElem):
         """The trace: the coefficient of the identity."""
         c = self.coeff(a, self.weyl.identity)
         return c if c is not None else self.labels.zero()

@@ -26,6 +26,16 @@ On top of the bare module action this file provides
 * a truncated check of the series identity relating the generating functional
   of the trace to the distinguished matrix element.
 
+The value on the spherical Bernstein element, which the ``spherical`` report
+checks against the c-function formula, folds numbers when the labels and the
+torus point are exact: its double-coset sum, the product with ``sym`` and the
+expansion run in an algebra over the labels read at the assignment
+(:meth:`~affinehecke.coeffring.LabelSet.at`), and the factor
+``delta^{1/2}(-x)`` multiplies the value instead of the element, so with
+integral parameters every fold coefficient is an int.  Complex points, float
+labels and every other action keep Laurent coefficients and evaluate them at
+the end.
+
 All torus points are numeric; identities in the torus variable are verified
 on seeded random points rather than over a field of rational functions.
 """
@@ -37,7 +47,7 @@ from fractions import Fraction
 
 from .bernstein import Bernstein
 from .coeffring import LaurentPoly, _unpack, accumulate, power_table
-from .hecke import HeckeElem
+from .hecke import HeckeAlgebra, HeckeElem
 from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
 from .tracegen import PoleError, TorusPoint, TraceGen
 from .weyl import FiniteWeylElem
@@ -64,15 +74,13 @@ def mat_vec(m: list[list], v: list) -> list:
     return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in m]
 
 
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][p] * b[p][j] for p in range(k)) for j in range(m)] for i in range(n)
-    ]
-
-
 def mat_trace(m: list[list]):
     return sum(m[i][i] for i in range(len(m)))
+
+
+def _finite_sum(H: HeckeAlgebra, basis_order: list) -> HeckeElem:
+    """The sum of the finite basis elements ``T_w`` in ``H``."""
+    return H.add(*(H.basis(H.weyl.as_affine(w)) for w in basis_order))
 
 
 def _monomial_values(exps: list[Vec], point) -> tuple[list, object]:
@@ -126,6 +134,9 @@ class PrincipalSeries:
 
         self._q_fin_vals = None
         self._p0_val = None
+        self._exact_labels = assignment is not None and not any(
+            isinstance(v, float) for v in assignment.values()
+        )
         if assignment is not None:
             self._q_fin_vals = [
                 self.labels.q_of_fin(w).evaluate(assignment) for w in self.basis_order
@@ -139,8 +150,10 @@ class PrincipalSeries:
         self._r_cache: dict[tuple, list] = {}
         self._bra_cache: dict[tuple, list] = {}
         self._plus_cleared: dict[Vec, HeckeElem] = {}
-        self._plus_action: dict[Vec, list] = {}
+        self._plus_action: dict[tuple[Vec, bool], list] = {}
         self._sym_elem: HeckeElem | None = None
+        self._exact_tower: tuple[Bernstein, HeckeElem] | None = None
+        self._c_values: tuple | None = None
 
     # -- numeric guard -------------------------------------------------------
 
@@ -207,9 +220,15 @@ class PrincipalSeries:
         """
         if vectors is None:
             vectors = [self.hecke.basis(self.weyl.as_affine(v)) for v in self.basis_order]
+        return self._expand_columns(self.bernstein, h, vectors)
+
+    def _expand_columns(self, bernstein: Bernstein, h: HeckeElem, vectors: list) -> list:
+        """The columns of :meth:`symbolic_action`, computed in the algebra of
+        ``bernstein``; over exact label values the coefficients are numbers."""
+        H = bernstein.hecke
         out = []
         for vec in vectors:
-            coords = self.bernstein.expand_in_bernstein(self.hecke.mul(h, vec))
+            coords = bernstein.expand_in_bernstein(H.mul(h, vec))
             out.append([(self.index[w], x, c) for (w, x), c in coords.items()])
         return out
 
@@ -223,7 +242,9 @@ class PrincipalSeries:
         evaluated once, over one common denominator per variable
         (:func:`~affinehecke.coeffring.power_table`, sized by the exact
         exponent ranges met in this call); an entry is then summed as a
-        Python int and divided once by the product of the denominators.
+        Python int and divided once by the product of the denominators.  A
+        coefficient that is already a number (an action computed at the
+        labels) is its own value.
 
         With rational labels and a rational point every touched entry is an
         exact Fraction, equal to the term-by-term sum.  A float label or a
@@ -236,7 +257,10 @@ class PrincipalSeries:
         asg = self._need_numeric()
         vars_ = self.labels.vars
         n = len(vars_)
-        keys = list({k for triples in action for _r, _x, p in triples for k in p.terms})
+        keys = list({
+            k for triples in action for _r, _x, p in triples
+            if isinstance(p, LaurentPoly) for k in p.terms
+        })
         points = list({x for triples in action for _r, x, _p in triples})
         m = [[0] * len(action) for _ in range(self.dim)]
         label_nums, label_den = _monomial_values(
@@ -249,9 +273,12 @@ class PrincipalSeries:
         for col, triples in enumerate(action):
             sums: dict[int, object] = {}
             for row, x, poly in triples:
-                pv = 0
-                for k, c in poly.terms.items():
-                    pv += c * label_num[k]
+                if isinstance(poly, LaurentPoly):
+                    pv = 0
+                    for k, c in poly.terms.items():
+                        pv += c * label_num[k]
+                else:
+                    pv = poly if label_den == 1 else poly * label_den
                 sums[row] = sums.get(row, 0) + pv * point_num[x]
             for row, s in sums.items():
                 m[row][col] = s / den
@@ -494,9 +521,17 @@ class PrincipalSeries:
     def symmetrizer(self) -> HeckeElem:
         """Sum of all finite basis elements (un-normalised plus idempotent)."""
         if self._sym_elem is None:
-            H = self.hecke
-            self._sym_elem = H.add(*(H.basis(self.weyl.as_affine(w)) for w in self.basis_order))
+            self._sym_elem = _finite_sum(self.hecke, self.basis_order)
         return self._sym_elem
+
+    def _exact(self) -> tuple[Bernstein, HeckeElem]:
+        """The Bernstein context over the labels read at the assignment
+        (:meth:`~affinehecke.coeffring.LabelSet.at`) and its symmetrizer,
+        built on first use."""
+        if self._exact_tower is None:
+            H = HeckeAlgebra(self.weyl, self.labels.at(self._need_numeric()))
+            self._exact_tower = (Bernstein(H), _finite_sum(H, self.basis_order))
+        return self._exact_tower
 
     def t0_plus_vector(self) -> list:
         """The normalised plus idempotent as a module vector."""
@@ -529,30 +564,39 @@ class PrincipalSeries:
         x = tuple(x)
         cached = self._plus_cleared.get(x)
         if cached is None:
-            if not is_dominant(self.datum, x):
-                raise ValueError(f"{x} is not dominant")
             H = self.hecke
-            sym = self.symmetrizer()
-            mid = H.mul(sym, H.basis(self.weyl.translation(x)))
-            cached = H.scale(H.mul(mid, sym), self.labels.delta_sqrt(vneg(x)))
+            cached = H.scale(
+                self._double_coset_sum(H, self.symmetrizer(), x), self.labels.delta_sqrt(vneg(x))
+            )
             self._plus_cleared[x] = cached
         return cached
 
-    def _theta_plus_action(self, x: Vec) -> list:
-        """One-column action of the cleared element on the spherical
-        vector, cached per point."""
-        x = tuple(x)
-        act = self._plus_action.get(x)
+    def _double_coset_sum(self, H: HeckeAlgebra, sym: HeckeElem, x: Vec) -> HeckeElem:
+        """``sym·T_{t_x}·sym`` in ``H``, with ``sym`` its symmetrizer."""
+        if not is_dominant(self.datum, x):
+            raise ValueError(f"{x} is not dominant")
+        return H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
+
+    def _theta_plus_action(self, x: Vec, exact: bool) -> list:
+        """One-column action on the spherical vector, cached per point: of
+        the cleared element, or with ``exact`` of its double-coset sum
+        computed at the labels (so without the factor ``delta^{1/2}(-x)``)."""
+        act = self._plus_action.get((x, exact))
         if act is None:
-            act = self.symbolic_action(self.theta_plus_cleared(x), [self.symmetrizer()])
-            self._plus_action[x] = act
+            if exact:
+                bernstein, sym = self._exact()
+                elem = self._double_coset_sum(bernstein.hecke, sym, x)
+            else:
+                bernstein, sym = self.bernstein, self.symmetrizer()
+                elem = self.theta_plus_cleared(x)
+            act = self._plus_action[(x, exact)] = self._expand_columns(bernstein, elem, [sym])
         return act
 
     def theta_plus(self, x: Vec) -> HeckeElem:
         """The spherical Bernstein basis element at a dominant point, with
         numeric (exact rational) coefficients."""
         asg = self._need_numeric()
-        if any(isinstance(v, float) for v in asg.values()):
+        if not self._exact_labels:
             raise ModeError("the spherical basis needs exact rational labels")
         cleared = self.theta_plus_cleared(x)
         p0sq = self._p0_val ** 2
@@ -566,8 +610,17 @@ class PrincipalSeries:
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
-        through the module action."""
-        val = self._spherical_of(self._theta_plus_action(x), t)
+        through the module action.  With exact labels at a rational point
+        the action folds numbers (see the module docstring) and the factor
+        ``delta^{1/2}(-x)`` multiplies the value; the result is the same
+        exact number either way."""
+        x = tuple(x)
+        self._need_numeric()
+        if self._exact_labels and t._rational():
+            val = self._spherical_of(self._theta_plus_action(x, True), t)
+            val *= self.trace.delta_sqrt_value(vneg(x))
+        else:
+            val = self._spherical_of(self._theta_plus_action(x, False), t)
         return val / (self._p0_val ** 2)
 
     def macdonald_value(self, t: TorusPoint, x: Vec):
@@ -575,13 +628,21 @@ class PrincipalSeries:
         spherical Bernstein element at a dominant point."""
         self._need_numeric()
         x = tuple(x)
-        qw0 = self.trace.q_w0_value()
         total = 0
-        for w in self.basis_order:
-            wt = t.apply_w(self.weyl, w)
-            winv = self.weyl.fin_inv(w)
-            total += self.trace.c_full(wt) * t.value(winv.apply_x(x))
-        return qw0 * total / self._p0_val
+        for winv, c in self._c_values_at(t):
+            total += c * t.value(winv.apply_x(x))
+        return self.trace.q_w0_value() * total / self._p0_val
+
+    def _c_values_at(self, t: TorusPoint) -> list:
+        """The pairs ``(w^{-1}, c(w t))`` over the finite Weyl group.  They
+        depend on ``t`` only, so they are kept for the last point asked."""
+        if self._c_values is None or self._c_values[0] != t.images:
+            pairs = [
+                (self.weyl.fin_inv(w), self.trace.c_full(t.apply_w(self.weyl, w)))
+                for w in self.basis_order
+            ]
+            self._c_values = (t.images, pairs)
+        return self._c_values[1]
 
     # -- plus-idempotent identities in cleared form --------------------------
 
@@ -662,7 +723,7 @@ class PrincipalSeries:
         total = 0
         for x in sorted(xs, key=lambda v: (height(self.datum, vneg(v)), v)):
             tau = self.hecke.tau_pair(self.bernstein.theta(x), h)
-            if tau.is_zero():
+            if not tau:
                 continue
             total += t.value(vneg(x)) * tau.evaluate(asg)
         lhs = dd * total

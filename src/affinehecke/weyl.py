@@ -535,13 +535,6 @@ class AffineWeyl:
         order = self.enumerate_w0()
         return order[-1]
 
-    def finite_length(self, w: FiniteWeylElem) -> int:
-        return sum(
-            1
-            for alpha in self.derived.positive_roots
-            if w.apply_x(alpha) not in self._pos_root_set
-        )
-
     def fin_word(self, w: FiniteWeylElem) -> tuple[int, ...]:
         """A reduced word for a finite element: its BFS word in ``enumerate_w0``."""
         if w.word is not None:

@@ -118,7 +118,7 @@ def test_criterion_03_support(capsys):
                 pts = [p + (c,) for p in pts for c in range(-4, 5)]
             off = [x for x in pts if not in_negative_cone(datum, x)]
             direct = trace.trace_sweep(off)
-            bad = [x for x in off if not direct[x].is_zero()]
+            bad = [x for x in off if direct[x]]
             assert not bad, (preset, bad[:5])
         ok = True
     finally:

@@ -177,13 +177,16 @@ def test_spherical_seeded_point_when_t_missing(capsys):
     assert out1 == out2
 
 
-# The bench's one spherical workload (B2) has no doubled roots: these pin the
-# c-function and intertwiner paths of BnCn(2), exact and in floating point.
+# The bench's one spherical workload (B2) has no doubled roots and integral
+# labels: these pin the c-function and intertwiner paths of BnCn(2), exact and
+# in floating point, and B2 at fractional labels, whose folds run on Fractions.
 @pytest.mark.parametrize(
     "datum,labels,mode,digest",
     [
         ("BnCn(2)", '{"s1":4,"s2":9,"s0":16}', "rational",
          "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36"),
+        ("B2", '{"s1":"9/4","s2":"1/4"}', "rational",
+         "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af"),
         ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
          "f0197fd821ee70bfe68ba4f0deca3e4025806ff4f6dc28b2f0403b928c531aee"),
         ("B2", '{"s1":2,"s2":3}', "complex",

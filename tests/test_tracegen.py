@@ -199,7 +199,7 @@ def test_two_methods_agree_with_unequal_labels():
 def test_direct_vanishes_off_the_negative_cone_sample():
     trace = formal_trace("A2")
     for x in [(1, 0), (0, 1), (1, 1), (-1, 2), (-2, 3), (2, -1)]:
-        assert trace.trace_theta_direct(x).is_zero()
+        assert not trace.trace_theta_direct(x)
 
 
 def test_two_methods_agree_on_g2_at_large_shifts():
@@ -225,8 +225,8 @@ def test_trace_sweep_matches_pointwise_direct():
         xs = sorted(set(points(trace)))
         swept = trace.trace_sweep(xs)
         assert set(swept) == set(xs)
-        assert any(v.is_zero() for v in swept.values()), name
-        assert not all(v.is_zero() for v in swept.values()), name
+        assert not all(swept.values()), name
+        assert any(swept.values()), name
         for x in xs:
             assert swept[x] == trace.trace_theta_direct(x), (name, x)
     # batches with every point dominant need no shift: T_e is inverted
