@@ -479,7 +479,7 @@ def cmd_spherical(args) -> int:
     ]
     xs.sort(key=lambda x: (height(job.datum, x), x))
     records = []
-    skipped = 0
+    skipped = failed = 0
     for x in xs:
         rec = {"t": [num_obj(v) for v in t.images], "x": list(x)}
         try:
@@ -490,6 +490,8 @@ def cmd_spherical(args) -> int:
             skipped += 1
         else:
             diff = abs(formula - direct)
+            if diff and job.mode == "rational":  # an exact gap is a failed check
+                failed += 1
             rec.update(
                 {
                     "diff": num_obj(diff),
@@ -502,7 +504,7 @@ def cmd_spherical(args) -> int:
     report = job.describe()
     report.update({"box": args.box, "records": records})
     emit(report, args.out)
-    if records and skipped == len(records):
+    if failed or (records and skipped == len(records)):
         return EXIT_FAIL
     return EXIT_OK
 

@@ -507,6 +507,9 @@ class LabelSet:
         self.vars: tuple[str, ...] = tuple(
             "v" + weyl.generator_names[gens[0]][1:] for _, gens in ordered
         )
+        # the normalised basis's own variables, xi_c = v_c - v_c^{-1}; a
+        # separate tuple, so a sum with a v-polynomial raises
+        self.xi_vars: tuple[str, ...] = tuple("xi" + v[1:] for v in self.vars)
         self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
         self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
@@ -645,6 +648,53 @@ class LabelSet:
         for w in elems:
             out = out + self.q_of_fin(w)
         return out
+
+    # -- the normalised basis ------------------------------------------------
+    #
+    # On T~_w = v(w)^{-1} T_w, with v(w) = q(w)^{1/2}, a generator's inverse is
+    # T~_s^{-1} = T~_s - xi_s, where xi_s = v_s - v_s^{-1}.  Coefficients on
+    # that basis are polynomials in one xi_c per class, over ``xi_vars``.
+
+    def xi_step(self, j: int) -> LaurentPoly:
+        """``-xi_c`` for the class c of the j-th generator: the factor an up
+        step of the inverse fold puts on the normalised basis (see
+        ``HeckeAlgebra._rmul_gen``)."""
+        return LaurentPoly.monomial(self.xi_vars, self._unit_exps(self.gen_class[j], 1), -1)
+
+    def from_xi(self, c: LaurentPoly, *elems: AffineWeylElem) -> LaurentPoly:
+        """``c`` with ``xi_c = v_c - v_c^{-1}`` substituted, times ``v(w)^{-1}``
+        for each w in ``elems``.
+
+        The xi exponents of ``c`` are non-negative.  One variable at a time,
+        most significant field first, ``xi^k`` becomes
+        ``sum_j C(k, j) (-1)^j v^{k - 2j}``: a key shift per j.  The fields
+        below the current one still hold xi exponents in ``[0, MAX_EXP]``,
+        so the current field reads off the key as its low bits after a shift.
+        """
+        n = len(self.vars)
+        terms = c.terms
+        for i in range(n):
+            shift = FIELD_BITS * (n - 1 - i)
+            two = 2 << shift  # v^{-2} in field i
+            out: dict = {}
+            get = out.get
+            for key, a in terms.items():
+                k = (key >> shift) & _MASK
+                for j in range(k + 1):
+                    g = key - j * two
+                    b = math.comb(k, j)
+                    s = get(g, 0) + (-a * b if j & 1 else a * b)
+                    if s:
+                        out[g] = s
+                    else:
+                        del out[g]
+            terms = out
+        exps = [0] * n
+        for w in elems:
+            (key,) = self.q_of_w(w).terms
+            for i, e in enumerate(_unpack(key, n)):
+                exps[i] -= e // 2
+        return _make(self.vars, terms, c.bound) * self._mono(tuple(exps))
 
     # -- numeric assignments -------------------------------------------------
 

@@ -10,10 +10,27 @@ JSON records).
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
 time; everything else (the star anti-involution, the trace, the inner
-product, basis inverses) reduces to that single step rule:
+product, basis inverses) reduces to one fold of generator steps.  The fold
+has two step rules.  The ``q`` rule works on the T-basis:
 
     T_u * T_s = T_{us}                     if l(us) = l(u) + 1
     T_u * T_s = (q_s - 1) T_u + q_s T_{us} if l(us) = l(u) - 1
+
+and its inverse step turns c into c*q_s^{-1} on us and c*q_s^{-1} - c on u,
+twice the monomials of c before anything cancels.  The ``xi`` rule works on
+the normalised basis T~_w = v(w)^{-1} T_w, v(w) = q(w)^{1/2}, where
+T~_s^{-1} = T~_s - xi_s with xi_s = v_s - v_s^{-1} (Kazhdan-Lusztig 1979;
+Lusztig, *Hecke algebras with unequal parameters*, ch. 4):
+
+    T~_u * T~_s^{-1} = T~_{us}              if l(us) = l(u) - 1
+    T~_u * T~_s^{-1} = T~_{us} - xi_s T~_u  if l(us) = l(u) + 1
+
+so an up step shifts the keys of c once and subtracts nothing; every path
+contributes +-xi^e with sign (-1)^{|e|}, so no sum cancels.  The
+coefficients must then be read back to the v, which pays only where few are
+read: the targeted inverse (the trace sweep's ``T_{t_z}^{-1}`` at its
+targets) takes the ``xi`` rule.  Every other fold keeps the ``q`` rule; a
+theta element read back in full measured several times slower.
 """
 
 from __future__ import annotations
@@ -36,9 +53,6 @@ class HeckeElem:
 
     def __init__(self, terms: dict):
         self.terms = {u: c for u, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElem) and self.terms == other.terms
@@ -65,6 +79,9 @@ class HeckeAlgebra:
         n = len(weyl.fundamental)
         self._q_gen = [self.labels.q_of_gen(i) for i in range(n)]
         self._q_gen_inv = [self.labels.q_of_gen_inv(i) for i in range(n)]
+        # -xi_s per generator, for the xi rule; formal labels only
+        formal = isinstance(self.labels, LabelSet)
+        self._xi_gen = [self.labels.xi_step(i) for i in range(n)] if formal else None
 
     # -- constructors --------------------------------------------------------
 
@@ -109,19 +126,21 @@ class HeckeAlgebra:
                 "the computation is out of desk scale"
             )
 
-    def _rmul_gen(self, terms: dict, i: int, inverse: bool = False) -> dict:
+    def _rmul_gen(self, terms: dict, i: int, inverse: bool = False, xi: bool = False) -> dict:
         """Right-multiply an id-keyed term dict by T_{s_i}, or by its inverse.
 
         A term whose step goes up (down, for the inverse) maps to one term;
         otherwise c becomes (c*q - c) on u and c*q on us, with q replaced by
         q^{-1} and the two terms written in the opposite order for the
-        inverse.
+        inverse.  With ``xi`` (inverse only) the terms are coefficients on
+        the normalised basis, in the xi variables, and the right factor is
+        T~_{s_i}^{-1}: an up step keeps c on us and puts -xi_s*c on u.
         """
         weyl = self.weyl
         nxt = weyl.nxt[i]
         lens = weyl.lens
         fill = weyl.step
-        q = self._q_gen_inv[i] if inverse else self._q_gen[i]
+        q = self._xi_gen[i] if xi else self._q_gen_inv[i] if inverse else self._q_gen[i]
         out: dict = {}
         get = out.get
         for u, c in terms.items():
@@ -140,7 +159,13 @@ class HeckeAlgebra:
                         del out[us]
                 continue
             cq = c * q  # q is a monomial: one shift of every key of a polynomial c
-            for g, d in ((us, cq), (u, cq - c)) if inverse else ((u, cq - c), (us, cq)):
+            if not inverse:
+                split = ((u, cq - c), (us, cq))
+            elif xi:
+                split = ((us, c), (u, cq))
+            else:
+                split = ((us, cq), (u, cq - c))
+            for g, d in split:
                 s = get(g)
                 if s is not None:
                     d = s + d
@@ -159,7 +184,7 @@ class HeckeAlgebra:
         return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
 
     def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False,
-              targets: list[AffineWeylElem] | None = None) -> dict:
+              targets: list[AffineWeylElem] | None = None, xi: bool = False) -> dict:
         """Right-multiply an id-keyed term dict by T_h, or by its inverse.
 
         Factors ``h = om . s_{i_1} ... s_{i_k}`` through the length-zero
@@ -174,6 +199,14 @@ class HeckeAlgebra:
         ``AffineWeyl.distance_to`` once per id.  Distance 0 after the last
         letter still admits ``v om`` times a length-zero element, so the last
         states are matched against the targets themselves.
+
+        With ``xi`` (inverse only) the fold takes the ``xi`` rule of the
+        module docstring: ``terms`` are coefficients on the normalised basis,
+        in the xi variables, and the right factor is
+        ``T_h^{-1} = v(h)^{-1} T~_h^{-1}``.  A state u that survives to the
+        end holds the coefficient c of T~_u, and goes back to the T-basis as
+        ``v(h)^{-1} v(u)^{-1} c|_{xi_c = v_c - v_c^{-1}}``
+        (``LabelSet.from_xi``); ``v = 1`` on the length-zero relabel.
         """
         weyl = self.weyl
         om, word = weyl.factor_extended(h)
@@ -186,11 +219,14 @@ class HeckeAlgebra:
             ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
             near = weyl.distance_to(ends, len(word))
         for rest in range(len(word) - 1, -1, -1):
-            terms = self._rmul_gen(terms, word[rest], inverse=True)
+            terms = self._rmul_gen(terms, word[rest], inverse=True, xi=xi)
             if targets is not None:
                 terms = {u: c for u, c in terms.items() if near(u) <= rest}
         if targets is not None:
             terms = {u: c for u, c in terms.items() if u in ends}
+        if xi:
+            from_xi, elem = self.labels.from_xi, weyl.elem
+            terms = {u: from_xi(c, h, elem(u)) for u, c in terms.items()}
         return self._relabel_right(terms, weyl.inverse(om))
 
     # -- ring operations -----------------------------------------------------
@@ -238,7 +274,7 @@ class HeckeAlgebra:
         c = self.coeff(a, self.weyl.identity)
         return c if c is not None else self.labels.zero()
 
-    def tau_pair(self, a: HeckeElem, b: HeckeElem) -> LaurentPoly:
+    def tau_pair(self, a: HeckeElem, b: HeckeElem):
         """tau(a*b) evaluated through the basis-orthogonality rule
         tau(T_g T_h) = q(g) [h = g^{-1}]; no product is formed."""
         weyl = self.weyl
@@ -250,7 +286,7 @@ class HeckeAlgebra:
                 out = out + c * d * labels.q_of_w(weyl.elem(u))
         return out
 
-    def inner(self, a: HeckeElem, b: HeckeElem) -> LaurentPoly:
+    def inner(self, a: HeckeElem, b: HeckeElem):
         """Hermitian inner product tau(star(a) * b); the T-basis is
         orthogonal with squared norm q(g) (exact, since q(g^{-1}) = q(g))."""
         return self.tau_pair(self.star(a), b)
@@ -261,8 +297,16 @@ class HeckeAlgebra:
         self, g: AffineWeylElem, targets: list[AffineWeylElem] | None = None
     ) -> HeckeElem:
         """The inverse of a basis element T_g, or its restriction to
-        ``targets``: the inverse fold of the unit (see ``_fold``)."""
-        return HeckeElem(self._fold(self.unit().terms, g, inverse=True, targets=targets))
+        ``targets``: the inverse fold of the unit (see ``_fold``).
+
+        A restriction over formal labels folds by the ``xi`` rule, starting
+        from T~_1 = T_1, and reads only its targets back to the v.  The full
+        inverse and every fold over numbers keep the ``q`` rule.
+        """
+        xi = targets is not None and self._xi_gen is not None
+        one = LaurentPoly.one(self.labels.xi_vars) if xi else self.labels.one()
+        start = {self.weyl.gid(self.weyl.identity): one}
+        return HeckeElem(self._fold(start, g, inverse=True, targets=targets, xi=xi))
 
     # -- serialization -------------------------------------------------------
 

@@ -214,7 +214,10 @@ class TraceGen:
         those coefficients: by the subword property a fold state u with r
         letters left can reach ``t_{-y}`` only if ``l(u^{-1} t_{-y}) <= r``,
         and that length is an L1 distance between per-root vectors, so the
-        other states are dropped as soon as they fall out of reach.
+        other states are dropped as soon as they fall out of reach.  Being
+        targeted, that inverse folds on the normalised basis: an up step
+        shifts a coefficient once instead of doubling it, and only the
+        targets' coefficients go back to the v (``hecke`` module docstring).
         """
         weyl = self.weyl
         labels = self.labels

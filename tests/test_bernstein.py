@@ -235,7 +235,7 @@ def ref_expand_in_bernstein(B, h, box):
     delta_sqrt of its translation; a term outside the box is a BoxError."""
     H = B.hecke
     labels = B.labels
-    if h.is_zero():
+    if not h.terms:
         return {}
     z0 = vscale(ref_shift_for_box(B.datum, box), B.weyl.derived.two_rho)
     shifted = H.scale(H.rmul_basis(h, B.weyl.translation(z0)), labels.delta_sqrt(vneg(z0)))

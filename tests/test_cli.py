@@ -7,6 +7,7 @@ import pytest
 
 from affinehecke import build_preset, datum_to_json
 from affinehecke.cli import main
+from affinehecke.principal import PrincipalSeries
 from affinehecke.rootdata import PRESET_NAMES
 from affinehecke.tracegen import TraceGen
 
@@ -201,6 +202,31 @@ def test_spherical_report_digest(capsys, datum, labels, mode, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode,code", [("rational", 1), ("complex", 0)])
+def test_spherical_exact_gap_exit_failure(capsys, monkeypatch, mode, code):
+    # a nonzero exact diff is a failed check; a float diff claims nothing
+    formula = PrincipalSeries.macdonald_value
+    monkeypatch.setattr(
+        PrincipalSeries, "macdonald_value", lambda self, t, x: formula(self, t, x) * 2
+    )
+    got, out, _ = run(
+        capsys,
+        ["spherical", "--datum", "A2", "--labels", Q4_A2, "--mode", mode,
+         "--box", "1", "--seed", "0"],
+    )
+    assert got == code
+    assert any(r["diff"] not in ("0", 0) for r in json.loads(out)["records"])
+
+
+def test_trace_rank_three_report_digest(capsys):
+    # the first rank-3 report pinned: 125 points through one targeted inverse
+    code, out, _ = run(capsys, ["trace", "--datum", "BnCn(3)", "--box", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "fb6392004f3eb215ad3d703bf2923eccb7ead74b423bcf9395faca12a8f7b7c3"
+    )
 
 
 def test_negative_seed_exit_usage(capsys):
