@@ -448,7 +448,7 @@ def cmd_series(args) -> int:
         if in_negative_cone(job.datum, x)
     ]
     xs.sort(key=lambda x: (height(job.datum, vneg(x)), x))
-    values = job.trace.trace_sweep(xs)
+    values = job.trace.trace_theta_partition(xs)
     records = [
         {
             "height": str(height(job.datum, vneg(x))),

@@ -510,7 +510,6 @@ class LabelSet:
         # the normalised basis's own variables, xi_c = v_c - v_c^{-1}; a
         # separate tuple, so a sum with a v-polynomial raises
         self.xi_vars: tuple[str, ...] = tuple("xi" + v[1:] for v in self.vars)
-        self._q_cache: dict[AffineWeylElem, LaurentPoly] = {}
         self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
         # non-reduced extension: delta_sqrt(x) has v_c-exponent <x, F_c>
@@ -612,16 +611,11 @@ class LabelSet:
     def q_of_w(self, g: AffineWeylElem) -> LaurentPoly:
         """``q(g)``: the product of affine-root labels, one level up, over
         the inversion set of ``g``.  Always a monomial in the ``v_c``."""
-        cached = self._q_cache.get(g)
-        if cached is not None:
-            return cached
         exps = [0] * len(self.vars)
         for a in self.weyl.inversion_levels(g):
             cls = self.affine_label_class(a.coroot, a.level + 1)
             exps[cls] += 2
-        out = self._mono(tuple(exps))
-        self._q_cache[g] = out
-        return out
+        return self._mono(tuple(exps))
 
     def q_of_word(self, word: tuple[int, ...]) -> LaurentPoly:
         exps = [0] * len(self.vars)
@@ -661,9 +655,8 @@ class LabelSet:
         ``HeckeAlgebra._rmul_gen``)."""
         return LaurentPoly.monomial(self.xi_vars, self._unit_exps(self.gen_class[j], 1), -1)
 
-    def from_xi(self, c: LaurentPoly, *elems: AffineWeylElem) -> LaurentPoly:
-        """``c`` with ``xi_c = v_c - v_c^{-1}`` substituted, times ``v(w)^{-1}``
-        for each w in ``elems``.
+    def from_xi(self, c: LaurentPoly) -> LaurentPoly:
+        """``c`` with ``xi_c = v_c - v_c^{-1}`` substituted.
 
         The xi exponents of ``c`` are non-negative.  One variable at a time,
         most significant field first, ``xi^k`` becomes
@@ -689,12 +682,7 @@ class LabelSet:
                     else:
                         del out[g]
             terms = out
-        exps = [0] * n
-        for w in elems:
-            (key,) = self.q_of_w(w).terms
-            for i, e in enumerate(_unpack(key, n)):
-                exps[i] -= e // 2
-        return _make(self.vars, terms, c.bound) * self._mono(tuple(exps))
+        return _make(self.vars, terms, c.bound)
 
     # -- numeric assignments -------------------------------------------------
 

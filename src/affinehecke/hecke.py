@@ -26,11 +26,11 @@ Lusztig, *Hecke algebras with unequal parameters*, ch. 4):
     T~_u * T~_s^{-1} = T~_{us} - xi_s T~_u  if l(us) = l(u) + 1
 
 so an up step shifts the keys of c once and subtracts nothing; every path
-contributes +-xi^e with sign (-1)^{|e|}, so no sum cancels.  The
-coefficients must then be read back to the v, which pays only where few are
-read: the targeted inverse (the trace sweep's ``T_{t_z}^{-1}`` at its
-targets) takes the ``xi`` rule.  Every other fold keeps the ``q`` rule; a
-theta element read back in full measured several times slower.
+contributes +-xi^e with sign (-1)^{|e|}, so no sum cancels.  The targeted
+inverse takes the ``xi`` rule and answers on the normalised basis, where the
+trace needs no label factor: tau(T~_a T~_b) = [ab = 1].  Every other fold
+keeps the ``q`` rule; a theta element, wanted on the T-basis in full,
+measured several times slower on the ``xi`` rule.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class HeckeAlgebra:
         return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
 
     def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False,
-              targets: list[AffineWeylElem] | None = None, xi: bool = False) -> dict:
+              targets: list[AffineWeylElem] | None = None) -> dict:
         """Right-multiply an id-keyed term dict by T_h, or by its inverse.
 
         Factors ``h = om . s_{i_1} ... s_{i_k}`` through the length-zero
@@ -200,13 +200,13 @@ class HeckeAlgebra:
         letter still admits ``v om`` times a length-zero element, so the last
         states are matched against the targets themselves.
 
-        With ``xi`` (inverse only) the fold takes the ``xi`` rule of the
-        module docstring: ``terms`` are coefficients on the normalised basis,
-        in the xi variables, and the right factor is
-        ``T_h^{-1} = v(h)^{-1} T~_h^{-1}``.  A state u that survives to the
-        end holds the coefficient c of T~_u, and goes back to the T-basis as
-        ``v(h)^{-1} v(u)^{-1} c|_{xi_c = v_c - v_c^{-1}}``
-        (``LabelSet.from_xi``); ``v = 1`` on the length-zero relabel.
+        A targeted fold takes the ``xi`` rule of the module docstring:
+        ``terms`` are coefficients on the normalised basis, in the xi
+        variables, and the right factor is ``T~_h^{-1}``.  A state u that
+        survives to the end holds the coefficient of T~_u, and
+        ``LabelSet.from_xi`` substitutes ``xi_c = v_c - v_c^{-1}`` in it;
+        ``v = 1`` on the length-zero relabel, so the result stays on the
+        normalised basis.
         """
         weyl = self.weyl
         om, word = weyl.factor_extended(h)
@@ -215,18 +215,17 @@ class HeckeAlgebra:
             for i in word:
                 terms = self._rmul_gen(terms, i)
             return terms
-        if targets is not None:
+        xi = targets is not None
+        if xi:
             ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
             near = weyl.distance_to(ends, len(word))
         for rest in range(len(word) - 1, -1, -1):
             terms = self._rmul_gen(terms, word[rest], inverse=True, xi=xi)
-            if targets is not None:
+            if xi:
                 terms = {u: c for u, c in terms.items() if near(u) <= rest}
-        if targets is not None:
-            terms = {u: c for u, c in terms.items() if u in ends}
         if xi:
-            from_xi, elem = self.labels.from_xi, weyl.elem
-            terms = {u: from_xi(c, h, elem(u)) for u, c in terms.items()}
+            from_xi = self.labels.from_xi
+            terms = {u: from_xi(c) for u, c in terms.items() if u in ends}
         return self._relabel_right(terms, weyl.inverse(om))
 
     # -- ring operations -----------------------------------------------------
@@ -296,17 +295,22 @@ class HeckeAlgebra:
     def invert_basis(
         self, g: AffineWeylElem, targets: list[AffineWeylElem] | None = None
     ) -> HeckeElem:
-        """The inverse of a basis element T_g, or its restriction to
-        ``targets``: the inverse fold of the unit (see ``_fold``).
+        """The inverse fold of the unit (see ``_fold``).
 
-        A restriction over formal labels folds by the ``xi`` rule, starting
-        from T~_1 = T_1, and reads only its targets back to the v.  The full
-        inverse and every fold over numbers keep the ``q`` rule.
+        Without ``targets``: T_g^{-1} on the T-basis, by the ``q`` rule.
+        With ``targets``: the restriction of T~_g^{-1} = v(g) T_g^{-1} to
+        them on the normalised basis T~_u = v(u)^{-1} T_u, by the ``xi`` rule
+        from T~_1 = T_1; so the coefficient at u is ``v(g) v(u)`` times that
+        of T_g^{-1}.  Only formal labels have the xi variables.
         """
-        xi = targets is not None and self._xi_gen is not None
-        one = LaurentPoly.one(self.labels.xi_vars) if xi else self.labels.one()
-        start = {self.weyl.gid(self.weyl.identity): one}
-        return HeckeElem(self._fold(start, g, inverse=True, targets=targets, xi=xi))
+        if targets is None:
+            start = self.labels.one()
+        elif self._xi_gen is None:
+            raise ValueError("a targeted inverse needs formal labels")
+        else:
+            start = LaurentPoly.one(self.labels.xi_vars)
+        terms = {self.weyl.gid(self.weyl.identity): start}
+        return HeckeElem(self._fold(terms, g, inverse=True, targets=targets))
 
     # -- serialization -------------------------------------------------------
 

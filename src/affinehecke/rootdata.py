@@ -55,10 +55,6 @@ def vscale(c: int, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 

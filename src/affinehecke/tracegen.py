@@ -207,38 +207,24 @@ class TraceGen:
         """Direct traces for a batch of x, sharing one translation inverse.
 
         Every x is decomposed against one dominant shift z, the least
-        multiple of the sum of positive roots that makes every ``x + z``
-        dominant (``rootdata.dominant_shift``), so all traces are
-        coefficients of the one inverse T_{t_z}^{-1}, at the targets
-        ``t_{-y}`` with ``y = x + z``.  ``invert_basis`` is asked for exactly
-        those coefficients: by the subword property a fold state u with r
+        multiple of the sum of positive roots that makes every ``y = x + z``
+        dominant (``rootdata.dominant_shift``).  On the normalised basis
+        ``theta_x = T~_{t_y} T~_{t_z}^{-1}`` (Lusztig, *Affine Hecke algebras
+        and their graded version*, 1989), and ``tau(T~_a T~_b) = [ab = 1]``,
+        so ``tau(theta_x)`` is the coefficient of ``T~_{t_{-y}}`` in
+        ``T~_{t_z}^{-1}``: all traces are coefficients of one targeted
+        ``invert_basis``.  By the subword property a fold state u with r
         letters left can reach ``t_{-y}`` only if ``l(u^{-1} t_{-y}) <= r``,
         and that length is an L1 distance between per-root vectors, so the
-        other states are dropped as soon as they fall out of reach.  Being
-        targeted, that inverse folds on the normalised basis: an up step
-        shifts a coefficient once instead of doubling it, and only the
-        targets' coefficients go back to the v (``hecke`` module docstring).
+        other states are dropped as soon as they fall out of reach.
         """
         weyl = self.weyl
-        labels = self.labels
         xs = [tuple(x) for x in xs]
         z = vscale(dominant_shift(self.datum, xs), self.derived.two_rho)
-        targets: dict[Vec, tuple] = {}
-        for x in xs:
-            y = vadd(x, z)
-            targets[x] = (y, weyl.translation(vneg(y)))
-        inv = self.hecke.invert_basis(
-            weyl.translation(z), targets=[t for _y, t in targets.values()]
-        )
-        out: dict[Vec, LaurentPoly] = {}
-        zfac = labels.delta_sqrt(z)
-        for x, (y, tminus) in targets.items():
-            c = self.hecke.coeff(inv, tminus)
-            if c is None:
-                out[x] = labels.zero()
-            else:
-                out[x] = labels.delta_sqrt(y) * zfac * c
-        return out
+        targets = {x: weyl.translation(vneg(vadd(x, z))) for x in xs}
+        inv = self.hecke.invert_basis(weyl.translation(z), targets=list(targets.values()))
+        zero = self.labels.zero()
+        return {x: self.hecke.coeff(inv, t) or zero for x, t in targets.items()}
 
     # -- rank-one series cross-check ------------------------------------------
 

@@ -229,6 +229,22 @@ def test_trace_rank_three_report_digest(capsys):
     )
 
 
+# series reads the partition route; these reports were recorded when it
+# read the direct sweep, so the two routes print the same bytes
+@pytest.mark.parametrize(
+    "labels,digest",
+    [
+        ([], "fd9fbf0bcc2791119454fbb8e3a515f7d3ecd704083e81295d392fe18f243762"),
+        (["--labels", '{"s1":4,"s2":9,"s0":16}', "--mode", "rational"],
+         "1c715dd8745af6c2ca038af43a7a3cb868cabcad73bfd430c104a9703a5f0ced"),
+    ],
+)
+def test_series_report_digest(capsys, labels, digest):
+    code, out, _ = run(capsys, ["series", "--datum", "BnCn(2)", *labels, "--box", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_negative_seed_exit_usage(capsys):
     argv = ["spherical", "--datum", "A2", "--labels", Q4_A2, "--box", "1", "--seed"]
     code, out, err = run(capsys, argv + ["-1"])

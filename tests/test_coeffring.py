@@ -1,5 +1,6 @@
 """Laurent-polynomial arithmetic and the label classes of each preset."""
 
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from affinehecke.coeffring import (
     poly_to_obj,
     power_table,
 )
-from affinehecke.rootdata import vneg
+from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.weyl import AffineWeyl
 
 VARS = ("u", "v")
@@ -515,6 +516,19 @@ def test_delta_sqrt_is_multiplicative():
 
 
 PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
+
+
+@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+def test_delta_sqrt_of_a_dominant_point_is_v_of_its_translations(name):
+    # delta^{1/2}(y) = v(t_y) = v(t_{-y}) for dominant y: the trace sweep
+    # reads tau(theta_x) on the normalised basis with no label factor
+    L = labels(name)
+    w = L.weyl
+    ys = [y for y in itertools.product(range(-2, 3), repeat=w.rank) if is_dominant(w.datum, y)]
+    assert len(ys) > 1
+    for y in ys:
+        q = L.delta_sqrt(y) ** 2
+        assert q == L.q_of_w(w.translation(y)) == L.q_of_w(w.translation(vneg(y))), y
 
 
 def root_label(L, root):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinehecke import build_preset
-from affinehecke.coeffring import LabelSet
+from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.weyl import AffineWeyl
 
@@ -151,6 +151,19 @@ def test_invert_basis():
 ALL_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
 
 
+def v_of(labels, g):
+    """v(g) = q(g)^{1/2}, a monomial: its exponents halved."""
+    ((exps, _c),) = labels.q_of_w(g).sorted_terms()
+    return LaurentPoly.monomial(labels.vars, tuple(e // 2 for e in exps))
+
+
+def normalised(H, g, inv):
+    """T_g^{-1} moved to T~_g^{-1} on the basis T~_u = v(u)^{-1} T_u: each
+    coefficient times v(g) v(u)."""
+    vg = v_of(H.labels, g)
+    return {u: c * vg * v_of(H.labels, H.weyl.elem(u)) for u, c in inv.terms.items()}
+
+
 # The targeted inverse folds by the xi rule on the normalised basis and the
 # full inverse by the q rule, so each is the other's reference.
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -165,24 +178,34 @@ def test_invert_basis_targets_is_a_slice(name, data):
         g = om
         for i in word:
             g = w.gen_step(g, i)[0]
-        full = H.invert_basis(g)
-        support = [w.elem(u) for u in full.terms]
+        full = normalised(H, g, H.invert_basis(g))
+        support = [w.elem(u) for u in full]
         targets = data.draw(st.lists(st.sampled_from(support + near), max_size=6))
         sliced = H.invert_basis(g, targets=targets)
         ids = {w.gid(v) for v in targets}
-        assert sliced.terms == {u: c for u, c in full.terms.items() if u in ids}
+        assert sliced.terms == {u: c for u, c in full.items() if u in ids}
 
 
 def test_invert_basis_targets_is_a_slice_on_a_rank_three_translation():
     # three label classes and 22 letters: every coefficient of the full
-    # inverse, read back from the xi fold
+    # inverse, on the normalised basis from the xi fold
     w = AffineWeyl(build_preset("BnCn(3)"))
     H = HeckeAlgebra(w, LabelSet(w))
     g = w.translation((2, 2, 1))
-    full = H.invert_basis(g)
-    assert len(full.terms) == 2032
-    targets = [w.elem(u) for u in full.terms] + w.elements_up_to_length(2)
-    assert H.invert_basis(g, targets=targets) == full
+    full = normalised(H, g, H.invert_basis(g))
+    assert len(full) == 2032
+    targets = [w.elem(u) for u in full] + w.elements_up_to_length(2)
+    assert H.invert_basis(g, targets=targets).terms == full
+
+
+def test_targeted_inverse_needs_formal_labels():
+    w = AffineWeyl(build_preset("A2"))
+    labels = LabelSet(w)
+    H = HeckeAlgebra(w, labels.at({v: 2 for v in labels.vars}))
+    g = w.translation((1, 1))
+    assert H.invert_basis(g).terms
+    with pytest.raises(ValueError, match="formal labels"):
+        H.invert_basis(g, targets=[w.identity])
 
 
 def test_invert_basis_through_the_length_zero_coset():
