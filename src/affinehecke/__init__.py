@@ -41,7 +41,6 @@ from .rootdata import (
     dominant_shift,
     height,
     in_negative_cone,
-    in_root_lattice,
     is_dominant,
     make_datum,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "exact_divide",
     "height",
     "in_negative_cone",
-    "in_root_lattice",
     "is_dominant",
     "make_datum",
 ]

@@ -1,10 +1,11 @@
 """The Bernstein basis of the affine Hecke algebra.
 
-For dominant x the basis element is a unit multiple of a single T-term,
-``theta(x) = delta_sqrt(-x) * T_{t_x}``; a general x is handled through the
-canonical decomposition x = y - z with y, z dominant and z a multiple of the
-sum of positive roots, via ``theta(x) = theta(y) * theta(z)^{-1}``: one fold
-of ``T_{t_y}`` through the inverse letters of ``t_z``.
+Every x is written x = y - z with y, z dominant and z the least multiple of
+the sum of positive roots that makes y dominant, and
+``theta(x) = theta(y) * theta(z)^{-1}`` with
+``theta(y) = delta_sqrt(-y) * T_{t_y}`` for dominant y: one fold of
+``T_{t_y}`` through the inverse letters of ``t_z``, which has no letters when
+x is itself dominant.
 
 Everything downstream (the commutation relation with the generators, the
 center as orbit sums, the expansion of arbitrary elements over pairs
@@ -63,6 +64,12 @@ class Bernstein:
     # -- the basis -----------------------------------------------------------
 
     def theta(self, x: Vec) -> HeckeElem:
+        """``theta(y) * theta(z)^{-1}`` for ``x = y - z`` from
+        ``dominant_decomposition``: ``T_{t_y}`` folded through the inverse
+        letters of ``t_z`` and scaled by ``delta_sqrt(-y) * delta_sqrt(z)``.
+        From ``T_{t_y}`` most inverse letters step down, so the support stays
+        near theta(x)'s own size; at a dominant x, z = 0 and the fold is
+        empty."""
         x = tuple(x)
         cached = self._theta_cache.get(x)
         if cached is not None:
@@ -70,14 +77,8 @@ class Bernstein:
         H = self.hecke
         labels = self.labels
         y, z = dominant_decomposition(self.datum, x)
-        if all(v == 0 for v in z):
-            out = H.scale(H.basis(self.weyl.translation(x)), labels.delta_sqrt(vneg(x)))
-        else:
-            # theta(y) * theta(z)^{-1}: from T_{t_y} most inverse letters
-            # step down, so the support stays near theta(x)'s own size
-            ty, tz = self.weyl.translation(y), self.weyl.translation(z)
-            out = H.rmul_basis(H.basis(ty), tz, inverse=True)
-            out = H.scale(out, labels.delta_sqrt(vneg(y)) * labels.delta_sqrt(z))
+        out = H.rmul_basis(H.basis(self.weyl.translation(y)), self.weyl.translation(z), inverse=True)
+        out = H.scale(out, labels.delta_sqrt(vneg(y)) * labels.delta_sqrt(z))
         self._theta_cache[x] = out
         return out
 
@@ -144,7 +145,7 @@ class Bernstein:
         weyl = self.weyl
         w0 = weyl.as_affine(weyl.longest_element())
         y = vneg(weyl.act_point(w0, tuple(x)))
-        rhs = H.mul(H.mul(H.basis(w0), self.theta(y)), H.invert_basis(w0))
+        rhs = H.mul(H.mul(H.basis(w0), self.theta(y)), H.rmul_basis(H.unit(), w0, inverse=True))
         return H.star(self.theta(tuple(x))) == rhs
 
     # -- expansion over the product basis --------------------------------------

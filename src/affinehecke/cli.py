@@ -41,6 +41,7 @@ from .rootdata import (
     PRESET_NAMES,
     RootSystemError,
     build_preset,
+    coordinate_box,
     datum_from_json,
     height,
     in_negative_cone,
@@ -219,13 +220,6 @@ def check_out(out: str | None) -> None:
     else:
         return
     raise UsageError(f"cannot write --out {out!r}: {OSError(code, os.strerror(code), out)}")
-
-
-def coordinate_box(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    points = [()]
-    for _ in range(rank):
-        points = [p + (c,) for p in points for c in range(lo, hi + 1)]
-    return points
 
 
 # -- trace -------------------------------------------------------------------

@@ -524,17 +524,14 @@ class LabelSet:
 
     # -- basic monomials -----------------------------------------------------
 
-    def _mono(self, exps: tuple[int, ...], c=1) -> LaurentPoly:
-        return LaurentPoly.monomial(self.vars, exps, c)
+    def _mono(self, exps: tuple[int, ...]) -> LaurentPoly:
+        return LaurentPoly.monomial(self.vars, exps)
 
     def one(self) -> LaurentPoly:
         return LaurentPoly.one(self.vars)
 
     def zero(self) -> LaurentPoly:
         return LaurentPoly.zero(self.vars)
-
-    def const(self, c) -> LaurentPoly:
-        return LaurentPoly.const(self.vars, c)
 
     def _unit_exps(self, cls: int, mult: int) -> tuple[int, ...]:
         return tuple(mult if i == cls else 0 for i in range(len(self.vars)))
@@ -633,9 +630,6 @@ class LabelSet:
         pair = self.weyl.datum.pair
         return self._mono(tuple(pair(x, f) for f in self._delta_forms))
 
-    def delta(self, x: Vec) -> LaurentPoly:
-        return self.delta_sqrt(x) ** 2
-
     def poincare(self, elems) -> LaurentPoly:
         """Sum of ``q(w)`` over a collection of finite elements."""
         out = self.zero()
@@ -696,8 +690,9 @@ class LabelSet:
         Keys are generator names ("s1", ..., "s0"); every generator of a class
         must receive the same value and every class must be covered.  In
         ``rational`` mode the values must be positive rationals whose square
-        root is exact; ``complex`` mode accepts any positive real and falls
-        back to floating point.
+        root is exact; ``complex`` mode accepts any positive real whose float
+        is finite and nonzero, since it computes in floating point, and falls
+        back to a float square root where the exact one does not exist.
         """
         if mode not in ("rational", "complex"):
             raise LabelConfigError(f"unknown mode {mode!r}")
@@ -709,6 +704,11 @@ class LabelSet:
             q = _parse_rational(raw)
             if q <= 0:
                 raise LabelConfigError(f"label for {key} must be positive, got {q}")
+            if mode == "complex" and not 0 < _float(q) < math.inf:
+                raise LabelConfigError(
+                    f"label for {key} is outside the floating-point range of complex mode, "
+                    f"got {raw!r}"
+                )
             cls = self.gen_class[names.index(key)]
             if cls in per_class and per_class[cls] != q:
                 raise LabelConfigError(
@@ -792,6 +792,14 @@ def _parse_rational(raw) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise LabelConfigError(f"cannot parse label value {raw!r}: {exc}") from exc
+
+
+def _float(q: Fraction) -> float:
+    """``float(q)``, with ``inf`` for a value too large to convert."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:

@@ -4,8 +4,7 @@ Elements are finitely supported maps from extended affine Weyl elements to
 coefficients (Laurent polynomials, or exact numbers at given labels), keyed
 by the Weyl group's int ids (``AffineWeyl.gid``) from end to end: the folds,
 sums and products work on ids, and elements are converted only at the edge
-(``basis``, ``unit``, ``coeff``, ``tau``, the fold's right-hand ``h`` and the
-JSON records).
+(``basis``, ``unit``, ``coeff``, ``tau`` and the fold's right-hand ``h``).
 
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
@@ -35,7 +34,7 @@ measured several times slower on the ``xi`` rule.
 
 from __future__ import annotations
 
-from .coeffring import LabelSet, LabelValues, LaurentPoly, accumulate, obj_to_poly, poly_to_obj
+from .coeffring import LabelSet, LabelValues, LaurentPoly, accumulate
 from .weyl import AffineWeyl, AffineWeylElem
 
 MAX_SUPPORT = 1_000_000
@@ -71,9 +70,9 @@ class HeckeAlgebra:
     and truthiness, so one fold serves both.
     """
 
-    def __init__(self, weyl: AffineWeyl, labels: LabelSet | LabelValues | None = None):
+    def __init__(self, weyl: AffineWeyl, labels: LabelSet | LabelValues):
         self.weyl = weyl
-        self.labels = labels if labels is not None else LabelSet(weyl)
+        self.labels = labels
         if self.labels.weyl is not weyl:
             raise ValueError("labels were built for a different Weyl group")
         n = len(weyl.fundamental)
@@ -84,9 +83,6 @@ class HeckeAlgebra:
         self._xi_gen = [self.labels.xi_step(i) for i in range(n)] if formal else None
 
     # -- constructors --------------------------------------------------------
-
-    def zero(self) -> HeckeElem:
-        return HeckeElem({})
 
     def unit(self) -> HeckeElem:
         return self.basis(self.weyl.identity)
@@ -292,40 +288,15 @@ class HeckeAlgebra:
 
     # -- inverses ------------------------------------------------------------
 
-    def invert_basis(
-        self, g: AffineWeylElem, targets: list[AffineWeylElem] | None = None
-    ) -> HeckeElem:
-        """The inverse fold of the unit (see ``_fold``).
-
-        Without ``targets``: T_g^{-1} on the T-basis, by the ``q`` rule.
-        With ``targets``: the restriction of T~_g^{-1} = v(g) T_g^{-1} to
-        them on the normalised basis T~_u = v(u)^{-1} T_u, by the ``xi`` rule
-        from T~_1 = T_1; so the coefficient at u is ``v(g) v(u)`` times that
-        of T_g^{-1}.  Only formal labels have the xi variables.
+    def invert_basis(self, g: AffineWeylElem, targets: list[AffineWeylElem]) -> HeckeElem:
+        """The restriction of T~_g^{-1} = v(g) T_g^{-1} to ``targets`` on the
+        normalised basis T~_u = v(u)^{-1} T_u: the targeted inverse fold of
+        T~_1 = T_1 by the ``xi`` rule (see ``_fold``), so the coefficient at
+        u is ``v(g) v(u)`` times that of T_g^{-1}.  Only formal labels have
+        the xi variables.  The whole T_g^{-1} on the T-basis is
+        ``rmul_basis(unit(), g, inverse=True)``.
         """
-        if targets is None:
-            start = self.labels.one()
-        elif self._xi_gen is None:
+        if self._xi_gen is None:
             raise ValueError("a targeted inverse needs formal labels")
-        else:
-            start = LaurentPoly.one(self.labels.xi_vars)
-        terms = {self.weyl.gid(self.weyl.identity): start}
+        terms = {self.weyl.gid(self.weyl.identity): LaurentPoly.one(self.labels.xi_vars)}
         return HeckeElem(self._fold(terms, g, inverse=True, targets=targets))
-
-    # -- serialization -------------------------------------------------------
-
-    def elem_to_obj(self, a: HeckeElem) -> list[dict]:
-        weyl = self.weyl
-        records = [
-            {"elem": weyl.elem_to_obj(weyl.elem(u)), "coeff": poly_to_obj(c)}
-            for u, c in a.terms.items()
-        ]
-        records.sort(key=lambda r: (r["elem"]["word"], r["elem"]["translation"]))
-        return records
-
-    def elem_from_obj(self, obj: list[dict]) -> HeckeElem:
-        weyl = self.weyl
-        terms: dict[int, LaurentPoly] = {}
-        for rec in obj:
-            accumulate(terms, weyl.gid(weyl.elem_from_obj(rec["elem"])), obj_to_poly(rec["coeff"]))
-        return HeckeElem(terms)

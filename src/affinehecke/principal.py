@@ -74,10 +74,6 @@ def mat_vec(m: list[list], v: list) -> list:
     return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in m]
 
 
-def mat_trace(m: list[list]):
-    return sum(m[i][i] for i in range(len(m)))
-
-
 def _finite_sum(H: HeckeAlgebra, basis_order: list) -> HeckeElem:
     """The sum of the finite basis elements ``T_w`` in ``H``."""
     return H.add(*(H.basis(H.weyl.as_affine(w)) for w in basis_order))
@@ -419,22 +415,17 @@ class PrincipalSeries:
             self._rs_matrix[key] = m
         return m
 
-    def r_vector(self, w: FiniteWeylElem, t: TorusPoint, word: tuple[int, ...] | None = None) -> list:
+    def r_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
         """Image of the identity basis vector under the intertwiner product
-        along a reduced word for ``w`` (the canonical word by default)."""
-        if word is None:
-            key = (w, t.images)
-            cached = self._r_cache.get(key)
-            if cached is not None:
-                return list(cached)
-            word = self.weyl.fin_word(w)
-        else:
-            key = None
+        along the canonical reduced word for ``w``."""
+        key = (w, t.images)
+        cached = self._r_cache.get(key)
+        if cached is not None:
+            return list(cached)
         vec = self.unit_vector()
-        for i in reversed(word):
+        for i in reversed(self.weyl.fin_word(w)):
             vec = mat_vec(self.intertwiner_matrix(i, t), vec)
-        if key is not None:
-            self._r_cache[key] = list(vec)
+        self._r_cache[key] = list(vec)
         return vec
 
     def r0_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
@@ -482,10 +473,6 @@ class PrincipalSeries:
         """The distinguished matrix element (both indices at the identity)."""
         e = self.basis_order[0]
         return self.matrix_element(e, e, t, action)
-
-    def char_value(self, t: TorusPoint, action: list):
-        """Trace of the module action; the character of the module."""
-        return mat_trace(self.laplace_matrix(action, t))
 
     def intertwiner_operator(self, w: FiniteWeylElem, t: TorusPoint) -> list[list]:
         """Matrix of the module map attached to ``w`` from the module at ``t``

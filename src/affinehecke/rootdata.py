@@ -141,9 +141,6 @@ class RootDatum:
                 total += xi * sum(p * yj for p, yj in zip(row, y))
         return total
 
-    def coroot_of(self, root: Vec) -> Vec:
-        return derive(self).coroot[root]
-
 
 # ---------------------------------------------------------------------------
 # root generation and validation
@@ -357,13 +354,7 @@ def derive(datum: RootDatum) -> DerivedRoots:
 
 
 # ---------------------------------------------------------------------------
-# reflections, dominance, decomposition
-
-
-def reflect(datum: RootDatum, root: Vec, x: Vec) -> Vec:
-    """Reflection of ``x`` in X through the root: ``x - <x, a^vee> a``."""
-    b = datum.coroot_of(root)
-    return vsub(x, vscale(datum.pair(x, b), root))
+# dominance, decomposition, boxes
 
 
 def is_dominant(datum: RootDatum, x: Vec) -> bool:
@@ -394,15 +385,18 @@ def height(datum: RootDatum, x: Vec) -> Fraction:
     return Fraction(datum.pair(x, derive(datum).two_rho_check), 2)
 
 
-def in_root_lattice(datum: RootDatum, x: Vec) -> bool:
-    coords = derive(datum).root_coordinates(datum, x)
-    return coords is not None and all(c.denominator == 1 for c in coords)
-
-
 def in_negative_cone(datum: RootDatum, x: Vec) -> bool:
     """True when ``-x`` is a non-negative integer combination of simple roots."""
     coords = derive(datum).root_coordinates(datum, x)
     return coords is not None and all(c.denominator == 1 and c <= 0 for c in coords)
+
+
+def coordinate_box(rank: int, lo: int, hi: int) -> list[Vec]:
+    """Every point of ``[lo, hi]^rank``, in lexicographic order."""
+    points: list[Vec] = [()]
+    for _ in range(rank):
+        points = [p + (c,) for p in points for c in range(lo, hi + 1)]
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Two independent computations of tau(theta(x)) live here:
 
-* the direct route — build theta(x) in the Hecke algebra and read off the
-  coefficient of the identity (plus a batched variant that shares one
-  translation inverse across many x and folds only the states that can
-  still reach the batch's targets);
+* the direct route — tau(theta(x)) read in the Hecke algebra, for a whole
+  batch of x as coefficients of one targeted translation inverse that folds
+  only the states that can still reach the batch's targets;
 * the weighted-partition route — the coefficients of a product of per-root
   series sum_k d(a; k) u_a^k, one for each positive root a of the
   non-reduced extension, read for a whole batch of x at once; the
@@ -198,10 +197,6 @@ class TraceGen:
         return {x: table.get(cells_of.get(x), zero) for x in map(tuple, xs)}
 
     # -- the direct trace ----------------------------------------------------
-
-    def trace_theta_direct(self, x: Vec) -> LaurentPoly:
-        """tau(theta(x)) computed entirely in the Hecke algebra."""
-        return self.hecke.tau(self.bernstein.theta(tuple(x)))
 
     def trace_sweep(self, xs: list[Vec]) -> dict[Vec, LaurentPoly]:
         """Direct traces for a batch of x, sharing one translation inverse.

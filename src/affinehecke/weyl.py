@@ -46,6 +46,7 @@ from .rootdata import (
     RootDatum,
     RootSystemError,
     Vec,
+    coordinate_box,
     derive,
     int_inverse,
     solve_columns,
@@ -279,17 +280,6 @@ class AffineWeyl:
         """The affine action on X: ``(w t_z)(x) = w(x + z)``."""
         return g.fin.apply_x(vadd(x, g.trans))
 
-    def act_affine_root(self, g: AffineWeylElem, a: AffineRoot) -> AffineRoot:
-        return AffineRoot(
-            g.fin.apply_y(a.coroot),
-            a.level - self.datum.pair(g.trans, a.coroot),
-        )
-
-    def affine_root_positive(self, a: AffineRoot) -> bool:
-        if a.level != 0:
-            return a.level > 0
-        return a.coroot in self._pos_coroot_set
-
     # -- interned elements ---------------------------------------------------
 
     def _form(self, b: Vec) -> Vec:
@@ -472,10 +462,6 @@ class AffineWeyl:
                 out.append(AffineRoot(b, n))
         return out
 
-    def right_descent(self, g: AffineWeylElem) -> int | None:
-        """Lowest index i with ``l(g s_i) < l(g)``."""
-        return self._descent(self.gid(g))
-
     def gen_step(self, g: AffineWeylElem, i: int) -> tuple[AffineWeylElem, bool]:
         """``(g s_i, l(g s_i) < l(g))``, read from the step and length tables."""
         u = self.gid(g)
@@ -542,12 +528,6 @@ class AffineWeyl:
         order = self.enumerate_w0()
         return order[self._w_index[w.mx]].word
 
-    def fin_from_word(self, word: tuple[int, ...]) -> FiniteWeylElem:
-        out = self.id_fin
-        for i in word:
-            out = self.fin_mul(out, self.simple_reflections[i])
-        return out
-
     def as_affine(self, w: FiniteWeylElem) -> AffineWeylElem:
         return AffineWeylElem(w, (0,) * self.rank)
 
@@ -558,9 +538,7 @@ class AffineWeyl:
         just the identity; otherwise each coset meeting the scanned window
         contributes one element.
         """
-        points: list[Vec] = [()]
-        for _ in range(self.rank):
-            points = [p + (c,) for p in points for c in range(-box, box + 1)]
+        points = coordinate_box(self.rank, -box, box)
         out = []
         for w in self.enumerate_w0():
             for p in points:
@@ -623,14 +601,3 @@ class AffineWeyl:
             "word": [i + 1 for i in self.fin_word(g.fin)],
             "translation": list(g.trans),
         }
-
-    def elem_from_obj(self, obj: dict) -> AffineWeylElem:
-        word = tuple(int(i) - 1 for i in obj.get("word", []))
-        trans = tuple(int(v) for v in obj.get("translation", (0,) * self.rank))
-        if len(trans) != self.rank:
-            raise RootSystemError("translation of wrong rank")
-        for i in word:
-            if not 0 <= i < len(self.simple_reflections):
-                raise RootSystemError("word letter out of range")
-        fin = self.fin_from_word(word)
-        return AffineWeylElem(fin, trans)

@@ -5,6 +5,7 @@ failing assertion still reports its line through the try/finally wrapper.
 Tolerances sit next to the assertions they guard.
 """
 
+import json
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,7 @@ from affinehecke import (
     is_dominant,
 )
 from affinehecke.bernstein import Bernstein
+from affinehecke.cli import main as cli_main
 from affinehecke.coeffring import LabelSet, radical_sign
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import PrincipalSeries
@@ -60,6 +62,13 @@ def numeric_series(name, items, mode="rational"):
     return PrincipalSeries(B, L.numeric_assignment(dict(items), mode))
 
 
+def run_suite(capsys, preset, suite, *flags):
+    """``hecke-trace verify`` on one suite: its exit code and suite record."""
+    code = cli_main(["verify", "--datum", preset, "--suite", suite, *flags])
+    (record,) = json.loads(capsys.readouterr().out)["suites"]
+    return code, record
+
+
 def _report(capsys, num: int, name: str, ok: bool) -> None:
     # bypass capture so the line lands in the terminal run log
     with capsys.disabled():
@@ -80,7 +89,7 @@ def test_criterion_01_rank_one_closed_form(capsys):
             # (q - 1)(q^k - q^-k)/(q + 1): the division is exact in the
             # Laurent ring, so perform it exactly
             closed = exact_divide((q - one) * (q**k - qi**k), q + one)
-            assert trace.trace_theta_direct(x) == closed, k
+            assert H.tau(B.theta(x)) == closed, k
             assert trace.trace_theta_partition([x])[x] == closed, k
         elapsed = time.time() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -165,15 +174,11 @@ def test_criterion_05_orthogonality(capsys):
 def test_criterion_06_commutation_relation(capsys):
     ok = False
     try:
+        # every x in [-3, 3]^2 against both finite generators
         for preset in ("A2", "BnCn(2)"):
-            w, L, H, B = tower(preset)
-            rank = B.datum.rank
-            coords = range(-3, 4)
-            xs = [(a, b) for a in coords for b in coords]
-            for x in xs:
-                for i in range(rank):
-                    lhs, rhs = B.lusztig_commutation(x, i)
-                    assert lhs == rhs, (preset, x, i)
+            code, record = run_suite(capsys, preset, "lusztig", "--box", "3")
+            assert code == 0 and record["pass"], (preset, record["failures"])
+            assert record["cases"] == 98, preset
         ok = True
     finally:
         _report(capsys, 6, "commutation relation, both branches, box [-3, 3]", ok)
@@ -182,18 +187,14 @@ def test_criterion_06_commutation_relation(capsys):
 def test_criterion_07_intertwiners(capsys):
     ok = False
     try:
-        # squares on the reduced rank-1 datum and the doubled rank-2 datum
-        for preset in ("A1-weight", "A1-root", "BnCn(2)"):
-            ps_formal = PrincipalSeries(tower(preset)[3])
-            H = ps_formal.hecke
-            for i in range(len(ps_formal.datum.simple_roots)):
-                r = ps_formal.intertwiner_element(i)
-                assert H.mul(r, r) == ps_formal.d_element(ps_formal.r1_of_simple(i))
-        # braid relations: length 3 on A2, length 4 on B2
-        a2 = PrincipalSeries(tower("A2")[3])
-        assert a2.intertwiner_word((0, 1, 0)) == a2.intertwiner_word((1, 0, 1))
-        b2 = PrincipalSeries(tower("B2")[3])
-        assert b2.intertwiner_word((0, 1, 0, 1)) == b2.intertwiner_word((1, 0, 1, 0))
+        # per generator: the left and right forms agree and the square is the
+        # root factor; per pair of generators: the braid relation (length 3
+        # on A2, length 4 on B2 and BnCn(2))
+        cases = {"A1-weight": 2, "A1-root": 2, "A2": 5, "B2": 5, "BnCn(2)": 5}
+        for preset, n in cases.items():
+            code, record = run_suite(capsys, preset, "braid-intertwiner")
+            assert code == 0 and record["pass"], (preset, record["failures"])
+            assert record["cases"] == n, preset
         ok = True
     finally:
         _report(capsys, 7, "intertwiner squares and braid relations, symbolic", ok)

@@ -45,6 +45,22 @@ def test_theta_of_dominant_weight_is_a_weighted_translation():
     assert B.hecke.coeff(th, g) == B.labels._mono((-1,))
 
 
+@pytest.mark.parametrize(
+    "name, box",
+    [(n, 2) for n in ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")]
+    + [("BnCn(3)", 1)],
+)
+def test_theta_at_dominant_points_is_the_weighted_translation(name, box):
+    # the general fold with an empty inverse word gives the single term
+    # delta_sqrt(-x) T_{t_x}, as the dominant branch it replaced built it
+    B = tower(name)
+    H = B.hecke
+    for x in itertools.product(range(-box, box + 1), repeat=B.datum.rank):
+        if is_dominant(B.datum, x):
+            want = H.scale(H.basis(B.weyl.translation(x)), B.labels.delta_sqrt(vneg(x)))
+            assert list(B.theta(x).terms.items()) == list(want.terms.items()), (name, x)
+
+
 def test_theta_of_antidominant_weight_spreads_out():
     B = tower("A1-weight")
     assert len(B.theta((-1,)).terms) == 2
@@ -132,8 +148,8 @@ def test_embed_is_an_algebra_map():
     B = tower("A2")
     H = B.hecke
     L = B.labels
-    a = GroupAlgebraElem({(1, 0): L.one(), (0, -1): L.const(2)})
-    b = GroupAlgebraElem({(0, 1): L.const(3), (-1, 0): L.one()})
+    a = GroupAlgebraElem({(1, 0): L.one(), (0, -1): LaurentPoly.const(L.vars, 2)})
+    b = GroupAlgebraElem({(0, 1): LaurentPoly.const(L.vars, 3), (-1, 0): L.one()})
     assert H.mul(B.embed(a), B.embed(b)) == B.embed(a.mul(b))
 
 
@@ -262,7 +278,7 @@ def hecke_elements(draw, B):
     H = B.hecke
     w = B.weyl
     rank, nvars, ngens = B.datum.rank, len(B.labels.vars), len(w.fundamental)
-    out = H.zero()
+    out = HeckeElem({})
     for _ in range(draw(st.integers(1, 3))):
         g = w.translation((0,) * rank)
         for i in draw(st.lists(st.integers(0, ngens - 1), max_size=3)):

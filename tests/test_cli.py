@@ -347,6 +347,20 @@ def test_verify_lusztig_on_long_words(capsys, datum, cases):
     assert suite["failures"] == []
 
 
+# every suite, so the bernstein suite's star_theta_check among them
+@pytest.mark.parametrize(
+    "datum, box, digest",
+    [
+        ("BnCn(2)", "1", "7310363c58c3942ec43216b5961b19a132efa7a3f2744ed9c1f6431b9929f286"),
+        ("A2", "2", "fc666af5d2b9eaeb976b1e4fe269010d9ef03aba9561e3353ae6885d34f353b2"),
+    ],
+)
+def test_verify_report_digest(capsys, datum, box, digest):
+    code, out, _ = run(capsys, ["verify", "--datum", datum, "--box", box])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(
         capsys, ["verify", "--datum", "A2", "--suite", "nonsense"]
@@ -365,12 +379,20 @@ def test_bad_labels_exit_usage(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_label_exit_usage(capsys, value):
+@pytest.mark.parametrize(
+    "command, labels, box",
+    [pytest.param("series", f'{{"s1": {v}, "s0": 4}}', "1", id=v)
+     for v in ("NaN", "Infinity", "-Infinity")]
+    # complex mode computes in floats, so a label whose float is infinite or
+    # 0 is refused, even an exact square such as 1e800
+    + [pytest.param(c, f'{{"s1": "{v}"}}', b, id=f"{c}-{v}")
+       for c, v, b in [("series", "2e400", "1"), ("series", "2e-400", "2"),
+                       ("series", "1e800", "2"), ("spherical", "1e800", "2")]],
+)
+def test_non_finite_label_exit_usage(capsys, command, labels, box):
     code, out, err = run(
         capsys,
-        ["series", "--datum", "A1-weight", "--labels", f'{{"s1": {value}, "s0": 4}}',
-         "--mode", "complex", "--box", "1"],
+        [command, "--datum", "A1-weight", "--labels", labels, "--mode", "complex", "--box", box],
     )
     assert code == 2
     assert out == ""

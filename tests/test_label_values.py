@@ -60,7 +60,7 @@ def sample(name, kind):
     elems = [
         H.add(H.basis(w.simple_affine(0)), formal.theta(tuple([1] * rank))),
         H.mul(H.basis(w.simple_affine(len(w.fundamental) - 1)), formal.theta(xs[0])),
-        H.sub(formal.theta(xs[-1]), H.scale(H.unit(), formal.labels.const(3))),
+        H.sub(formal.theta(xs[-1]), H.scale(H.unit(), LaurentPoly.const(formal.labels.vars, 3))),
     ]
     return xs, [(a, HeckeElem(evaluated(a, asg))) for a in elems]
 

@@ -17,13 +17,11 @@ from affinehecke import (
     dominant_shift,
     height,
     in_negative_cone,
-    in_root_lattice,
     is_dominant,
     make_datum,
 )
 from affinehecke.rootdata import (
     int_inverse,
-    reflect,
     solve,
     solve_columns,
     vadd,
@@ -133,6 +131,12 @@ def test_bncn2_nonreduced_set():
     assert pairs[(0, 2)] == (0, 1)
 
 
+def reflect(datum, root, x):
+    """Reflection of ``x`` in X through the root: ``x - <x, a^vee> a``."""
+    b = derive(datum).coroot[root]
+    return vsub(x, vscale(datum.pair(x, b), root))
+
+
 def test_roots_closed_under_reflection():
     for name in ("A2", "B2", "G2", "BnCn(3)"):
         datum = build_preset(name)
@@ -204,7 +208,6 @@ def test_negative_cone_vs_coordinates_a2(x):
     coords = derive(datum).root_coordinates(datum, x)
     expect = all(c.denominator == 1 and c <= 0 for c in coords)
     assert in_negative_cone(datum, x) == expect
-    assert in_root_lattice(datum, x) == all(c.denominator == 1 for c in coords)
 
 
 def test_negative_cone_a1_weight_is_even_nonpositive():
@@ -213,14 +216,16 @@ def test_negative_cone_a1_weight_is_even_nonpositive():
     assert in_negative_cone(datum, (-2,))
     assert not in_negative_cone(datum, (2,))
     assert not in_negative_cone(datum, (-1,))
-    assert not in_root_lattice(datum, (1,))
-    assert in_root_lattice(datum, (4,))
+    # (1,) is half the simple root (2,), off the root lattice; (4,) is on it
+    coords = derive(datum).root_coordinates
+    assert coords(datum, (1,)) == (Fraction(1, 2),)
+    assert coords(datum, (4,)) == (Fraction(2),)
 
 
 def test_gln_cone_stays_inside_the_root_span():
     datum = build_preset("GLn(2)")
     # (1, 1) is central, outside the span of e1 - e2
-    assert not in_root_lattice(datum, (1, 1))
+    assert derive(datum).root_coordinates(datum, (1, 1)) is None
     assert not in_negative_cone(datum, (1, 1))
     assert in_negative_cone(datum, (-1, 1))
     assert not in_negative_cone(datum, (1, -1))
