@@ -28,13 +28,7 @@ import sys
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import (
-    ExponentOverflowError,
-    LabelConfigError,
-    LabelSet,
-    LaurentPoly,
-    poly_to_obj,
-)
+from .coeffring import LabelConfigError, LabelSet, LaurentPoly, poly_to_obj
 from .hecke import HeckeAlgebra, SupportError
 from .principal import PrincipalSeries
 from .rootdata import (
@@ -306,7 +300,7 @@ def suite_bernstein(job: Job, failures: list) -> int:
 
 def suite_lusztig(job: Job, failures: list) -> int:
     bern = job.bernstein
-    box = min(job.args.box, 3)
+    box = job.args.box
     cases = 0
     for x in coordinate_box(job.datum.rank, -box, box):
         for i in range(len(job.datum.simple_roots)):
@@ -318,8 +312,7 @@ def suite_lusztig(job: Job, failures: list) -> int:
 
 
 def suite_trace_oracle(job: Job, failures: list) -> int:
-    radius = min(job.args.box, 5)
-    xs = job.trace.negative_cone_points(radius)
+    xs = job.trace.negative_cone_points(job.args.box)
     direct = job.trace.trace_sweep(xs)
     partition = job.trace.trace_theta_partition(xs)
     cases = 0
@@ -331,7 +324,7 @@ def suite_trace_oracle(job: Job, failures: list) -> int:
 
 
 def suite_support(job: Job, failures: list) -> int:
-    box = min(job.args.box, 3)
+    box = job.args.box
     xs = [
         x
         for x in coordinate_box(job.datum.rank, -box, box)
@@ -347,7 +340,7 @@ def suite_support(job: Job, failures: list) -> int:
 
 
 def suite_dcoeff(job: Job, failures: list) -> int:
-    order = 8
+    order = 12
     cases = 0
     for root, _coroot in job.weyl.derived.r1_positive:
         cases += 1
@@ -576,16 +569,13 @@ def main(argv=None) -> int:
     try:
         check_out(args.out)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RootSystemError, LabelConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RegionError as exc:
         print(f"error: torus point outside the stated domain: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BoxError, SupportError, ExponentOverflowError) as exc:
+    # OverflowError covers ExponentOverflowError and float-range overflow in
+    # complex mode
+    except (UsageError, RootSystemError, LabelConfigError, BoxError, SupportError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,7 +27,9 @@ from fractions import Fraction
 
 from .bernstein import Bernstein
 from .coeffring import ExactDivisionError, LabelSet, LaurentPoly, accumulate, exact_divide
-from .rootdata import Vec, dominant_shift, height, in_negative_cone, vadd, vneg, vscale
+from .rootdata import (
+    Vec, coordinate_box, dominant_shift, height, in_negative_cone, vadd, vneg, vscale,
+)
 from .weyl import FiniteWeylElem
 
 
@@ -321,22 +323,14 @@ class TraceGen:
 
     def negative_cone_points(self, radius: int) -> list[Vec]:
         """All x in the negative cone with height(-x) <= radius, sorted by
-        height then lexicographically."""
+        height then lexicographically: x = -sum_i m_i alpha_i for each m in
+        [0, radius]^n with sum(m) <= radius."""
         simples = self.datum.simple_roots
-        rank = self.datum.rank
-        out: list[Vec] = []
-
-        def rec(i: int, budget: int, acc: Vec):
-            if i == len(simples):
-                out.append(vneg(acc))
-                return
-            cur = acc
-            for m in range(budget + 1):
-                if m:
-                    cur = vadd(cur, simples[i])
-                rec(i + 1, budget - m, cur)
-
-        rec(0, radius, (0,) * rank)
+        out = [
+            tuple(-sum(k * a[j] for k, a in zip(m, simples)) for j in range(self.datum.rank))
+            for m in coordinate_box(len(simples), 0, radius)
+            if sum(m) <= radius
+        ]
         out.sort(key=lambda x: (height(self.datum, vneg(x)), x))
         return out
 

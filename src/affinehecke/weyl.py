@@ -547,10 +547,10 @@ class AffineWeyl:
                     out.append(g)
         return out
 
-    def elements_up_to_length(self, lmax: int, omega_box: int = 2) -> list[AffineWeylElem]:
+    def elements_up_to_length(self, lmax: int) -> list[AffineWeylElem]:
         """All elements of length at most ``lmax`` whose length-zero factor
-        lies in the scanned window, ordered BFS by length."""
-        order = [self.gid(g) for g in self.omega_elements(omega_box)]
+        is one of ``omega_elements()``, ordered BFS by length."""
+        order = [self.gid(g) for g in self.omega_elements()]
         lens = self.lens
         seen = set(order)
         frontier = list(order)

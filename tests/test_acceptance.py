@@ -14,7 +14,6 @@ from affinehecke import (
     build_preset,
     exact_divide,
     height,
-    in_negative_cone,
     is_dominant,
 )
 from affinehecke.bernstein import Bernstein
@@ -22,7 +21,6 @@ from affinehecke.cli import main as cli_main
 from affinehecke.coeffring import LabelSet, radical_sign
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import PrincipalSeries
-from affinehecke.rootdata import derive
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
@@ -102,13 +100,12 @@ def test_criterion_02_partition_equals_direct(capsys):
     ok = False
     try:
         start = time.time()
+        # every x in the negative cone with height(-x) <= 6
+        cases = {"A1-weight": 7, "A1-root": 7, "A2": 28, "B2": 28, "BnCn(2)": 28}
         for preset in ORACLE_PRESETS:
-            trace = formal_trace(preset)
-            xs = trace.negative_cone_points(6)
-            direct = trace.trace_sweep(xs)
-            partition = trace.trace_theta_partition(xs)
-            for x in xs:
-                assert partition[x] == direct[x], (preset, x)
+            code, record = run_suite(capsys, preset, "trace-oracle", "--box", "6")
+            assert code == 0 and record["pass"], (preset, record["failures"])
+            assert record["cases"] == cases[preset], preset
         elapsed = time.time() - start
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
         ok = True
@@ -119,16 +116,13 @@ def test_criterion_02_partition_equals_direct(capsys):
 def test_criterion_03_support(capsys):
     ok = False
     try:
+        # every x in [-4, 4]^rank off the negative cone
+        cases = {"A1-weight": 6, "A1-root": 4, "A2": 56, "B2": 59, "C2": 62, "G2": 56,
+                 "BnCn(2)": 46, "GLn(2)": 76, "GLn(3)": 704}
         for preset in ALL_PRESETS:
-            datum = build_preset(preset)
-            trace = formal_trace(preset)
-            pts = [()]
-            for _ in range(datum.rank):
-                pts = [p + (c,) for p in pts for c in range(-4, 5)]
-            off = [x for x in pts if not in_negative_cone(datum, x)]
-            direct = trace.trace_sweep(off)
-            bad = [x for x in off if direct[x]]
-            assert not bad, (preset, bad[:5])
+            code, record = run_suite(capsys, preset, "support", "--box", "4")
+            assert code == 0 and record["pass"], (preset, record["failures"])
+            assert record["cases"] == cases[preset], preset
         ok = True
     finally:
         _report(capsys, 3, "trace vanishes off the negative cone, box [-4, 4]", ok)
@@ -290,13 +284,11 @@ def test_criterion_11_numeric_generating_identity(capsys):
 def test_criterion_12_rank_one_series_identity(capsys):
     ok = False
     try:
+        # the suite checks to order 12; one case per positive root
         for preset in ("A1-weight", "A1-root"):
-            trace = formal_trace(preset)
-            root = derive(trace.datum).r1_positive[0][0]
-            lhs = trace.d_series_truncation(root, 12)
-            rhs = trace.inverse_cc_series(root, 12)
-            assert len(lhs) == len(rhs) == 13
-            assert lhs == rhs, preset
+            code, record = run_suite(capsys, preset, "dcoeff")
+            assert code == 0 and record["pass"], (preset, record["failures"])
+            assert record["cases"] == 1, preset
         ok = True
     finally:
         _report(capsys, 12, "rank-1 series identity to order 12, both label patterns", ok)

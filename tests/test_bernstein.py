@@ -316,7 +316,7 @@ def test_expand_matches_the_scale_then_multiply_read_off(name, data):
 )
 def test_expand_of_basis_elements_matches_the_read_off(name, length):
     B = tower(name)
-    for g in B.weyl.elements_up_to_length(length, omega_box=1):
+    for g in B.weyl.elements_up_to_length(length):
         h = B.hecke.basis(g)
         got = B.expand_in_bernstein(h)
         assert list(got.items()) == list(ref_expand_at_first_box(B, h).items()), (name, g)

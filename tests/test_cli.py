@@ -347,6 +347,20 @@ def test_verify_lusztig_on_long_words(capsys, datum, cases):
     assert suite["failures"] == []
 
 
+# no suite clips --box: on A1-weight the lusztig suite has one case per point
+# of [-4, 4], support one per point off the cone {0, -2, -4}, and the trace
+# oracle one per x in the cone with height(-x) <= 6
+@pytest.mark.parametrize(
+    "suite, box, cases", [("lusztig", "4", 9), ("support", "4", 6), ("trace-oracle", "6", 7)]
+)
+def test_verify_uses_box_as_given(capsys, suite, box, cases):
+    code, out, err = run(capsys, ["verify", "--datum", "A1-weight", "--box", box, "--suite", suite])
+    assert code == 0, err
+    (record,) = json.loads(out)["suites"]
+    assert record["pass"] is True
+    assert record["cases"] == cases
+
+
 # every suite, so the bernstein suite's star_theta_check among them
 @pytest.mark.parametrize(
     "datum, box, digest",
@@ -397,6 +411,22 @@ def test_non_finite_label_exit_usage(capsys, command, labels, box):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad labels:")
+    assert len(err.strip().splitlines()) == 1
+
+
+# finite labels whose powers leave the float range in complex mode
+@pytest.mark.parametrize(
+    "command, labels, box",
+    [("series", '{"s1": "2e300"}', "6"), ("spherical", '{"s1": "1e300"}', "1")],
+)
+def test_float_range_overflow_exit_usage(capsys, command, labels, box):
+    code, out, err = run(
+        capsys,
+        [command, "--datum", "A1-weight", "--labels", labels, "--mode", "complex", "--box", box],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
 
 
