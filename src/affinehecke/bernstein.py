@@ -17,11 +17,11 @@ into the dominant cone, where every ``T_w theta(x)`` is one T-term.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .coeffring import LaurentPoly, accumulate
 from .hecke import HeckeAlgebra, HeckeElem
-from .rootdata import (
-    Vec, dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
-)
+from .rootdata import Vec, dominant_decomposition, vadd, vneg, vscale, vsub
 from .weyl import FiniteWeylElem
 
 
@@ -60,6 +60,14 @@ class Bernstein:
         self.labels = hecke.labels
         self.datum = hecke.weyl.datum
         self._theta_cache: dict[Vec, HeckeElem] = {}
+        # integer forms of the simple coroots, and of their W0-images: since
+        # <w x, b> = <x, w^{-1} b>, the orbit of x is dominant after adding
+        # n * 2rho exactly when <x, c> >= -2n for every image c
+        # (see _orbit_shift)
+        simple = self.datum.simple_coroots
+        images = set().union(*(self.weyl.coroot_orbit(b) for b in simple))
+        self._simple_forms = [self.weyl._form(b) for b in simple]
+        self._orbit_forms = sorted(self.weyl._form(c) for c in images)
 
     # -- the basis -----------------------------------------------------------
 
@@ -162,30 +170,39 @@ class Bernstein:
         raises BoxError.
         """
         weyl = self.weyl
-        labels = self.labels
-        ys = {weyl.elem(u).trans for u in h.terms}
-        n = dominant_shift(self.datum, [x for y in ys for x in weyl.orbit(y)])
-        z0 = vscale(n, weyl.derived.two_rho)
+        keys = weyl._keys  # id -> (W0 index, translation)
+        z0 = vscale(self._orbit_shift({keys[u][1] for u in h.terms}), weyl.derived.two_rho)
         shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
         # delta_sqrt(xp - z0): its exponents are linear in the point
+        delta_sqrt = self.labels.delta_sqrt
+        order = weyl.enumerate_w0()
         weights: dict[Vec, LaurentPoly] = {}
         out: dict[tuple[FiniteWeylElem, Vec], LaurentPoly] = {}
         for u, c in shifted.terms.items():
-            g = weyl.elem(u)
-            xp = g.trans
-            if not is_dominant(self.datum, xp):
-                raise BoxError(
-                    "expansion leaves the dominant range "
-                    f"(term at translation {xp} after shifting by {z0})"
-                )
-            x = vsub(xp, z0)
+            w, xp = keys[u]
+            for f in self._simple_forms:
+                if sum(map(mul, f, xp)) < 0:
+                    raise BoxError(
+                        "expansion leaves the dominant range "
+                        f"(term at translation {xp} after shifting by {z0})"
+                    )
+            x = tuple([a - b for a, b in zip(xp, z0)])
             weight = weights.get(x)
             if weight is None:
-                weight = weights[x] = labels.delta_sqrt(x)
-            out[(g.fin, x)] = c * weight
+                weight = weights[x] = delta_sqrt(x)
+            out[(order[w], x)] = c * weight
         return out
+
+    def _orbit_shift(self, ys) -> int:
+        """``dominant_shift`` of the W0-orbits of ``ys``, read from the forms
+        of the simple coroots' W0-images with no orbit formed."""
+        n = 0
+        for y in ys:
+            for f in self._orbit_forms:
+                n = max(n, -(sum(map(mul, f, y)) // 2))  # ceil(-<y, c> / 2)
+        return n
 
     def reassemble(
         self, coords: dict[tuple[FiniteWeylElem, Vec], LaurentPoly]

@@ -28,7 +28,9 @@ import sys
 from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
-from .coeffring import LabelConfigError, LabelSet, LaurentPoly, poly_to_obj
+from .coeffring import (
+    ExponentOverflowError, LabelConfigError, LabelSet, LaurentPoly, poly_to_obj,
+)
 from .hecke import HeckeAlgebra, SupportError
 from .principal import PrincipalSeries
 from .rootdata import (
@@ -572,10 +574,16 @@ def main(argv=None) -> int:
     except RegionError as exc:
         print(f"error: torus point outside the stated domain: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # OverflowError covers ExponentOverflowError and float-range overflow in
-    # complex mode
-    except (UsageError, RootSystemError, LabelConfigError, BoxError, SupportError,
-            OverflowError) as exc:
+    except OverflowError as exc:
+        # ExponentOverflowError, or a float that left its range in complex mode
+        if args.mode == "complex" and not isinstance(exc, ExponentOverflowError):
+            detail = exc.args[-1] if exc.args else "overflow"  # drop an errno code
+            print(f"error: a value left the floating-point range of complex mode ({detail}); "
+                  "use --mode rational for exact arithmetic", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (UsageError, RootSystemError, LabelConfigError, BoxError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

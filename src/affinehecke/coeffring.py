@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .rootdata import Vec, vneg, vscale
 from .weyl import AffineWeyl, AffineWeylElem, FiniteWeylElem
@@ -470,15 +471,7 @@ class LabelSet:
         for b in datum.coroots:
             if b in self.orbit_id:
                 continue
-            orbit = {b}
-            frontier = [b]
-            while frontier:
-                cur = frontier.pop()
-                for s in weyl.simple_reflections:
-                    nxt = s.apply_y(cur)
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
+            orbit = weyl.coroot_orbit(b)
             if vneg(b) not in orbit:
                 orbit |= {vneg(v) for v in orbit}
             for v in orbit:
@@ -512,7 +505,8 @@ class LabelSet:
         self.xi_vars: tuple[str, ...] = tuple("xi" + v[1:] for v in self.vars)
         self._pairs: dict[Vec, tuple[LaurentPoly, LaurentPoly]] = {}
         # F_c = sum_beta halfexp_c(q_{beta^vee}) * beta^vee over the positive
-        # non-reduced extension: delta_sqrt(x) has v_c-exponent <x, F_c>
+        # non-reduced extension: delta_sqrt(x) has v_c-exponent <x, F_c>,
+        # the dot product of x with the integer form P . F_c kept here
         forms = [[0] * datum.rank for _ in self.vars]
         for root, coroot in weyl.derived.nonreduced_positive:
             half = self.root_label_half_exps(root)
@@ -520,7 +514,7 @@ class LabelSet:
             for f, h in zip(forms, half):
                 for j, b in enumerate(coroot):
                     f[j] += h * b
-        self._delta_forms: list[Vec] = [tuple(f) for f in forms]
+        self._delta_forms: list[Vec] = [weyl._form(f) for f in forms]
 
     # -- basic monomials -----------------------------------------------------
 
@@ -627,8 +621,7 @@ class LabelSet:
         """The square root of the translation weight: the monomial with
         v-exponents ``sum_beta <x, beta^vee> * halfexp(q_{beta^vee})`` over
         the positive non-reduced extension, i.e. ``<x, F_c>`` per variable."""
-        pair = self.weyl.datum.pair
-        return self._mono(tuple(pair(x, f) for f in self._delta_forms))
+        return self._mono(tuple(sum(map(mul, f, x)) for f in self._delta_forms))
 
     def poincare(self, elems) -> LaurentPoly:
         """Sum of ``q(w)`` over a collection of finite elements."""
@@ -770,7 +763,14 @@ class LabelValues:
         return self._value(self._labels.q_of_gen_inv(j))
 
     def delta_sqrt(self, x: Vec):
-        return self._value(self._labels.delta_sqrt(x))
+        """:meth:`LabelSet.delta_sqrt` at these values, as the product of
+        ``v_c ** <x, F_c>`` with no monomial built."""
+        out = 1
+        for v, f in zip(self._values.values(), self._labels._delta_forms):
+            e = sum(map(mul, f, x))
+            if e:
+                out = out * v**e
+        return _ratio(out)
 
 
 def _parse_rational(raw) -> Fraction:

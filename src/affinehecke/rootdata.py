@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -116,21 +116,21 @@ def int_inverse(mat) -> tuple[Vec, ...] | None:
 # the datum itself
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(
+    namedtuple(
+        "RootDatum",
+        "rank pairing simple_roots simple_coroots roots coroots name",
+        defaults=("",),
+    )
+):
     """A based root datum: dual lattices, a pairing, roots and coroots.
 
     ``pairing`` is the integer matrix ``P`` with ``<x, y> = x^T P y``;
-    ``roots[i]`` pairs with ``coroots[i]``.
+    ``roots[i]`` pairs with ``coroots[i]``.  An immutable value: equality
+    and hashing read every field, so :func:`derive` caches on it.
     """
 
-    rank: int
-    pairing: tuple[Vec, ...]
-    simple_roots: tuple[Vec, ...]
-    simple_coroots: tuple[Vec, ...]
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]
-    name: str = ""
+    __slots__ = ()
 
     def pair(self, x: Vec, y: Vec) -> int:
         """The pairing ``<x, y>`` of ``x`` in X with ``y`` in Y."""
@@ -264,7 +264,6 @@ def make_datum(
 # derived collections
 
 
-@dataclass
 class DerivedRoots:
     """Positive systems and the non-reduced extension of a datum.
 
@@ -275,15 +274,32 @@ class DerivedRoots:
     unmultipliable layer (roots whose double is not a root of the extension).
     """
 
-    positive_roots: tuple[Vec, ...]
-    positive_coroots: tuple[Vec, ...]
-    coroot: dict[Vec, Vec]
-    root: dict[Vec, Vec]
-    nonreduced_positive: tuple[tuple[Vec, Vec], ...]
-    r1_positive: tuple[tuple[Vec, Vec], ...]
-    two_rho: Vec
-    two_rho_check: Vec
-    _coord_cache: dict[Vec, tuple[Fraction, ...] | None]
+    __slots__ = (
+        "positive_roots", "positive_coroots", "coroot", "root", "nonreduced_positive",
+        "r1_positive", "two_rho", "two_rho_check", "_coord_cache",
+    )
+
+    def __init__(
+        self,
+        positive_roots: tuple[Vec, ...],
+        positive_coroots: tuple[Vec, ...],
+        coroot: dict[Vec, Vec],
+        root: dict[Vec, Vec],
+        nonreduced_positive: tuple[tuple[Vec, Vec], ...],
+        r1_positive: tuple[tuple[Vec, Vec], ...],
+        two_rho: Vec,
+        two_rho_check: Vec,
+        coord_cache: dict[Vec, tuple[Fraction, ...] | None],
+    ):
+        self.positive_roots = positive_roots
+        self.positive_coroots = positive_coroots
+        self.coroot = coroot
+        self.root = root
+        self.nonreduced_positive = nonreduced_positive
+        self.r1_positive = r1_positive
+        self.two_rho = two_rho
+        self.two_rho_check = two_rho_check
+        self._coord_cache = coord_cache
 
     def root_coordinates(self, datum: RootDatum, x: Vec) -> tuple[Fraction, ...] | None:
         """Coordinates of ``x`` in the simple-root basis, or None if x is
@@ -349,7 +365,7 @@ def derive(datum: RootDatum) -> DerivedRoots:
         r1_positive=tuple(r1),
         two_rho=two_rho,
         two_rho_check=two_rho_check,
-        _coord_cache=cache,
+        coord_cache=cache,
     )
 
 

@@ -32,12 +32,19 @@ its length as ``l(u) +- 1``, going down exactly when ``u`` sends the i-th
 fundamental affine root to a negative one.  Each generator keeps a step table
 ``nxt[i][id]``, filled lazily in both directions, and lengths live in
 ``lens[id]``, so a step is a list read and the descent bit is
-``lens[v] < lens[u]``.  The Hecke folds work on these ids directly.
+``lens[v] < lens[u]``.  A missing entry is filled in place: one dot product
+for ``m``, a list-built translation, and the new id interned inline with no
+length formula.  The Hecke folds and the Bernstein read-off work on these
+ids directly, reading ``(w_index, trans)`` from ``_keys``.
+
+The element types (``FiniteWeylElem``, ``AffineWeylElem``) are plain
+slotted classes and ``AffineRoot`` a named tuple, so importing the package
+loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -60,7 +67,6 @@ Matrix = tuple[Vec, ...]
 MAX_W0 = 100_000
 
 
-@dataclass(frozen=True)
 class FiniteWeylElem:
     """A finite Weyl group element, stored as its action matrices.
 
@@ -69,15 +75,24 @@ class FiniteWeylElem:
     reflections, when known) is a cache.
     """
 
-    mx: Matrix
-    my: Matrix = field(compare=False)
-    word: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("mx", "my", "word", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.mx))
+    def __init__(self, mx: Matrix, my: Matrix, word: tuple[int, ...] | None = None):
+        self.mx = mx
+        self.my = my
+        self.word = word
+        self._hash = hash(mx)
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteWeylElem:
+            return NotImplemented
+        return self.mx == other.mx
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"FiniteWeylElem(mx={self.mx!r}, my={self.my!r})"
 
     def apply_x(self, x: Vec) -> Vec:
         return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in self.mx)
@@ -86,27 +101,32 @@ class FiniteWeylElem:
         return tuple(sum(row[j] * y[j] for j in range(len(y))) for row in self.my)
 
 
-@dataclass(frozen=True)
 class AffineWeylElem:
     """``fin . t_trans``: a finite part followed by a translation."""
 
-    fin: FiniteWeylElem
-    trans: Vec
+    __slots__ = ("fin", "trans")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.fin, self.trans)))
+    def __init__(self, fin: FiniteWeylElem, trans: Vec):
+        self.fin = fin
+        self.trans = trans
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineWeylElem:
+            return NotImplemented
+        return (self.fin, self.trans) == (other.fin, other.trans)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.fin, self.trans))
+
+    def __repr__(self) -> str:
+        return f"AffineWeylElem(fin={self.fin!r}, trans={self.trans!r})"
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(namedtuple("AffineRoot", "coroot level")):
     """A coroot together with an integer level: the affine function
     ``x -> <x, coroot> + level`` on X."""
 
-    coroot: Vec
-    level: int
+    __slots__ = ()
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -301,20 +321,15 @@ class AffineWeyl:
             tuple(w.apply_y(a.coroot) not in pos_co for a in self.fundamental) for w in order
         ]
 
-    def _intern(self, w: int, t: Vec, length: int | None = None) -> int:
+    def _intern(self, w: int, t: Vec) -> int:
         key = (w, t)
         u = self._ids.get(key)
         if u is None:
-            if length is None:
-                length = sum(
-                    abs(sum(f * x for f, x in zip(form, t)) + n)
-                    for form, n in zip(self._forms, self._neg[w])
-                )
             u = len(self._keys)
             self._ids[key] = u
             self._keys.append(key)
             self._elems.append(None)
-            self.lens.append(length)
+            self.lens.append(sum([abs(sum(map(mul, form, t)) + n) for form, n in zip(self._forms, self._neg[w])]))
             for row in self.nxt:
                 row.append(-1)
         return u
@@ -350,16 +365,28 @@ class AffineWeyl:
         ``w t`` sends ``(b_i, k_i)`` to the negative affine root
         ``(w(b_i), k_i - m)``; the length moves by one either way.
         """
-        v = self.nxt[i][u]
+        row = self.nxt[i]
+        v = row[u]
         if v < 0:
-            w, t = self._keys[u]
-            m = sum(f * x for f, x in zip(self._gen_forms[i], t))
+            keys = self._keys
+            w, t = keys[u]
+            m = sum(map(mul, self._gen_forms[i], t))
             level = self.fundamental[i].level - m
             down = level < 0 or (level == 0 and self._fund_neg[w][i])
-            t2 = tuple(x - m * a + c for x, a, c in zip(t, self._gen_roots[i], self._gen_shifts[i]))
-            v = self._intern(self._wmul[w][i], t2, self.lens[u] + (-1 if down else 1))
-            self.nxt[i][u] = v
-            self.nxt[i][v] = u
+            key = (
+                self._wmul[w][i],
+                tuple([x - m * a + c for x, a, c in zip(t, self._gen_roots[i], self._gen_shifts[i])]),
+            )
+            v = self._ids.get(key)
+            if v is None:  # intern inline: the length is one off that of u
+                v = self._ids[key] = len(keys)
+                keys.append(key)
+                self._elems.append(None)
+                self.lens.append(self.lens[u] - 1 if down else self.lens[u] + 1)
+                for r in self.nxt:
+                    r.append(-1)
+            row[u] = v
+            row[v] = u
         return v
 
     def _descent(self, u: int) -> int | None:
@@ -571,6 +598,20 @@ class AffineWeyl:
     def orbit(self, x: Vec) -> list[Vec]:
         """The finite Weyl orbit of a lattice point, in a stable order."""
         return sorted({w.apply_x(tuple(x)) for w in self.enumerate_w0()})
+
+    def coroot_orbit(self, b: Vec) -> set[Vec]:
+        """The finite Weyl orbit of a vector of Y, closed under the simple
+        reflections, so W0 itself is never enumerated."""
+        orbit = {b}
+        frontier = [b]
+        while frontier:
+            cur = frontier.pop()
+            for s in self.simple_reflections:
+                nxt = s.apply_y(cur)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        return orbit
 
     def coset_data(
         self, x: Vec

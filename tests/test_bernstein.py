@@ -13,7 +13,7 @@ from affinehecke.bernstein import Bernstein, GroupAlgebraElem
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.rootdata import (
-    dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
+    coordinate_box, dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
 )
 from affinehecke.weyl import AffineWeyl
 
@@ -222,6 +222,21 @@ def test_expand_of_theta_is_a_single_row(x):
     assert nonzero[(B.weyl.id_fin, x)] == B.labels.one()
 
 
+@pytest.mark.parametrize(
+    "name", ["A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "BnCn(3)", "GLn(2)", "GLn(3)"]
+)
+def test_orbit_shift_is_the_dominant_shift_of_the_orbits(name):
+    # the form-based shift against the rule it replaced: dominant_shift over
+    # every orbit point, one point at a time and over the whole box at once
+    B = tower(name)
+    points = coordinate_box(B.datum.rank, -3, 3)
+    for y in points:
+        assert B._orbit_shift([y]) == dominant_shift(B.datum, B.weyl.orbit(y))
+    assert B._orbit_shift(points) == dominant_shift(
+        B.datum, [x for y in points for x in B.weyl.orbit(y)]
+    ) > 0
+
+
 def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
     # T_{t_x} at antidominant x has coordinates that need the whole shift
     # read off its support, so one multiple of 2rho less leaves the dominant
@@ -231,7 +246,8 @@ def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
     h = B.hecke.basis(B.weyl.translation(x))
     shift = dominant_shift(B.datum, B.weyl.orbit(x))
     assert shift == dominant_shift(B.datum, [y for (_w, y) in B.expand_in_bernstein(h)]) > 0
-    monkeypatch.setattr(bernstein, "dominant_shift", lambda datum, xs: shift - 1)
+    assert B._orbit_shift([x]) == shift
+    monkeypatch.setattr(bernstein.Bernstein, "_orbit_shift", lambda self, ys: shift - 1)
     with pytest.raises(BoxError, match="leaves the dominant range"):
         B.expand_in_bernstein(h)
 

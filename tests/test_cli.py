@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import affinehecke
 from affinehecke import build_preset, datum_to_json
 from affinehecke.cli import main
 from affinehecke.principal import PrincipalSeries
@@ -181,24 +186,28 @@ def test_spherical_seeded_point_when_t_missing(capsys):
 # The bench's one spherical workload (B2) has no doubled roots and integral
 # labels: these pin the c-function and intertwiner paths of BnCn(2), exact and
 # in floating point, and B2 at fractional labels, whose folds run on Fractions.
+# A complex report sums floats in the insertion order of the expansion's term
+# dicts, so the deeper B2 box-3 pin also guards the fold's order.
 @pytest.mark.parametrize(
-    "datum,labels,mode,digest",
+    "datum,labels,mode,digest,box",
     [
         ("BnCn(2)", '{"s1":4,"s2":9,"s0":16}', "rational",
-         "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36"),
+         "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36", 2),
         ("B2", '{"s1":"9/4","s2":"1/4"}', "rational",
-         "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af"),
+         "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af", 2),
         ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
-         "f0197fd821ee70bfe68ba4f0deca3e4025806ff4f6dc28b2f0403b928c531aee"),
+         "f0197fd821ee70bfe68ba4f0deca3e4025806ff4f6dc28b2f0403b928c531aee", 2),
         ("B2", '{"s1":2,"s2":3}', "complex",
-         "f8e6dddc0dc07626ce279a08501b751d296a686c2256c984d9758c82563d0789"),
+         "f8e6dddc0dc07626ce279a08501b751d296a686c2256c984d9758c82563d0789", 2),
+        ("B2", '{"s1":2,"s2":3}', "complex",
+         "10ca5eaf1625b1227166ed98b5951610f48d8a9b9909f9cfe98f8c4761d3ced5", 3),
     ],
 )
-def test_spherical_report_digest(capsys, datum, labels, mode, digest):
+def test_spherical_report_digest(capsys, datum, labels, mode, digest, box):
     code, out, _ = run(
         capsys,
         ["spherical", "--datum", datum, "--labels", labels, "--mode", mode,
-         "--box", "2", "--seed", "0"],
+         "--box", str(box), "--seed", "0"],
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -426,7 +435,8 @@ def test_float_range_overflow_exit_usage(capsys, command, labels, box):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: a value left the floating-point range of complex mode")
+    assert "use --mode rational" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -644,3 +654,24 @@ def test_bad_preset_reports_the_preset_error(capsys):
     code, _, err = run(capsys, ["trace", "--datum", "E8", "--box", "1"])
     assert code == 2
     assert ", ".join(PRESET_NAMES) in err
+
+
+def test_cli_import_skips_introspection_modules():
+    # a fresh interpreter without site: what `import affinehecke.cli` loads itself
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    src = str(Path(affinehecke.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, affinehecke.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dcoeff_needs_no_finite_weyl_group(capsys):
+    # |W0| of BnCn(7) is 645,120, past weyl.MAX_W0: the rank-one series reads
+    # roots only, so building the algebra tower must not enumerate W0
+    code, out, _ = run(capsys, ["verify", "--datum", "BnCn(7)", "--suite", "dcoeff", "--box", "1"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True

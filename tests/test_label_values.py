@@ -112,3 +112,23 @@ def test_the_view_reads_generator_inverses_as_fractions():
         assert type(q) is int and type(q_inv) is Fraction and q * q_inv == 1
     with pytest.raises(LabelConfigError):
         labels.at({v: 2.0 for v in labels.vars})
+
+
+@pytest.mark.parametrize("kind", sorted(LABELS))
+@pytest.mark.parametrize("name", PRESETS)
+def test_delta_sqrt_values_are_the_evaluated_monomials(name, kind):
+    # the monomial against its definition, a sum over the positive
+    # non-reduced extension, and the direct numeric product against the
+    # monomial evaluated: equal values of one type (int where integral)
+    formal, numeric, asg = towers(name, kind)
+    labels, view, datum = formal.labels, numeric.labels, formal.datum
+    for x in itertools.product(range(-3, 4), repeat=datum.rank):
+        exps = [0] * len(labels.vars)
+        for root, coroot in formal.weyl.derived.nonreduced_positive:
+            for c, h in enumerate(labels.root_label_half_exps(root)):
+                exps[c] += h * datum.pair(x, coroot)
+        mono = labels.delta_sqrt(x)
+        assert mono == LaurentPoly.monomial(labels.vars, tuple(exps))
+        want = value(mono, asg)
+        got = view.delta_sqrt(x)
+        assert got == want and type(got) is type(want)

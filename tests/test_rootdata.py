@@ -472,3 +472,10 @@ def test_int_inverse_exists_exactly_for_unit_determinant(mat):
     assert (inv is not None) == (abs(ref_int_det(mat)) == 1)
     if inv is not None:
         assert inv == ref_int_inverse(mat)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_derive_caches_on_equal_datums(name):
+    # two separately built, equal datums share one DerivedRoots
+    assert build_preset(name) is not build_preset(name)
+    assert derive(build_preset(name)) is derive(build_preset(name))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from affinehecke import build_preset
 from affinehecke.rootdata import vadd, vneg
-from affinehecke.weyl import AffineRoot, AffineWeyl, AffineWeylElem
+from affinehecke.weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 
 @lru_cache(maxsize=None)
@@ -363,3 +363,25 @@ def test_inverse_id_is_the_id_of_the_inverse(name, data):
     u = w.gid(g)
     assert w.inverse_id(u) == w.gid(w.inverse(g))
     assert w.inverse_id(w.inverse_id(u)) == u
+
+
+def test_finite_elem_equality_reads_mx_only():
+    w = group("B2")
+    order = w.enumerate_w0()
+    for u in order:
+        twin = FiniteWeylElem(u.mx, w.id_fin.my, word=(0, 1, 0))  # other my and word
+        assert twin == u and hash(twin) == hash(u)
+    assert len(set(order)) == len(order)
+    assert order[0] != order[1]
+
+
+def test_affine_elem_equality_follows_fin_and_trans():
+    w = group("B2")
+    s = w.simple_reflections[0]
+    g = AffineWeylElem(s, (1, 2))
+    twin = AffineWeylElem(FiniteWeylElem(s.mx, s.my), (1, 2))  # no word cached
+    assert g == twin and hash(g) == hash(twin) == hash((s, (1, 2)))
+    assert g != AffineWeylElem(s, (2, 1))
+    assert g != AffineWeylElem(w.id_fin, (1, 2))
+    assert g != (s, (1, 2))
+    assert len({g, twin, AffineWeylElem(s, (2, 1))}) == 2
