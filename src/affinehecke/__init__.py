@@ -26,7 +26,6 @@ from .coeffring import (
     LabelSet,
     LaurentPoly,
     exact_divide,
-    radical_sign,
 )
 from .hecke import HeckeAlgebra, HeckeElem, SupportError
 from .principal import ModeError, PrincipalSeries

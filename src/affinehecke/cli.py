@@ -34,6 +34,7 @@ from .coeffring import (
 from .hecke import HeckeAlgebra, SupportError
 from .principal import PrincipalSeries
 from .rootdata import (
+    PRESET_FAMILY,
     PRESET_NAMES,
     RootSystemError,
     build_preset,
@@ -73,7 +74,9 @@ def load_datum(spec: str):
         return build_preset(spec)
     except RootSystemError as exc:
         if not os.path.exists(spec):
-            raise UsageError(f"datum {spec!r}: {exc} (and no file by that name)")
+            # a preset family's own error needs no word about files
+            tail = "" if PRESET_FAMILY.fullmatch(spec) else " (and no file by that name)"
+            raise UsageError(f"datum {spec!r}: {exc}{tail}")
     return datum_from_json(read_text(spec, "datum"))
 
 

@@ -308,20 +308,6 @@ class LaurentPoly:
             return 0j if isinstance(sample, complex) else Fraction(0)
         return total
 
-    def evaluate_split_sqrt(self, radicand: int) -> tuple[Fraction, Fraction]:
-        """Value at ``v = sqrt(radicand)`` for every variable, returned
-        exactly as ``(a, b)`` with value ``a + b*sqrt(radicand)``."""
-        n = len(self.vars)
-        a = Fraction(0)
-        b = Fraction(0)
-        for k, c in self.terms.items():
-            total = sum(_unpack(k, n))
-            if total % 2 == 0:
-                a += c * Fraction(radicand) ** (total // 2)
-            else:
-                b += c * Fraction(radicand) ** ((total - 1) // 2)
-        return a, b
-
 
 def power_table(value, lo: int, hi: int) -> tuple[list, object]:
     """Powers ``value**lo .. value**hi`` over one denominator.
@@ -339,23 +325,6 @@ def power_table(value, lo: int, hi: int) -> tuple[list, object]:
     return [value**e for e in range(lo, hi + 1)], 1
 
 
-def radical_sign(a: Fraction, b: Fraction, radicand: int) -> int:
-    """Exact sign of ``a + b*sqrt(radicand)``."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs = a * a
-    rhs = radicand * b * b
-    if a > 0:  # b < 0: positive iff a^2 > r b^2
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-
-
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``f / g`` in the Laurent ring.
 
@@ -366,6 +335,9 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     quotient exists.  Raises :class:`ExactDivisionError` otherwise, and
     :class:`ExponentOverflowError` when a remainder term could leave the
     packed field.
+
+    No command divides: the division-free formulas are checked against this
+    reference in the tests, and the benchmark's tracer keeps a span on it.
     """
     if not g:
         raise ExactDivisionError("division by zero")

@@ -38,6 +38,12 @@ the end.
 
 All torus points are numeric; identities in the torus variable are verified
 on seeded random points rather than over a field of rational functions.
+
+Nothing is memoised per torus point or lattice point, so the memos stay
+bounded however many points are asked: the left matrices of the finite basis
+(``|W0|`` at most), the inversion sets per finite element, the intertwiner
+actions per simple reflection, and one slot each for the symmetrizer, the
+algebra over the label values and the c-values of the last point asked.
 """
 
 from __future__ import annotations
@@ -139,14 +145,11 @@ class PrincipalSeries:
             ]
             self._p0_val = sum(self._q_fin_vals)
 
+        # memos bounded by the datum (per finite basis element, finite element
+        # or simple reflection) or holding one slot; none is keyed by a point
         self._left: list[list[list] | None] = [None] * self.dim
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
         self._rs_action: dict[int, list] = {}
-        self._rs_matrix: dict[tuple, list[list]] = {}
-        self._r_cache: dict[tuple, list] = {}
-        self._bra_cache: dict[tuple, list] = {}
-        self._plus_cleared: dict[Vec, HeckeElem] = {}
-        self._plus_action: dict[tuple[Vec, bool], list] = {}
         self._sym_elem: HeckeElem | None = None
         self._exact_tower: tuple[Bernstein, HeckeElem] | None = None
         self._c_values: tuple | None = None
@@ -407,25 +410,12 @@ class PrincipalSeries:
             self._rs_action[i] = act
         return act
 
-    def intertwiner_matrix(self, i: int, t: TorusPoint) -> list[list]:
-        key = (i, t.images)
-        m = self._rs_matrix.get(key)
-        if m is None:
-            m = self.laplace_matrix(self._intertwiner_action(i), t)
-            self._rs_matrix[key] = m
-        return m
-
     def r_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
         """Image of the identity basis vector under the intertwiner product
         along the canonical reduced word for ``w``."""
-        key = (w, t.images)
-        cached = self._r_cache.get(key)
-        if cached is not None:
-            return list(cached)
         vec = self.unit_vector()
         for i in reversed(self.weyl.fin_word(w)):
-            vec = mat_vec(self.intertwiner_matrix(i, t), vec)
-        self._r_cache[key] = list(vec)
+            vec = mat_vec(self.laplace_matrix(self._intertwiner_action(i), t), vec)
         return vec
 
     def r0_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
@@ -453,14 +443,8 @@ class PrincipalSeries:
     def bra_vector(self, u: FiniteWeylElem, t: TorusPoint) -> list:
         """Left vector of the matrix-element pairing: the longest element
         acting on the intertwining vector at the conjugate-inverse point."""
-        key = (u, t.images)
-        cached = self._bra_cache.get(key)
-        if cached is None:
-            tb = t.conj().inv()
-            w0u = self.weyl.fin_mul(self.longest, u)
-            cached = mat_vec(self.left_matrix(self.index[self.longest]), self.r_vector(w0u, tb))
-            self._bra_cache[key] = cached
-        return list(cached)
+        r = self.r_vector(self.weyl.fin_mul(self.longest, u), t.conj().inv())
+        return mat_vec(self.left_matrix(self.index[self.longest]), r)
 
     def matrix_element(self, u: FiniteWeylElem, v: FiniteWeylElem, t: TorusPoint, action: list):
         """Pairing of the ``u``-side left vector against an element, given by
@@ -549,14 +533,10 @@ class PrincipalSeries:
         double symmetrised translation, scaled by the square root of the
         modulus character."""
         x = tuple(x)
-        cached = self._plus_cleared.get(x)
-        if cached is None:
-            H = self.hecke
-            cached = H.scale(
-                self._double_coset_sum(H, self.symmetrizer(), x), self.labels.delta_sqrt(vneg(x))
-            )
-            self._plus_cleared[x] = cached
-        return cached
+        H = self.hecke
+        return H.scale(
+            self._double_coset_sum(H, self.symmetrizer(), x), self.labels.delta_sqrt(vneg(x))
+        )
 
     def _double_coset_sum(self, H: HeckeAlgebra, sym: HeckeElem, x: Vec) -> HeckeElem:
         """``sym·T_{t_x}·sym`` in ``H``, with ``sym`` its symmetrizer."""
@@ -565,19 +545,16 @@ class PrincipalSeries:
         return H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
 
     def _theta_plus_action(self, x: Vec, exact: bool) -> list:
-        """One-column action on the spherical vector, cached per point: of
-        the cleared element, or with ``exact`` of its double-coset sum
-        computed at the labels (so without the factor ``delta^{1/2}(-x)``)."""
-        act = self._plus_action.get((x, exact))
-        if act is None:
-            if exact:
-                bernstein, sym = self._exact()
-                elem = self._double_coset_sum(bernstein.hecke, sym, x)
-            else:
-                bernstein, sym = self.bernstein, self.symmetrizer()
-                elem = self.theta_plus_cleared(x)
-            act = self._plus_action[(x, exact)] = self._expand_columns(bernstein, elem, [sym])
-        return act
+        """One-column action on the spherical vector: of the cleared
+        element, or with ``exact`` of its double-coset sum computed at the
+        labels (so without the factor ``delta^{1/2}(-x)``)."""
+        if exact:
+            bernstein, sym = self._exact()
+            elem = self._double_coset_sum(bernstein.hecke, sym, x)
+        else:
+            bernstein, sym = self.bernstein, self.symmetrizer()
+            elem = self.theta_plus_cleared(x)
+        return self._expand_columns(bernstein, elem, [sym])
 
     def theta_plus(self, x: Vec) -> HeckeElem:
         """The spherical Bernstein basis element at a dominant point, with

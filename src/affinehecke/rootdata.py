@@ -29,6 +29,8 @@ Vec = tuple[int, ...]
 MAX_ROOTS = 1000
 
 PRESET_NAMES = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(n)", "GLn(n)")
+#: The two parametrised preset families, "BnCn(n)" and "GLn(n)".
+PRESET_FAMILY = re.compile(r"(BnCn|GLn)\((\d+)\)")
 
 
 class RootSystemError(ValueError):
@@ -168,9 +170,8 @@ def generate_roots(
         if len(b) != rank:
             raise RootSystemError("simple coroot of wrong rank")
 
-    def pair(x: Vec, y: Vec) -> int:
-        return sum(x[i] * pairing[i][j] * y[j] for i in range(rank) for j in range(rank))
-
+    # the datum's own pairing, which skips the zero coordinates of x
+    pair = RootDatum(rank, pairing, simple_roots, simple_coroots, (), ()).pair
     for a, b in zip(simple_roots, simple_coroots):
         if pair(a, b) != 2:
             raise RootSystemError(f"<alpha, alpha^vee> = {pair(a, b)} != 2 for {a}")
@@ -199,7 +200,9 @@ def generate_roots(
                     found[new_root] = new_coroot
                     nxt.append(new_root)
                 if len(found) > MAX_ROOTS:
-                    raise RootSystemError("root closure exceeded the safety bound")
+                    raise RootSystemError(
+                        f"root closure exceeded the safety bound of {MAX_ROOTS} roots"
+                    )
         frontier = nxt
 
     roots = tuple(sorted(found))
@@ -446,9 +449,17 @@ def build_preset(name: str) -> RootDatum:
     if name == "G2":
         # simple-root coordinates; alpha1 short, alpha2 long.
         return make_datum(2, [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[2, -3], [-1, 2]], name=name)
-    m = re.fullmatch(r"BnCn\((\d+)\)", name)
-    if m:
-        n = int(m.group(1))
+    m = PRESET_FAMILY.fullmatch(name)
+    if not m:
+        raise RootSystemError(f"unknown preset {name!r}; try one of {', '.join(PRESET_NAMES)}")
+    family, n = m.group(1), int(m.group(2))
+    # the closed-form root count, refused before any closure is built
+    count = 2 * n * n if family == "BnCn" else n * (n - 1)
+    if count > MAX_ROOTS:
+        raise RootSystemError(
+            f"{name} has {count} roots, past the safety bound of {MAX_ROOTS} roots"
+        )
+    if family == "BnCn":
         if n < 1:
             raise RootSystemError("BnCn(n) needs n >= 1")
         simple_roots = []
@@ -464,19 +475,15 @@ def build_preset(name: str) -> RootDatum:
         simple_coroots.append([2 * v for v in last])
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         return make_datum(n, eye, simple_roots, simple_coroots, name=name)
-    m = re.fullmatch(r"GLn\((\d+)\)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise RootSystemError("GLn(n) needs n >= 2")
-        simple = []
-        for i in range(n - 1):
-            e = [0] * n
-            e[i], e[i + 1] = 1, -1
-            simple.append(list(e))
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return make_datum(n, eye, simple, simple, name=name)
-    raise RootSystemError(f"unknown preset {name!r}; try one of {', '.join(PRESET_NAMES)}")
+    if n < 2:
+        raise RootSystemError("GLn(n) needs n >= 2")
+    simple = []
+    for i in range(n - 1):
+        e = [0] * n
+        e[i], e[i + 1] = 1, -1
+        simple.append(list(e))
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return make_datum(n, eye, simple, simple, name=name)
 
 
 # ---------------------------------------------------------------------------

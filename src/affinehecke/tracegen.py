@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from .bernstein import Bernstein
-from .coeffring import ExactDivisionError, LabelSet, LaurentPoly, accumulate, exact_divide
+from .coeffring import LabelSet, LaurentPoly, accumulate
 from .rootdata import (
     Vec, coordinate_box, dominant_shift, height, in_negative_cone, vadd, vneg, vscale,
 )
@@ -118,10 +118,10 @@ class TraceGen:
         """The weight of multiplicity k on one positive root of the
         non-reduced extension, in the pair (A, B) of ``LabelSet.c_pair``:
 
-            d(a; k) = (B/A - 1)(1/(AB) - 1)(A^{-k} - A^{k}) / (A^{-2} - 1)
+            d(a; k) = (B/A - 1)(1/(AB) - 1) * sum_{j<k} A^{k-2j}
 
-        and d(a; 0) = 1.  The division is carried out exactly in the Laurent
-        ring and a failure is a loud error, never a silent approximation.
+        and d(a; 0) = 1.  The finite sum is the quotient
+        (A^{-k} - A^{k}) / (A^{-2} - 1), so no division is needed.
         """
         if k < 0:
             raise ValueError("multiplicity must be non-negative")
@@ -135,15 +135,8 @@ class TraceGen:
         else:
             one = labels.one()
             a, b = labels.c_pair(root)
-            a_inv = a.inverse()
-            num = (b * a_inv - one) * ((a * b).inverse() - one) * (a_inv ** k - a ** k)
-            den = a_inv ** 2 - one
-            try:
-                out = exact_divide(num, den)
-            except ExactDivisionError as exc:
-                raise ExactDivisionError(
-                    f"d({root}; {k}) did not divide exactly - label wiring bug"
-                ) from exc
+            geometric = sum((a ** (k - 2 * j) for j in range(k)), labels.zero())
+            out = (b * a.inverse() - one) * ((a * b).inverse() - one) * geometric
         self._d_cache[key] = out
         return out
 

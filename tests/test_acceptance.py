@@ -7,7 +7,6 @@ Tolerances sit next to the assertions they guard.
 
 import json
 import time
-from fractions import Fraction
 from functools import lru_cache
 
 from affinehecke import (
@@ -17,12 +16,14 @@ from affinehecke import (
     is_dominant,
 )
 from affinehecke.bernstein import Bernstein
-from affinehecke.cli import main as cli_main
-from affinehecke.coeffring import LabelSet, radical_sign
+from affinehecke.cli import main as cli_main, num_obj
+from affinehecke.coeffring import LabelSet
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import PrincipalSeries
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
+
+from xi_form import to_xi
 
 # the two parametrized families are pinned at desk-scale sizes
 ALL_PRESETS = (
@@ -132,17 +133,19 @@ def test_criterion_04_positivity(capsys):
     ok = False
     try:
         for preset in ALL_PRESETS:
+            labels = tower(preset)[1]
             trace = formal_trace(preset)
             values = trace.trace_theta_partition(trace.negative_cone_points(6))
             for x, poly in values.items():
-                # evaluate at v = sqrt(2), i.e. q(s) = 2, exactly
-                a, b = poly.evaluate_split_sqrt(2)
                 if x == tuple(0 for _ in x):
-                    assert (a, b) == (Fraction(1), Fraction(0))
-                assert radical_sign(a, b, 2) > 0, (preset, x)
+                    assert poly == labels.one(), preset
+                # a nonzero element of N[xi] is positive wherever every
+                # xi_c = v_c - 1/v_c > 0, i.e. at all labels q_c > 1 at once
+                xi = to_xi(labels, poly)
+                assert xi and all(c > 0 for c in xi.terms.values()), (preset, x)
         ok = True
     finally:
-        _report(capsys, 4, "positivity at q(s) = 2, height <= 6", ok)
+        _report(capsys, 4, "tau(theta_x) a nonzero element of N[xi], height <= 6", ok)
 
 
 def test_criterion_05_orthogonality(capsys):
@@ -202,22 +205,29 @@ def test_criterion_08_spherical_formula(capsys):
             "A2": (("s1", 4), ("s2", 4), ("s0", 4)),
             "B2": (("s1", 4), ("s2", 9), ("s0", 9)),
         }
+        # `hecke-trace spherical --box 2` per seed; rational gaps are exact,
+        # the same labels in floating point stay within tolerance
         for preset, items in rational_labels.items():
-            ps = numeric_series(preset, items)
-            rank = ps.datum.rank
-            xs = [(1,)] if rank == 1 else [(1, 1), (2, 1)]
-            for seed in range(20):
-                t = ps.seeded_point(seed)
-                for x in xs:
-                    diff = ps.macdonald_value(t, x) - ps.spherical_theta_plus(t, x)
-                    assert diff == 0, (preset, seed, x)
-            # the same labels in floating point stay within tolerance
-            psc = numeric_series(preset, items, mode="complex")
-            for seed in range(20):
-                t = psc.seeded_point(seed, mode="complex")
-                for x in xs:
-                    gap = abs(psc.macdonald_value(t, x) - psc.spherical_theta_plus(t, x))
-                    assert gap <= 1e-8, (preset, seed, x, gap)
+            for mode in ("rational", "complex"):
+                ps = numeric_series(preset, items, mode)
+                xs = [[1]] if ps.datum.rank == 1 else [[1, 1], [2, 1]]
+                for seed in range(20):
+                    code = cli_main([
+                        "spherical", "--datum", preset, "--labels", json.dumps(dict(items)),
+                        "--mode", mode, "--seed", str(seed), "--box", "2",
+                    ])
+                    records = json.loads(capsys.readouterr().out)["records"]
+                    assert code == 0, (preset, mode, seed)
+                    assert not any(r["skipped"] for r in records), (preset, mode, seed)
+                    for r in records:
+                        if mode == "rational":
+                            assert r["diff"] == "0", (preset, seed, r)
+                        else:
+                            assert r["diff"] <= 1e-8, (preset, seed, r)
+                    # the criterion's own points are among those checked
+                    t = [num_obj(v) for v in ps.seeded_point(seed, mode=mode).images]
+                    assert all(r["t"] == t for r in records), (preset, mode, seed)
+                    assert all(x in [r["x"] for r in records] for x in xs), (preset, mode, seed)
         ok = True
     finally:
         _report(capsys, 8, "spherical formula vs module value, 20 seeds", ok)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import affinehecke
 from affinehecke import build_preset, datum_to_json
 from affinehecke.cli import main
 from affinehecke.principal import PrincipalSeries
-from affinehecke.rootdata import PRESET_NAMES
+from affinehecke.rootdata import MAX_ROOTS, PRESET_NAMES
 from affinehecke.tracegen import TraceGen
 
 Q4_A1 = '{"s1": 4, "s0": 4}'
@@ -654,6 +655,19 @@ def test_bad_preset_reports_the_preset_error(capsys):
     code, _, err = run(capsys, ["trace", "--datum", "E8", "--box", "1"])
     assert code == 2
     assert ", ".join(PRESET_NAMES) in err
+
+
+@pytest.mark.parametrize("datum, roots", [("BnCn(60)", 7200), ("GLn(40)", 1560)])
+def test_oversized_preset_is_refused_at_once(capsys, datum, roots):
+    # the closed-form root count is checked before any closure is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["series", "--datum", datum, "--box", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: datum {datum!r}: {datum} has {roots} roots, "
+        f"past the safety bound of {MAX_ROOTS} roots\n"
+    )
 
 
 def test_cli_import_skips_introspection_modules():

@@ -15,7 +15,6 @@ from affinehecke import (
     LaurentPoly,
     build_preset,
     exact_divide,
-    radical_sign,
 )
 from affinehecke.coeffring import (
     MAX_EXP,
@@ -28,6 +27,8 @@ from affinehecke.coeffring import (
 )
 from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.weyl import AffineWeyl
+
+from xi_form import to_xi
 
 VARS = ("u", "v")
 
@@ -134,21 +135,6 @@ def test_power_table_of_a_float_or_complex_is_plain_powers():
     assert power_table(z, 0, 2) == ([1, z, z * z], 1)
 
 
-def test_evaluate_split_sqrt():
-    # u^2 + u at u = sqrt(2): the rational and radical parts separate
-    p = LaurentPoly(("u",), {(2,): Fraction(1), (1,): Fraction(1)})
-    assert p.evaluate_split_sqrt(2) == (Fraction(2), Fraction(1))
-    q = LaurentPoly(("u",), {(-1,): Fraction(1)})  # 1/sqrt(2) = sqrt(2)/2
-    assert q.evaluate_split_sqrt(2) == (Fraction(0), Fraction(1, 2))
-
-
-def test_radical_sign():
-    assert radical_sign(Fraction(2), Fraction(1), 2) == 1
-    assert radical_sign(Fraction(-3), Fraction(2), 2) == -1  # 2*sqrt(2) < 3
-    assert radical_sign(Fraction(3), Fraction(-2), 2) == 1
-    assert radical_sign(Fraction(0), Fraction(0), 2) == 0
-
-
 def test_sorted_terms_are_canonical():
     p = LaurentPoly(VARS, {(1, 0): Fraction(2), (0, 1): Fraction(-1)})
     assert p.sorted_terms() == [((0, 1), Fraction(-1)), ((1, 0), Fraction(2))]
@@ -213,12 +199,6 @@ class RefPoly:
                 c *= x**k
             total += c
         return total
-
-    def evaluate_split_sqrt(self, r):
-        parts = [Fraction(0), Fraction(0)]
-        for e, c in self.terms.items():
-            parts[sum(e) % 2] += c * Fraction(r) ** (sum(e) // 2)
-        return tuple(parts)
 
     def exact_divide(self, other, n):
         """Clear both to polynomials, then divide in lexicographic order."""
@@ -328,7 +308,6 @@ def test_evaluation_matches_reference(drawn, values):
     n, (d,) = drawn
     p, rp = both(n, d)
     assert p.evaluate(dict(zip(NAMES, values))) == rp.evaluate(values[:n])
-    assert p.evaluate_split_sqrt(2) == rp.evaluate_split_sqrt(2)
 
 
 @given(ring_dicts(3, max_terms=4))
@@ -603,3 +582,28 @@ def test_accumulate_adds_in_place_and_drops_a_cancelled_key():
     assert out == {}
     accumulate(out, "z", p - p)  # a zero summand stores nothing
     assert out == {}
+
+
+# -- the xi form of the normalised basis ---------------------------------------
+
+
+@given(
+    st.sampled_from(("A2", "B2", "BnCn(2)")),  # one, two and three label classes
+    st.data(),
+)
+def test_to_xi_inverts_from_xi(name, data):
+    L = labels(name)
+    exps = st.tuples(*[st.integers(0, 5)] * len(L.xi_vars))
+    c = LaurentPoly(L.xi_vars, data.draw(st.dictionaries(exps, st.integers(1, 9), max_size=6)))
+    assert to_xi(L, L.from_xi(c)) == c
+
+
+def test_to_xi_refuses_what_is_not_in_z_xi():
+    L = labels("BnCn(2)")
+    v1 = LaurentPoly.monomial(L.vars, (1, 0, 0))
+    with pytest.raises(ValueError):
+        to_xi(L, v1)
+    with pytest.raises(ValueError):
+        to_xi(L, v1 + v1.inverse())  # xi + 2/v
+    with pytest.raises(ValueError):
+        to_xi(L, LaurentPoly.const(L.vars, Fraction(1, 2)))

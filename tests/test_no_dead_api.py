@@ -23,8 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "affinehecke"
 # name -> why it stays although nothing in the package calls it
 ALLOWED = {
     # paper-level API run by the acceptance criteria
-    "evaluate_split_sqrt": "criterion 04: trace values at v = sqrt(2), exactly",
-    "radical_sign": "criterion 04: the sign of a + b sqrt(2)",
     "inner_plus": "criterion 09: plus-basis orthogonality",
     "inner_plus_target": "criterion 09: the predicted plus-basis pairing",
     "eisenstein_check": "criterion 10: the truncated series identity",
@@ -43,6 +41,8 @@ ALLOWED = {
     "center_element": "orbit sums are central",
     "reassemble": "the Bernstein expansion round trip",
     # outside users
+    "exact_divide": "the division reference of criterion 01 and the ring tests, and a span "
+    "of perfbench/tracer.py",
     "obj_to_poly": "perfbench/micro.py reads its coefficient fixture with it",
     "gen_step": "perfbench/tracer.py counts its calls",
     "datum_to_json": "the documented writer of datum files (README)",

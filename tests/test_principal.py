@@ -787,3 +787,33 @@ def test_normalised_vector_raises_at_a_pole():
     assert ps.n_value((2,), singular) == 0
     with pytest.raises(PoleError):
         ps.r0_vector(ps.longest, singular)
+
+
+def memo_entries(ps):
+    """The entries each container attribute of ``ps`` holds: the size of a
+    dict or a set, the filled slots of a list."""
+    out = {}
+    for name, value in vars(ps).items():
+        if isinstance(value, (dict, set)):
+            out[name] = len(value)
+        elif isinstance(value, list):
+            out[name] = sum(v is not None for v in value)
+    return out
+
+
+def test_no_memo_grows_with_the_points_asked():
+    base = series("B2", (("s1", 4), ("s2", 9), ("s0", 9)))
+    ps = PrincipalSeries(base.bernstein, base.assignment)
+    u = ps.basis_order[1]
+
+    def ask(t, x):
+        ps.spherical_theta_plus(t, x)
+        ps.r_vector(ps.longest, t)
+        ps.bra_vector(u, t)
+
+    ask(ps.seeded_point(0), (1, 1))
+    before = memo_entries(ps)
+    for seed in range(1, 10):
+        ask(ps.seeded_point(seed), (1, 1))
+    ps.spherical_theta_plus(ps.seeded_point(0), (2, 1))
+    assert memo_entries(ps) == before

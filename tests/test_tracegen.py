@@ -11,6 +11,7 @@ from affinehecke import (
     RegionError,
     build_preset,
     derive,
+    exact_divide,
     height,
 )
 from affinehecke.bernstein import Bernstein
@@ -188,6 +189,25 @@ def test_d_coefficients_rank_one():
     d1 = q - LaurentPoly.const(L.vars, 2) + qi  # (q - 1)^2 / q
     assert trace.d_coeff((2,), 1) == d1
     assert trace.d_coeff((2,), 2) == d1 * (q + qi)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)", "BnCn(3)"],
+)
+def test_d_coeff_equals_the_quotient_it_replaces(name):
+    # the finite sum against the exact division of
+    # (B/A - 1)(1/(AB) - 1)(A^-k - A^k) by A^-2 - 1
+    trace = formal_trace(name)
+    L = trace.labels
+    one = L.one()
+    for root, _coroot in trace.derived.nonreduced_positive:
+        a, b = L.c_pair(root)
+        a_inv = a.inverse()
+        prefactor = (b * a_inv - one) * ((a * b).inverse() - one)
+        for k in range(13):
+            want = one if k == 0 else exact_divide(prefactor * (a_inv**k - a**k), a_inv**2 - one)
+            assert trace.d_coeff(root, k) == want, (name, root, k)
 
 
 def test_two_methods_agree_on_a2_sample():
