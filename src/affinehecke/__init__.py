@@ -2,8 +2,9 @@
 
 The package builds the algebra from a root datum, computes the canonical
 trace on the commutative (Bernstein) basis by two independent routes, and
-evaluates the principal-series machinery — intertwiners, matrix elements,
-spherical functions — over exact rational (or complex float) coefficients.
+evaluates the principal series — the module action, the intertwining
+elements, the spherical function and its c-function formula — over exact
+rational (or complex float) coefficients.
 
 Typical construction chain::
 
@@ -43,7 +44,7 @@ from .rootdata import (
     is_dominant,
     make_datum,
 )
-from .tracegen import PoleError, RegionError, TorusPoint, TraceGen
+from .tracegen import PoleError, TorusPoint, TraceGen
 from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "ModeError",
     "PoleError",
     "PrincipalSeries",
-    "RegionError",
     "RootDatum",
     "RootSystemError",
     "SupportError",

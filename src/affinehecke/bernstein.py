@@ -8,7 +8,7 @@ the sum of positive roots that makes y dominant, and
 x is itself dominant.
 
 Everything downstream (the commutation relation with the generators, the
-center as orbit sums, the expansion of arbitrary elements over pairs
+star involution on the basis, the expansion of arbitrary elements over pairs
 ``T_w theta(x)``) is built from that one constructor.  The expansion uses the
 same move the other way: it reads its shift off the element, the least
 multiple of 2rho that takes the W0-orbits of the translations in its support
@@ -19,36 +19,14 @@ from __future__ import annotations
 
 from operator import mul
 
-from .coeffring import LaurentPoly, accumulate
+from .coeffring import LaurentPoly
 from .hecke import HeckeAlgebra, HeckeElem
-from .rootdata import Vec, dominant_decomposition, vadd, vneg, vscale, vsub
+from .rootdata import Vec, dominant_decomposition, vneg, vscale, vsub
 from .weyl import FiniteWeylElem
 
 
 class BoxError(ValueError):
     """Raised when a shifted expansion has a term off the dominant range."""
-
-
-class GroupAlgebraElem:
-    """An element of the commutative subalgebra, in exponent coordinates."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Vec, LaurentPoly]):
-        self.terms = {x: c for x, c in terms.items() if c}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAlgebraElem) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"GroupAlgebraElem({len(self.terms)} terms)"
-
-    def mul(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
-        out: dict[Vec, LaurentPoly] = {}
-        for x, c in self.terms.items():
-            for y, d in other.terms.items():
-                accumulate(out, vadd(x, y), c * d)
-        return GroupAlgebraElem(out)
 
 
 class Bernstein:
@@ -60,14 +38,12 @@ class Bernstein:
         self.labels = hecke.labels
         self.datum = hecke.weyl.datum
         self._theta_cache: dict[Vec, HeckeElem] = {}
-        # integer forms of the simple coroots, and of their W0-images: since
-        # <w x, b> = <x, w^{-1} b>, the orbit of x is dominant after adding
-        # n * 2rho exactly when <x, c> >= -2n for every image c
-        # (see _orbit_shift)
-        simple = self.datum.simple_coroots
-        images = set().union(*(self.weyl.coroot_orbit(b) for b in simple))
-        self._simple_forms = [self.weyl._form(b) for b in simple]
-        self._orbit_forms = sorted(self.weyl._form(c) for c in images)
+        # integer forms of the simple coroots, and of their W0-images, which
+        # are all the coroots: since <w x, b> = <x, w^{-1} b>, the orbit of x
+        # is dominant after adding n * 2rho exactly when <x, c> >= -2n for
+        # every coroot c (see _orbit_shift)
+        self._simple_forms = [self.weyl._form(b) for b in self.datum.simple_coroots]
+        self._orbit_forms = sorted(self.weyl._form(c) for c in self.datum.coroots)
 
     # -- the basis -----------------------------------------------------------
 
@@ -89,10 +65,6 @@ class Bernstein:
         out = H.scale(out, labels.delta_sqrt(vneg(y)) * labels.delta_sqrt(z))
         self._theta_cache[x] = out
         return out
-
-    def embed(self, a: GroupAlgebraElem) -> HeckeElem:
-        H = self.hecke
-        return H.add(*(H.scale(self.theta(x), c) for x, c in a.terms.items()))
 
     # -- the commutation relation --------------------------------------------
 
@@ -137,12 +109,6 @@ class Bernstein:
         the non-reduced extension."""
         a, b = self.labels.c_pair(alpha)
         return (a * b).inverse() - self.labels.one(), a.inverse() - b.inverse()
-
-    # -- the center ----------------------------------------------------------
-
-    def center_element(self, x: Vec) -> HeckeElem:
-        """The orbit sum over the finite Weyl orbit of x: a central element."""
-        return self.hecke.add(*(self.theta(y) for y in self.weyl.orbit(tuple(x))))
 
     # -- the star involution on the basis --------------------------------------
 
@@ -197,20 +163,9 @@ class Bernstein:
 
     def _orbit_shift(self, ys) -> int:
         """``dominant_shift`` of the W0-orbits of ``ys``, read from the forms
-        of the simple coroots' W0-images with no orbit formed."""
+        of the coroots (the simple coroots' W0-images) with no orbit formed."""
         n = 0
         for y in ys:
             for f in self._orbit_forms:
                 n = max(n, -(sum(map(mul, f, y)) // 2))  # ceil(-<y, c> / 2)
         return n
-
-    def reassemble(
-        self, coords: dict[tuple[FiniteWeylElem, Vec], LaurentPoly]
-    ) -> HeckeElem:
-        """Inverse of :meth:`expand_in_bernstein`: sum of c * T_w theta(x)."""
-        H = self.hecke
-        return H.add(*(
-            H.scale(H.mul(H.basis(self.weyl.as_affine(w)), self.theta(x)), c)
-            for (w, x), c in coords.items()
-        ))
-

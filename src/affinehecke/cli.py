@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import errno
+import itertools
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .rootdata import (
     is_dominant,
     vneg,
 )
-from .tracegen import PoleError, RegionError, TorusPoint, TraceGen
+from .tracegen import PoleError, TorusPoint, TraceGen
 from .weyl import AffineWeyl
 
 EXIT_OK = 0
@@ -198,15 +199,24 @@ def num_obj(v):
 
 
 def emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write the report as sorted, indented JSON and a newline.  The text is
+    streamed in pieces of a few thousand encoder chunks, so no copy of the
+    whole report is held and the stream sees few writes."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _stream(obj, fh)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out!r}: {exc}")
     else:
-        sys.stdout.write(text)
+        _stream(obj, sys.stdout)
+
+
+def _stream(obj: dict, fh) -> None:
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        fh.write(piece)
+    fh.write("\n")
 
 
 def check_out(out: str | None) -> None:
@@ -574,9 +584,6 @@ def main(argv=None) -> int:
     try:
         check_out(args.out)
         return args.func(args)
-    except RegionError as exc:
-        print(f"error: torus point outside the stated domain: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OverflowError as exc:
         # ExponentOverflowError, or a float that left its range in complex mode
         if args.mode == "complex" and not isinstance(exc, ExponentOverflowError):

@@ -152,11 +152,6 @@ class LaurentPoly:
         return _make(variables, {}, 0)
 
     @staticmethod
-    def const(variables: tuple[str, ...], c) -> "LaurentPoly":
-        c = _ratio(c)
-        return _make(variables, {0: c} if c else {}, 0)
-
-    @staticmethod
     def one(variables: tuple[str, ...]) -> "LaurentPoly":
         return _make(variables, {0: 1}, 0)
 
@@ -594,13 +589,6 @@ class LabelSet:
         v-exponents ``sum_beta <x, beta^vee> * halfexp(q_{beta^vee})`` over
         the positive non-reduced extension, i.e. ``<x, F_c>`` per variable."""
         return self._mono(tuple(sum(map(mul, f, x)) for f in self._delta_forms))
-
-    def poincare(self, elems) -> LaurentPoly:
-        """Sum of ``q(w)`` over a collection of finite elements."""
-        out = self.zero()
-        for w in elems:
-            out = out + self.q_of_fin(w)
-        return out
 
     # -- the normalised basis ------------------------------------------------
     #

@@ -8,8 +8,8 @@ sums and products work on ids, and elements are converted only at the edge
 
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
-time; everything else (the star anti-involution, the trace, the inner
-product, basis inverses) reduces to one fold of generator steps.  The fold
+time; everything else (the star anti-involution, the trace, basis
+inverses) reduces to one fold of generator steps.  The fold
 has two step rules.  The ``q`` rule works on the T-basis:
 
     T_u * T_s = T_{us}                     if l(us) = l(u) + 1
@@ -268,23 +268,6 @@ class HeckeAlgebra:
         """The trace: the coefficient of the identity."""
         c = self.coeff(a, self.weyl.identity)
         return c if c is not None else self.labels.zero()
-
-    def tau_pair(self, a: HeckeElem, b: HeckeElem):
-        """tau(a*b) evaluated through the basis-orthogonality rule
-        tau(T_g T_h) = q(g) [h = g^{-1}]; no product is formed."""
-        weyl = self.weyl
-        labels = self.labels
-        out = labels.zero()
-        for u, c in a.terms.items():
-            d = b.terms.get(weyl.inverse_id(u))
-            if d is not None:
-                out = out + c * d * labels.q_of_w(weyl.elem(u))
-        return out
-
-    def inner(self, a: HeckeElem, b: HeckeElem):
-        """Hermitian inner product tau(star(a) * b); the T-basis is
-        orthogonal with squared norm q(g) (exact, since q(g^{-1}) = q(g))."""
-        return self.tau_pair(self.star(a), b)
 
     # -- inverses ------------------------------------------------------------
 

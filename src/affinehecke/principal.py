@@ -5,26 +5,22 @@ characters given by torus points; inducing such a character up to the full
 algebra yields a module of dimension equal to the order of the finite Weyl
 group.  This module realises that module concretely: every algebra element
 acts by a square matrix over the finite Hecke basis (exact rationals when the
-labels and the torus point are rational, complex floats otherwise).  The
-finite Hecke algebra needs no engine of its own: left multiplication by a
-finite basis element ``T_w`` is the module action of ``T_w``, the same at
-every torus point, and products of finite-Hecke vectors, the longest element
-in the matrix-element pairing and the intertwining operators all read it.
+labels and the torus point are rational, complex floats otherwise).
 
-On top of the bare module action this file provides
+It provides what the ``spherical`` and ``verify`` commands read:
 
-* intertwining elements for the simple reflections, with their squares and
-  braid products available symbolically,
-* the recursively built intertwining vectors ``r_w(t)`` together with their
-  normalisations and the scalar factors controlling them,
-* the sesquilinear pairing and the associated matrix elements,
-* the spherical functional, its c-function series formula, and the
-  plus-idempotent orthogonality identities in cleared (denominator-free)
-  polynomial form; a spherical value acts only on the spherical vector, so it
-  takes one Bernstein expansion of ``h·sym`` (``sym`` the sum of the finite
-  basis) rather than one per finite basis vector, and
-* a truncated check of the series identity relating the generating functional
-  of the trace to the distinguished matrix element.
+* the module action of an element, as a torus-independent Bernstein
+  expansion (:meth:`PrincipalSeries.symbolic_action`) and its matrix at a
+  torus point (:meth:`PrincipalSeries.laplace_matrix`),
+* the intertwining elements of the simple reflections, in left and right
+  form, their words and their squares, for the ``braid-intertwiner`` suite,
+* the numeric normalisation and root-product factors of the intertwiners,
+  which keep seeded torus points away from their zeros and poles,
+* the spherical functional on the spherical Bernstein element, computed
+  through the module and by the c-function series formula; it acts only on
+  the spherical vector, so it takes one Bernstein expansion of ``h·sym``
+  (``sym`` the sum of the finite basis) rather than one per finite basis
+  vector.
 
 The value on the spherical Bernstein element, which the ``spherical`` report
 checks against the c-function formula, folds numbers when the labels and the
@@ -40,10 +36,9 @@ All torus points are numeric; identities in the torus variable are verified
 on seeded random points rather than over a field of rational functions.
 
 Nothing is memoised per torus point or lattice point, so the memos stay
-bounded however many points are asked: the left matrices of the finite basis
-(``|W0|`` at most), the inversion sets per finite element, the intertwiner
-actions per simple reflection, and one slot each for the symmetrizer, the
-algebra over the label values and the c-values of the last point asked.
+bounded however many points are asked: the inversion sets per finite element,
+and one slot each for the symmetrizer, the algebra over the label values and
+the c-values of the last point asked.
 """
 
 from __future__ import annotations
@@ -52,9 +47,9 @@ import random
 from fractions import Fraction
 
 from .bernstein import Bernstein
-from .coeffring import LaurentPoly, _unpack, accumulate, power_table
+from .coeffring import LaurentPoly, _unpack, power_table
 from .hecke import HeckeAlgebra, HeckeElem
-from .rootdata import Vec, height, is_dominant, vadd, vneg, vscale
+from .rootdata import Vec, is_dominant, vneg, vscale
 from .tracegen import PoleError, TorusPoint, TraceGen
 from .weyl import FiniteWeylElem
 
@@ -71,13 +66,6 @@ def _half(x: Vec) -> Vec | None:
     if any(v % 2 for v in x):
         return None
     return tuple(v // 2 for v in x)
-
-
-# -- small exact linear algebra (lists of lists; sizes are |W0| at most) ------
-
-
-def mat_vec(m: list[list], v: list) -> list:
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in m]
 
 
 def _finite_sum(H: HeckeAlgebra, basis_order: list) -> HeckeElem:
@@ -107,11 +95,12 @@ def _monomial_values(exps: list[Vec], point) -> tuple[list, object]:
 
 
 class PrincipalSeries:
-    """Module actions, intertwiners, and matrix elements over one algebra.
+    """Module actions, intertwiners and the spherical functional over one
+    algebra.
 
     ``assignment`` (variable name -> numeric value) enables the numeric
-    operations; the symbolic constructions (intertwining elements, cleared
-    plus-idempotent identities) work without it.
+    operations; the symbolic constructions (intertwining elements, the
+    cleared spherical Bernstein element) work without it.
     """
 
     def __init__(self, bernstein: Bernstein, assignment: dict | None = None):
@@ -145,11 +134,9 @@ class PrincipalSeries:
             ]
             self._p0_val = sum(self._q_fin_vals)
 
-        # memos bounded by the datum (per finite basis element, finite element
-        # or simple reflection) or holding one slot; none is keyed by a point
-        self._left: list[list[list] | None] = [None] * self.dim
+        # memos bounded by the datum (per finite element) or holding one
+        # slot; none is keyed by a point
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
-        self._rs_action: dict[int, list] = {}
         self._sym_elem: HeckeElem | None = None
         self._exact_tower: tuple[Bernstein, HeckeElem] | None = None
         self._c_values: tuple | None = None
@@ -167,45 +154,11 @@ class PrincipalSeries:
     def _val(self, poly: LaurentPoly):
         return poly.evaluate(self._need_numeric())
 
-    def p0_value(self):
-        self._need_numeric()
-        return self._p0_val
-
-    # -- the finite Hecke algebra inside the module --------------------------
-
-    def left_matrix(self, j: int) -> list[list]:
-        """Matrix of left multiplication by the j-th finite basis element
-        ``T_w`` on the finite basis: its module action.  ``T_w`` has no
-        translation part, so the matrix is the same at every torus point and
-        is read at the identity point."""
-        m = self._left[j]
-        if m is None:
-            one = TorusPoint((1,) * self.weyl.rank)
-            m = self.laplace(self.hecke.basis(self.weyl.as_affine(self.basis_order[j])), one)
-            self._left[j] = m
-        return m
-
-    def h0_product(self, a: list, b: list) -> list:
-        """Product ``a·b`` of two finite-Hecke elements given by coefficient
-        vectors: the sum of ``a_j T_j·b``."""
-        out = [0] * self.dim
-        for j, c in enumerate(a):
-            if c == 0:
-                continue
-            col = mat_vec(self.left_matrix(j), b)
-            for k in range(self.dim):
-                out[k] += c * col[k]
-        return out
-
-    def unit_vector(self) -> list:
-        vec = [0] * self.dim
-        vec[0] = 1
-        return vec
-
     # -- module action -------------------------------------------------------
 
     def symbolic_action(
-        self, h: HeckeElem, vectors: list[HeckeElem] | None = None
+        self, h: HeckeElem, vectors: list[HeckeElem] | None = None,
+        bernstein: Bernstein | None = None,
     ) -> list[list[tuple[int, Vec, LaurentPoly]]]:
         """Torus-independent description of ``h`` acting on module vectors.
 
@@ -215,16 +168,15 @@ class PrincipalSeries:
         ``j`` is the Bernstein expansion of ``h * vectors[j]`` as triples
         (row, lattice point, label coefficient).  Both the expansion and
         :meth:`laplace_matrix` are linear, so the column of a sum of basis
-        vectors is the sum of their columns.
+        vectors is the sum of their columns.  The product and the expansion
+        run in the algebra of ``bernstein`` (by default this one's); over
+        exact label values the coefficients are numbers.
         """
-        if vectors is None:
-            vectors = [self.hecke.basis(self.weyl.as_affine(v)) for v in self.basis_order]
-        return self._expand_columns(self.bernstein, h, vectors)
-
-    def _expand_columns(self, bernstein: Bernstein, h: HeckeElem, vectors: list) -> list:
-        """The columns of :meth:`symbolic_action`, computed in the algebra of
-        ``bernstein``; over exact label values the coefficients are numbers."""
+        if bernstein is None:
+            bernstein = self.bernstein
         H = bernstein.hecke
+        if vectors is None:
+            vectors = [H.basis(self.weyl.as_affine(v)) for v in self.basis_order]
         out = []
         for vec in vectors:
             coords = bernstein.expand_in_bernstein(H.mul(h, vec))
@@ -282,10 +234,6 @@ class PrincipalSeries:
             for row, s in sums.items():
                 m[row][col] = s / den
         return m
-
-    def laplace(self, h: HeckeElem, t: TorusPoint) -> list[list]:
-        """Matrix of ``h`` acting on the module attached to ``t``."""
-        return self.laplace_matrix(self.symbolic_action(h), t)
 
     # -- intertwining elements (symbolic) ------------------------------------
 
@@ -393,42 +341,7 @@ class PrincipalSeries:
             out *= 1 - t.value(vneg(beta))
         return out
 
-    def delta_value(self, t: TorusPoint):
-        """Product of (1 - t at the negated root) over all positive
-        non-multipliable roots."""
-        return self.delta_w_value(self.longest, t)
-
-    def d_w_value(self, w: FiniteWeylElem, t: TorusPoint):
-        return self.n_w_value(w, t) * self.n_w_value(w, t.inv())
-
-    # -- intertwining vectors ------------------------------------------------
-
-    def _intertwiner_action(self, i: int) -> list:
-        act = self._rs_action.get(i)
-        if act is None:
-            act = self.symbolic_action(self.intertwiner_element(i))
-            self._rs_action[i] = act
-        return act
-
-    def r_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
-        """Image of the identity basis vector under the intertwiner product
-        along the canonical reduced word for ``w``."""
-        vec = self.unit_vector()
-        for i in reversed(self.weyl.fin_word(w)):
-            vec = mat_vec(self.laplace_matrix(self._intertwiner_action(i), t), vec)
-        return vec
-
-    def r0_vector(self, w: FiniteWeylElem, t: TorusPoint) -> list:
-        """Normalised intertwining vector; defined only away from the zero
-        locus of the normalisation factor."""
-        n = self.n_w_value(w, t)
-        if n == 0:
-            raise PoleError(f"normalisation factor vanishes at {t} for {w}")
-        if isinstance(n, int):
-            n = Fraction(n)
-        return [c / n for c in self.r_vector(w, t)]
-
-    # -- pairing and matrix elements -----------------------------------------
+    # -- pairing -------------------------------------------------------------
 
     def pair(self, x: list, y: list):
         """Sesquilinear pairing: conjugate-linear in the first argument,
@@ -439,53 +352,6 @@ class PrincipalSeries:
             if x[j] != 0 and y[j] != 0:
                 out += _conj(x[j]) * self._q_fin_vals[j] * y[j]
         return out
-
-    def bra_vector(self, u: FiniteWeylElem, t: TorusPoint) -> list:
-        """Left vector of the matrix-element pairing: the longest element
-        acting on the intertwining vector at the conjugate-inverse point."""
-        r = self.r_vector(self.weyl.fin_mul(self.longest, u), t.conj().inv())
-        return mat_vec(self.left_matrix(self.index[self.longest]), r)
-
-    def matrix_element(self, u: FiniteWeylElem, v: FiniteWeylElem, t: TorusPoint, action: list):
-        """Pairing of the ``u``-side left vector against an element, given by
-        its :meth:`symbolic_action`, applied to the ``v``-side intertwining
-        vector."""
-        m = self.laplace_matrix(action, t)
-        return self.pair(self.bra_vector(u, t), mat_vec(m, self.r_vector(v, t)))
-
-    def E_value(self, t: TorusPoint, action: list):
-        """The distinguished matrix element (both indices at the identity)."""
-        e = self.basis_order[0]
-        return self.matrix_element(e, e, t, action)
-
-    def intertwiner_operator(self, w: FiniteWeylElem, t: TorusPoint) -> list[list]:
-        """Matrix of the module map attached to ``w`` from the module at ``t``
-        to the module at ``w(t)``: right multiplication by the intertwining
-        vector ``r`` of the inverse element evaluated at ``w(t)``, so column
-        ``j`` is ``T_j·r``."""
-        winv = self.weyl.fin_inv(w)
-        wt = t.apply_w(self.weyl, w)
-        r = self.r_vector(winv, wt)
-        cols = [mat_vec(self.left_matrix(j), r) for j in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
-
-    def matrix_element_shift(
-        self, u: FiniteWeylElem, v: FiniteWeylElem, i: int, t: TorusPoint, action: list
-    ):
-        """Both sides of the index-shift identity for matrix elements,
-        specialised to the i-th simple reflection.  Only the simple case is
-        provided; the general shift is out of scope."""
-        s = self.weyl.simple_reflections[i]
-        st = t.apply_w(self.weyl, s)
-        us = self.weyl.fin_mul(u, s)
-        vs = self.weyl.fin_mul(v, s)
-        lhs = self.matrix_element(u, v, t, action)
-        num = self.n_w_value(v, t) * self.n_w_value(us, st)
-        den = self.n_w_value(u, t) * self.n_w_value(vs, st)
-        if den == 0:
-            raise PoleError("normalisation factor vanishes in the shift ratio")
-        rhs = (num / den) * self.matrix_element(us, vs, st, action)
-        return lhs, rhs
 
     # -- spherical functional ------------------------------------------------
 
@@ -504,27 +370,11 @@ class PrincipalSeries:
             self._exact_tower = (Bernstein(H), _finite_sum(H, self.basis_order))
         return self._exact_tower
 
-    def t0_plus_vector(self) -> list:
-        """The normalised plus idempotent as a module vector."""
-        p0 = self.p0_value()
-        return [1 / p0] * self.dim
-
-    def spherical(self, t: TorusPoint, h: HeckeElem):
-        """The spherical functional: plus-idempotent matrix coefficient,
-        normalised to take value one at the unit element.
-
-        It reads ``pair(1, h·1) / p0`` with ``1`` the spherical vector (the
-        all-ones coordinates of :meth:`symmetrizer`), so only ``h·1`` is
-        needed: one Bernstein expansion of ``h·sym`` rather than one per
-        finite basis vector.  The product ``h·sym`` is formed as it stands,
-        not through ``h·sym = P(q)·h`` for an invariant ``h``, so the value
-        stays independent of the formula it is checked against.
-        """
-        return self._spherical_of(self.symbolic_action(h, [self.symmetrizer()]), t)
-
     def _spherical_of(self, sym_action: list, t: TorusPoint):
-        """:meth:`spherical` from the one-column action on the spherical
-        vector."""
+        """The spherical functional, normalised to take value one at the unit
+        element, from the one-column action of ``h`` on the spherical vector:
+        ``pair(1, h·1) / p0``, with ``1`` the all-ones coordinates of
+        :meth:`symmetrizer`."""
         col = [row[0] for row in self.laplace_matrix(sym_action, t)]
         return self.pair([1] * self.dim, col) / self._p0_val
 
@@ -554,23 +404,7 @@ class PrincipalSeries:
         else:
             bernstein, sym = self.bernstein, self.symmetrizer()
             elem = self.theta_plus_cleared(x)
-        return self._expand_columns(bernstein, elem, [sym])
-
-    def theta_plus(self, x: Vec) -> HeckeElem:
-        """The spherical Bernstein basis element at a dominant point, with
-        numeric (exact rational) coefficients."""
-        asg = self._need_numeric()
-        if not self._exact_labels:
-            raise ModeError("the spherical basis needs exact rational labels")
-        cleared = self.theta_plus_cleared(x)
-        p0sq = self._p0_val ** 2
-        vars_ = self.labels.vars
-        terms = {}
-        for u, c in cleared.terms.items():
-            value = Fraction(c.evaluate(asg)) / p0sq
-            if value:
-                terms[u] = LaurentPoly.const(vars_, value)
-        return HeckeElem(terms)
+        return self.symbolic_action(elem, [sym], bernstein)
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
@@ -607,91 +441,6 @@ class PrincipalSeries:
             ]
             self._c_values = (t.images, pairs)
         return self._c_values[1]
-
-    # -- plus-idempotent identities in cleared form --------------------------
-
-    def theta_plus_lines(self, x: Vec) -> tuple[HeckeElem, HeckeElem, HeckeElem]:
-        """Three expressions for the (cleared) spherical Bernstein element:
-        the double-symmetrised translation, its contraction to minimal coset
-        representatives, and the fully expanded double-coset sum.  All three
-        are equal; each is the cleared element without the square-root
-        modulus prefactor."""
-        x = tuple(x)
-        if not is_dominant(self.datum, x):
-            raise ValueError(f"{x} is not dominant")
-        H = self.hecke
-        weyl = self.weyl
-        stab, reps, _w_x, w_up = weyl.coset_data(x)
-        tx = weyl.translation(x)
-        sym = self.symmetrizer()
-        line1 = H.mul(H.mul(sym, H.basis(tx)), sym)
-        px = self.labels.poincare(stab)
-        partial = H.add(*(H.basis(weyl.as_affine(u)) for u in reps))
-        line2 = H.scale(H.mul(H.mul(partial, H.basis(tx)), sym), px)
-        coeff = self.labels.q_of_fin(w_up) * px
-        terms: dict[int, LaurentPoly] = {}
-        for u in reps:
-            left = weyl.multiply(weyl.as_affine(u), tx)
-            for v in self.basis_order:
-                accumulate(terms, weyl.gid(weyl.multiply(left, weyl.as_affine(v))), coeff)
-        line3 = HeckeElem(terms)
-        return line1, line2, line3
-
-    def inner_plus(self, x: Vec, y: Vec) -> LaurentPoly:
-        """Cleared pairing of two spherical Bernstein elements: the pairing of
-        the double-symmetrised forms, i.e. the normalised pairing multiplied
-        by the fourth power of the finite Poincare series."""
-        a = self.theta_plus_cleared(tuple(x))
-        b = self.theta_plus_cleared(tuple(y))
-        return self.hecke.inner(a, b)
-
-    def inner_plus_target(self, x: Vec, y: Vec) -> LaurentPoly:
-        """Predicted value of :meth:`inner_plus`: zero off the diagonal; on
-        the diagonal the label of the complementary coset representative
-        times the stabiliser Poincare series times the square of the full
-        one."""
-        x = tuple(x)
-        y = tuple(y)
-        if x != y:
-            return self.labels.zero()
-        stab, _reps, _w_x, w_up = self.weyl.coset_data(x)
-        p0 = self.labels.poincare(self.basis_order)
-        px = self.labels.poincare(stab)
-        return p0 * p0 * px * self.labels.q_of_fin(w_up)
-
-    # -- truncated series identity -------------------------------------------
-
-    def eisenstein_check(self, t: TorusPoint, h: HeckeElem, box_radius: int, action: list):
-        """Truncated check of the series identity: the scalar product of the
-        generating functional against ``h``, scaled by the full intertwiner
-        square factor, against the distinguished matrix element scaled by the
-        inverse-point root product.  ``action`` is the
-        :meth:`symbolic_action` of ``h``.  Returns (lhs, rhs, gap)."""
-        asg = self._need_numeric()
-        self.trace.check_region(t)
-        dd = self.d_w_value(self.longest, t)
-        delta_inv = self.delta_value(t.inv())
-        if dd == 0:
-            raise PoleError("the intertwiner square factor vanishes at this point")
-        rhs = delta_inv * self.E_value(t, action)
-
-        coords = self.bernstein.expand_in_bernstein(h)
-        ys = {x for (_w, x) in coords}
-        xs: set[Vec] = set()
-        for y in ys:
-            bound = box_radius - height(self.datum, y)
-            if bound < 0:
-                continue
-            for p in self.trace.negative_cone_points(int(bound)):
-                xs.add(vadd(vneg(y), p))
-        total = 0
-        for x in sorted(xs, key=lambda v: (height(self.datum, vneg(v)), v)):
-            tau = self.hecke.tau_pair(self.bernstein.theta(x), h)
-            if not tau:
-                continue
-            total += t.value(vneg(x)) * tau.evaluate(asg)
-        lhs = dd * total
-        return lhs, rhs, abs(lhs - rhs)
 
     # -- seeded torus points -------------------------------------------------
 

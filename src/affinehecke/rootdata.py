@@ -21,6 +21,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 Vec = tuple[int, ...]
 
@@ -96,12 +97,17 @@ def solve(a, b=()):
     return rank, x
 
 
-def solve_columns(cols, x: Vec) -> tuple[Fraction, ...] | None:
-    """The coefficients ``c`` with ``sum_j c_j * cols[j] = x``, with free
-    ones set to 0; None if there are none."""
-    a = [[col[i] for col in cols] for i in range(len(x))]
-    _, sol = solve(a, [[v] for v in x])
-    return None if sol is None else tuple(row[0] for row in sol)
+def solve_columns(cols, xs: list[Vec]) -> list[tuple[Fraction, ...]] | None:
+    """For each ``x`` in ``xs``, the coefficients ``c`` with
+    ``sum_j c_j * cols[j] = x``, with free ones set to 0; None if some ``x``
+    has none.  One elimination, with a right-hand side column per ``x``."""
+    if not xs:
+        return []
+    a = [[col[i] for col in cols] for i in range(len(xs[0]))]
+    _, sol = solve(a, [list(row) for row in zip(*xs)])
+    if sol is None:
+        return None
+    return [tuple(row[j] for row in sol) for j in range(len(xs))]
 
 
 def int_inverse(mat) -> tuple[Vec, ...] | None:
@@ -215,11 +221,14 @@ def generate_roots(
             raise RootSystemError("root system is not reduced")
         if pair(r, found[r]) != 2:
             raise RootSystemError("closure produced a bad root/coroot pair")
-    # full closure check under all (not just simple) reflections
+    # full closure check under all (not just simple) reflections; <s, b> is
+    # the dot product of s with the integer form P . b, and a reflection
+    # fixes every root orthogonal to its coroot
     for r in roots:
-        br = found[r]
+        form = tuple(sum(p * bj for p, bj in zip(row, found[r])) for row in pairing)
         for s in roots:
-            if vsub(s, vscale(pair(s, br), r)) not in root_set:
+            n = sum(map(mul, s, form))
+            if n and vsub(s, vscale(n, r)) not in root_set:
                 raise RootSystemError("root set is not closed under its reflections")
     return roots, coroots
 
@@ -309,7 +318,8 @@ class DerivedRoots:
         outside the rational span of the roots."""
         if x in self._coord_cache:
             return self._coord_cache[x]
-        coords = solve_columns(datum.simple_roots, x)
+        sol = solve_columns(datum.simple_roots, [x])
+        coords = None if sol is None else sol[0]
         self._coord_cache[x] = coords
         return coords
 
@@ -320,12 +330,12 @@ def derive(datum: RootDatum) -> DerivedRoots:
     root = dict(zip(datum.coroots, datum.roots))
     cache: dict[Vec, tuple[Fraction, ...] | None] = {}
 
+    all_coords = solve_columns(datum.simple_roots, datum.roots)
+    if all_coords is None:
+        raise RootSystemError("a root lies outside the span of the simple roots")
     positive = []
-    for r in datum.roots:
-        coords = solve_columns(datum.simple_roots, r)
+    for r, coords in zip(datum.roots, all_coords):
         cache[r] = coords
-        if coords is None:
-            raise RootSystemError("a root lies outside the span of the simple roots")
         if any(c.denominator != 1 for c in coords):
             raise RootSystemError("a root has non-integral simple-root coordinates")
         if all(c >= 0 for c in coords):

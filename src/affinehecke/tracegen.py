@@ -16,8 +16,7 @@ Their agreement is the content of the generating-function identity
 
     sum_x tau(theta_x) t(-x) = 1 / (q(w0) c(t) c(t^{-1})),
 
-whose numeric truncations `generating_check` evaluates inside the region
-|t(alpha)| < delta^{-1/2}(alpha) (all positive roots, strictly).
+whose right side the numeric c-functions below evaluate.
 """
 
 from __future__ import annotations
@@ -35,11 +34,6 @@ from .weyl import FiniteWeylElem
 
 class PoleError(ArithmeticError):
     """A c-function denominator vanished at the given torus point."""
-
-
-class RegionError(ValueError):
-    """The torus point is outside (or on the boundary of) the region where
-    the generating series converges."""
 
 
 class TorusPoint:
@@ -70,11 +64,6 @@ class TorusPoint:
 
     def inv(self) -> "TorusPoint":
         return TorusPoint(tuple(1 / v for v in self.images))
-
-    def conj(self) -> "TorusPoint":
-        return TorusPoint(tuple(
-            v.conjugate() if isinstance(v, complex) else v for v in self.images
-        ))
 
     def apply_w(self, weyl, w: FiniteWeylElem) -> "TorusPoint":
         """The point w(t), acting by (w t)(x) = t(w^{-1} x)."""
@@ -301,18 +290,7 @@ class TraceGen:
     def delta_sqrt_value(self, x: Vec):
         return self.labels.delta_sqrt(tuple(x)).evaluate(self._need_assignment())
 
-    # -- the generating identity ----------------------------------------------
-
-    def check_region(self, t: TorusPoint) -> None:
-        """Require |t(a)| < delta^{-1/2}(a) strictly on every positive root."""
-        for alpha in self.derived.positive_roots:
-            bound = self.delta_sqrt_value(alpha)
-            val = abs(t.value(alpha))
-            if not val * bound < 1:
-                raise RegionError(
-                    f"torus point is outside the convergence region at root "
-                    f"{alpha}: |t| = {val}, bound = 1/{bound}"
-                )
+    # -- the negative cone ----------------------------------------------------
 
     def negative_cone_points(self, radius: int) -> list[Vec]:
         """All x in the negative cone with height(-x) <= radius, sorted by
@@ -326,24 +304,3 @@ class TraceGen:
         ]
         out.sort(key=lambda x: (height(self.datum, vneg(x)), x))
         return out
-
-    def generating_check(self, t: TorusPoint, box_radius: int):
-        """Truncated left side vs closed-form right side of the generating
-        identity; returns (lhs_partial, rhs, gap)."""
-        asg = self._need_assignment()
-        self.check_region(t)
-        lhs = None
-        for x, tau in self.trace_theta_partition(self.negative_cone_points(box_radius)).items():
-            term = tau.evaluate(asg) * t.value(vneg(x))
-            lhs = term if lhs is None else lhs + term
-        if lhs is None:
-            lhs = Fraction(0)
-        c_t = self.c_full(t)
-        c_ti = self.c_full(t.inv())
-        denom = self.q_w0_value() * c_t * c_ti
-        if denom == 0:
-            raise PoleError("right side has a vanishing denominator")
-        rhs = 1 / denom
-        gap = abs(lhs - rhs)
-        return lhs, rhs, gap
-

@@ -246,10 +246,11 @@ class AffineWeyl:
         best: Vec | None = None
         best_coords: tuple[Fraction, ...] | None = None
         candidates: list[tuple[Vec, tuple[Fraction, ...]]] = []
-        for b in self.derived.positive_coroots:
-            coords = solve_columns(self.datum.simple_coroots, b)
-            if coords is None:
-                raise RootSystemError("coroot outside span of simple coroots")
+        coroots = self.derived.positive_coroots
+        all_coords = solve_columns(self.datum.simple_coroots, coroots)
+        if all_coords is None:
+            raise RootSystemError("coroot outside span of simple coroots")
+        for b, coords in zip(coroots, all_coords):
             support = {i for i, c in enumerate(coords) if c != 0}
             if support <= set(comp):
                 candidates.append((b, coords))
@@ -593,11 +594,7 @@ class AffineWeyl:
             frontier = nxt
         return [self.elem(u) for u in order]
 
-    # -- orbits and cosets ---------------------------------------------------
-
-    def orbit(self, x: Vec) -> list[Vec]:
-        """The finite Weyl orbit of a lattice point, in a stable order."""
-        return sorted({w.apply_x(tuple(x)) for w in self.enumerate_w0()})
+    # -- orbits --------------------------------------------------------------
 
     def coroot_orbit(self, b: Vec) -> set[Vec]:
         """The finite Weyl orbit of a vector of Y, closed under the simple
@@ -612,28 +609,6 @@ class AffineWeyl:
                     orbit.add(nxt)
                     frontier.append(nxt)
         return orbit
-
-    def coset_data(
-        self, x: Vec
-    ) -> tuple[list[FiniteWeylElem], list[FiniteWeylElem], FiniteWeylElem, FiniteWeylElem]:
-        """Stabiliser data for a point ``x`` in X.
-
-        Returns ``(W_x, W^x, w_x, w^x)``: the stabiliser of ``x``, the
-        minimal-length coset representatives of ``W0 / W_x``, the longest
-        stabiliser element, and ``w^x = w0 w_x``.
-        """
-        x = tuple(x)
-        order = self.enumerate_w0()
-        stab = [w for w in order if w.apply_x(x) == x]
-        best: dict[Vec, FiniteWeylElem] = {}
-        for w in order:  # BFS order: first hit per orbit point is shortest
-            key = w.apply_x(x)
-            if key not in best:
-                best[key] = w
-        reps = sorted(best.values(), key=lambda w: (len(self.fin_word(w)), self.fin_word(w)))
-        w_x = stab[-1]  # BFS order puts the longest stabiliser element last
-        w_up = self.fin_mul(self.longest_element(), w_x)
-        return stab, reps, w_x, w_up
 
     # -- serialization -------------------------------------------------------
 

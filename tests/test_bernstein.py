@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from affinehecke import BoxError, build_preset
 from affinehecke import bernstein
-from affinehecke.bernstein import Bernstein, GroupAlgebraElem
+from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.rootdata import (
     coordinate_box, dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
 )
 from affinehecke.weyl import AffineWeyl
+
+from principal_model import center_element, embed, group_mul, orbit, reassemble
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +150,10 @@ def test_embed_is_an_algebra_map():
     B = tower("A2")
     H = B.hecke
     L = B.labels
-    a = GroupAlgebraElem({(1, 0): L.one(), (0, -1): LaurentPoly.const(L.vars, 2)})
-    b = GroupAlgebraElem({(0, 1): LaurentPoly.const(L.vars, 3), (-1, 0): L.one()})
-    assert H.mul(B.embed(a), B.embed(b)) == B.embed(a.mul(b))
+    two, three = (LaurentPoly.monomial(L.vars, (0,) * len(L.vars), c) for c in (2, 3))
+    a = {(1, 0): L.one(), (0, -1): two}
+    b = {(0, 1): three, (-1, 0): L.one()}
+    assert H.mul(embed(B, a), embed(B, b)) == embed(B, group_mul(a, b))
 
 
 @pytest.mark.parametrize("name", ["A2", "BnCn(2)", "A1-root"])
@@ -179,7 +182,7 @@ def test_center_element_commutes():
         B = tower(name)
         H = B.hecke
         for x in [(1, 0), (0, 1), (1, 1)]:
-            z = B.center_element(x)
+            z = center_element(B, x)
             for i in range(len(B.weyl.fundamental)):
                 t = H.basis(B.weyl.simple_affine(i))
                 assert H.mul(z, t) == H.mul(t, z)
@@ -188,8 +191,7 @@ def test_center_element_commutes():
 def test_center_element_is_orbit_symmetric():
     B = tower("A2")
     x = (1, 0)
-    orbit = B.weyl.orbit(x)
-    assert B.center_element(x) == B.center_element(orbit[-1])
+    assert center_element(B, x) == center_element(B, orbit(B.weyl, x)[-1])
 
 
 def test_star_of_theta_identity():
@@ -209,7 +211,7 @@ def test_expand_roundtrip():
     )
     coords = B.expand_in_bernstein(h)
     assert coords
-    assert B.reassemble(coords) == h
+    assert reassemble(B, coords) == h
 
 
 @given(small_vectors(2, bound=1))
@@ -231,10 +233,25 @@ def test_orbit_shift_is_the_dominant_shift_of_the_orbits(name):
     B = tower(name)
     points = coordinate_box(B.datum.rank, -3, 3)
     for y in points:
-        assert B._orbit_shift([y]) == dominant_shift(B.datum, B.weyl.orbit(y))
+        assert B._orbit_shift([y]) == dominant_shift(B.datum, orbit(B.weyl, y))
     assert B._orbit_shift(points) == dominant_shift(
-        B.datum, [x for y in points for x in B.weyl.orbit(y)]
+        B.datum, [x for y in points for x in orbit(B.weyl, y)]
     ) > 0
+
+
+@pytest.mark.parametrize("name", ["A1-root", "A2", "G2", "BnCn(3)", "GLn(3)"])
+def test_orbit_forms_are_the_coroot_forms_with_no_orbit_walk(name, monkeypatch):
+    # the W0-images of the simple coroots are all the coroots, so the
+    # context reads them off the datum and walks no orbit
+    w = AffineWeyl(build_preset(name))
+    H = HeckeAlgebra(w, LabelSet(w))
+    calls = []
+    monkeypatch.setattr(AffineWeyl, "coroot_orbit", lambda self, b: calls.append(b) or {b})
+    B = Bernstein(H)
+    assert calls == []
+    monkeypatch.undo()
+    images = {c for b in w.datum.simple_coroots for c in w.coroot_orbit(b)}
+    assert B._orbit_forms == sorted(w._form(c) for c in images)
 
 
 def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
@@ -244,7 +261,7 @@ def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
     B = tower("A2")
     x = (-2, -2)
     h = B.hecke.basis(B.weyl.translation(x))
-    shift = dominant_shift(B.datum, B.weyl.orbit(x))
+    shift = dominant_shift(B.datum, orbit(B.weyl, x))
     assert shift == dominant_shift(B.datum, [y for (_w, y) in B.expand_in_bernstein(h)]) > 0
     assert B._orbit_shift([x]) == shift
     monkeypatch.setattr(bernstein.Bernstein, "_orbit_shift", lambda self, ys: shift - 1)

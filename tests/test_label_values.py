@@ -57,10 +57,11 @@ def sample(name, kind):
     rank = w.rank
     box = itertools.product((-1, 0, 1), repeat=rank)
     xs = [x for x in box if not is_dominant(w.datum, x)][:3]
+    three = LaurentPoly.monomial(formal.labels.vars, (0,) * len(formal.labels.vars), 3)
     elems = [
         H.add(H.basis(w.simple_affine(0)), formal.theta(tuple([1] * rank))),
         H.mul(H.basis(w.simple_affine(len(w.fundamental) - 1)), formal.theta(xs[0])),
-        H.sub(formal.theta(xs[-1]), H.scale(H.unit(), LaurentPoly.const(formal.labels.vars, 3))),
+        H.sub(formal.theta(xs[-1]), H.scale(H.unit(), three)),
     ]
     return xs, [(a, HeckeElem(evaluated(a, asg))) for a in elems]
 

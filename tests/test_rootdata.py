@@ -20,6 +20,7 @@ from affinehecke import (
     is_dominant,
     make_datum,
 )
+from affinehecke import rootdata
 from affinehecke.rootdata import (
     int_inverse,
     solve,
@@ -240,6 +241,14 @@ def test_make_datum_rejects_bad_input():
         make_datum(2, [[1, 0]], [[1, 0]], [[1, 0]])  # ragged pairing
 
 
+def test_a_non_identity_pairing_gives_the_same_roots():
+    # A2 with Y in the basis M^{-1} b, M = [[1, 1], [0, 1]]: <x, y> = x^T M y
+    # keeps the Cartan matrix, so the closure finds the roots of the preset
+    datum = make_datum(2, [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[3, -1], [-3, 2]])
+    assert datum.roots == build_preset("A2").roots
+    assert derive(datum).positive_roots == derive(build_preset("A2")).positive_roots
+
+
 def test_unknown_preset_raises():
     with pytest.raises(RootSystemError):
         build_preset("E8")
@@ -421,8 +430,11 @@ def test_solve_matches_reference_rank_and_solutions(system):
     assert solve(a)[0] == rank
     m, k = len(a[0]), len(b[0]) if b else 0
     cols = [[row[c] for row in a] for c in range(m)]
-    refs = [ref_solve_columns(cols, [row[j] for row in b]) for j in range(k)]
-    assert [solve_columns(cols, [row[j] for row in b]) for j in range(k)] == refs
+    rhs = [[row[j] for row in b] for j in range(k)]
+    refs = [ref_solve_columns(cols, v) for v in rhs]
+    # one right side at a time, and every right side in one elimination
+    assert [solve_columns(cols, [v]) for v in rhs] == [None if r is None else [r] for r in refs]
+    assert solve_columns(cols, rhs) == (None if None in refs else refs)
     # the system is consistent exactly when each of its columns is
     assert (x is None) == any(ref is None for ref in refs)
     if x is not None:
@@ -479,3 +491,19 @@ def test_derive_caches_on_equal_datums(name):
     # two separately built, equal datums share one DerivedRoots
     assert build_preset(name) is not build_preset(name)
     assert derive(build_preset(name)) is derive(build_preset(name))
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "BnCn(4)", "GLn(4)"])
+def test_derive_solves_every_root_in_one_elimination(name, monkeypatch):
+    # one solve with a right-hand side per root, not one solve per root; the
+    # coordinates it keeps are those of a per-root solve
+    datum = build_preset(name)
+    calls = []
+    real = rootdata.solve
+    monkeypatch.setattr(rootdata, "solve", lambda a, b=(): calls.append(a) or real(a, b))
+    derived = derive.__wrapped__(datum)  # past the cache: a fresh derive
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for r in datum.roots:
+        assert derived.root_coordinates(datum, r) == solve_columns(datum.simple_roots, [r])[0]
+    assert derived.positive_roots == derive(datum).positive_roots

@@ -8,7 +8,6 @@ import pytest
 
 from affinehecke import (
     PoleError,
-    RegionError,
     build_preset,
     derive,
     exact_divide,
@@ -20,6 +19,8 @@ from affinehecke.hecke import HeckeAlgebra
 from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
+
+from principal_model import RegionError, check_region, generating_check
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +187,7 @@ def test_d_coefficients_rank_one():
     L = trace.labels
     q = L.q_of_gen(0)
     qi = q.inverse()
-    d1 = q - LaurentPoly.const(L.vars, 2) + qi  # (q - 1)^2 / q
+    d1 = q - LaurentPoly.monomial(L.vars, (0,) * len(L.vars), 2) + qi  # (q - 1)^2 / q
     assert trace.d_coeff((2,), 1) == d1
     assert trace.d_coeff((2,), 2) == d1 * (q + qi)
 
@@ -306,16 +307,16 @@ def test_check_region_rejects_large_points():
     items = (("s1", 4), ("s0", 4))
     numeric = numeric_trace("A1-weight", items)
     with pytest.raises(RegionError):
-        numeric.check_region(TorusPoint((Fraction(2),)))
+        check_region(numeric, TorusPoint((Fraction(2),)))
     # well inside the region: no complaint
-    numeric.check_region(TorusPoint((Fraction(1, 16),)))
+    check_region(numeric, TorusPoint((Fraction(1, 16),)))
 
 
 def test_generating_check_rank_one():
     items = (("s1", 4), ("s0", 4))
     numeric = numeric_trace("A1-weight", items)
     t = TorusPoint((Fraction(1, 16),))
-    lhs, rhs, gap = numeric.generating_check(t, 30)
+    lhs, rhs, gap = generating_check(numeric, t, 30)
     assert rhs == Fraction(7225, 7161)
     assert gap < Fraction(1, 10**40)
 
@@ -364,4 +365,4 @@ def test_torus_point_weyl_action():
 def test_formal_trace_refuses_numeric_queries():
     trace = formal_trace("A2")
     with pytest.raises(ValueError, match="needs numeric labels"):
-        trace.generating_check(TorusPoint((Fraction(1, 16), Fraction(1, 16))), 2)
+        generating_check(trace, TorusPoint((Fraction(1, 16), Fraction(1, 16))), 2)

@@ -10,6 +10,8 @@ from affinehecke import build_preset
 from affinehecke.rootdata import vadd, vneg
 from affinehecke.weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
 
+from principal_model import coset_data, orbit
+
 
 @lru_cache(maxsize=None)
 def group(name):
@@ -233,10 +235,10 @@ def test_factor_extended(word):
 
 def test_coset_data_regular_and_singular():
     w = group("A2")
-    stab, reps, w_x, w_up = w.coset_data((1, 1))
+    stab, reps, w_x, w_up = coset_data(w, (1, 1))
     assert len(stab) == 1 and len(reps) == 6
     assert w_x == w.id_fin and w_up == w.longest_element()
-    stab, reps, w_x, w_up = w.coset_data((2, 1))
+    stab, reps, w_x, w_up = coset_data(w, (2, 1))
     assert len(stab) == 2 and len(reps) == 3
     assert finite_length(w, w_x) == 1
     assert w.fin_mul(w.longest_element(), w_x) == w_up
@@ -251,11 +253,11 @@ def test_coset_data_regular_and_singular():
 def test_orbit_sizes_match_cosets():
     w = group("B2")
     for x in [(1, 0), (1, 1), (2, 1)]:
-        stab, reps, _, _ = w.coset_data(x)
-        orbit = w.orbit(x)
-        assert len(orbit) == len(reps)
-        assert len(orbit) * len(stab) == len(w.enumerate_w0())
-        assert len(set(orbit)) == len(orbit)
+        stab, reps, _, _ = coset_data(w, x)
+        points = orbit(w, x)
+        assert len(points) == len(reps)
+        assert len(points) * len(stab) == len(w.enumerate_w0())
+        assert len(set(points)) == len(points)
 
 
 def test_simple_affine_acts_as_reflection():
