@@ -42,8 +42,8 @@ class Bernstein:
         # are all the coroots: since <w x, b> = <x, w^{-1} b>, the orbit of x
         # is dominant after adding n * 2rho exactly when <x, c> >= -2n for
         # every coroot c (see _orbit_shift)
-        self._simple_forms = [self.weyl._form(b) for b in self.datum.simple_coroots]
-        self._orbit_forms = sorted(self.weyl._form(c) for c in self.datum.coroots)
+        self._simple_forms = [self.datum.form(b) for b in self.datum.simple_coroots]
+        self._orbit_forms = sorted(self.datum.form(c) for c in self.datum.coroots)
 
     # -- the basis -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .rootdata import Vec, vneg, vscale
+from .rootdata import Vec, vscale
 from .weyl import AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 
@@ -431,17 +431,14 @@ class LabelSet:
         self.weyl = weyl
         datum = weyl.datum
 
-        # finite Weyl orbits of coroots (negatives included automatically:
-        # each reflection sends its own coroot to its negative)
+        # finite Weyl orbits of coroots; each holds its own negative, since
+        # W0 holds the reflection that sends a coroot to its negative
         self.orbit_id: dict[Vec, int] = {}
         next_id = 0
         for b in datum.coroots:
             if b in self.orbit_id:
                 continue
-            orbit = weyl.coroot_orbit(b)
-            if vneg(b) not in orbit:
-                orbit |= {vneg(v) for v in orbit}
-            for v in orbit:
+            for v in weyl.coroot_orbit(b):
                 self.orbit_id[v] = next_id
             next_id += 1
 
@@ -481,7 +478,7 @@ class LabelSet:
             for f, h in zip(forms, half):
                 for j, b in enumerate(coroot):
                     f[j] += h * b
-        self._delta_forms: list[Vec] = [weyl._form(f) for f in forms]
+        self._delta_forms: list[Vec] = [datum.form(f) for f in forms]
 
     # -- basic monomials -----------------------------------------------------
 

@@ -157,29 +157,21 @@ class PrincipalSeries:
     # -- module action -------------------------------------------------------
 
     def symbolic_action(
-        self, h: HeckeElem, vectors: list[HeckeElem] | None = None,
-        bernstein: Bernstein | None = None,
+        self, h: HeckeElem, vectors: list[HeckeElem], bernstein: Bernstein,
     ) -> list[list[tuple[int, Vec, LaurentPoly]]]:
         """Torus-independent description of ``h`` acting on module vectors.
 
         ``vectors`` are finite-Hecke elements, read as module vectors
-        through ``T_w <-> T_w ⊗ 1``; by default the finite basis ``T_v`` in
-        :attr:`basis_order`, which gives the full square action.  Column
-        ``j`` is the Bernstein expansion of ``h * vectors[j]`` as triples
-        (row, lattice point, label coefficient).  Both the expansion and
-        :meth:`laplace_matrix` are linear, so the column of a sum of basis
-        vectors is the sum of their columns.  The product and the expansion
-        run in the algebra of ``bernstein`` (by default this one's); over
-        exact label values the coefficients are numbers.
+        through ``T_w <-> T_w ⊗ 1``.  Column ``j`` is the Bernstein
+        expansion of ``h * vectors[j]`` as triples (row, lattice point,
+        label coefficient).  Both the expansion and :meth:`laplace_matrix`
+        are linear, so the column of a sum of basis vectors is the sum of
+        their columns.  The product and the expansion run in the algebra of
+        ``bernstein``; over exact label values the coefficients are numbers.
         """
-        if bernstein is None:
-            bernstein = self.bernstein
-        H = bernstein.hecke
-        if vectors is None:
-            vectors = [H.basis(self.weyl.as_affine(v)) for v in self.basis_order]
         out = []
         for vec in vectors:
-            coords = bernstein.expand_in_bernstein(H.mul(h, vec))
+            coords = bernstein.expand_in_bernstein(bernstein.hecke.mul(h, vec))
             out.append([(self.index[w], x, c) for (w, x), c in coords.items()])
         return out
 

@@ -149,6 +149,11 @@ class RootDatum(
                 total += xi * sum(p * yj for p, yj in zip(row, y))
         return total
 
+    def form(self, y: Vec) -> Vec:
+        """The integer form ``P . y``, so that ``<x, y>`` is the dot product
+        of ``x`` with it."""
+        return tuple(sum(p * yj for p, yj in zip(row, y)) for row in self.pairing)
+
 
 # ---------------------------------------------------------------------------
 # root generation and validation
@@ -177,7 +182,8 @@ def generate_roots(
             raise RootSystemError("simple coroot of wrong rank")
 
     # the datum's own pairing, which skips the zero coordinates of x
-    pair = RootDatum(rank, pairing, simple_roots, simple_coroots, (), ()).pair
+    partial = RootDatum(rank, pairing, simple_roots, simple_coroots, (), ())
+    pair = partial.pair
     for a, b in zip(simple_roots, simple_coroots):
         if pair(a, b) != 2:
             raise RootSystemError(f"<alpha, alpha^vee> = {pair(a, b)} != 2 for {a}")
@@ -225,7 +231,7 @@ def generate_roots(
     # the dot product of s with the integer form P . b, and a reflection
     # fixes every root orthogonal to its coroot
     for r in roots:
-        form = tuple(sum(p * bj for p, bj in zip(row, found[r])) for row in pairing)
+        form = partial.form(found[r])
         for s in roots:
             n = sum(map(mul, s, form))
             if n and vsub(s, vscale(n, r)) not in root_set:

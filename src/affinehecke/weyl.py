@@ -24,22 +24,28 @@ without ever enumerating it (it is infinite for the "GLn(n)" presets).
 Elements are interned to dense int ids: an id stands for the pair
 ``(w_index, trans)``, where ``w_index`` indexes ``enumerate_w0()``.  Tables
 built once from W0 hold the right product of each finite element with each
-generator's finite part, the integer forms ``P . a^vee`` of the positive
-coroots, and each finite element's inversion set as a 0/1 vector.  An element
-met by its id gets its length from the closed formula above as a sum of dot
-products; a step ``u -> u s_i`` gets its translation from one dot product and
-its length as ``l(u) +- 1``, going down exactly when ``u`` sends the i-th
-fundamental affine root to a negative one.  Each generator keeps a step table
-``nxt[i][id]``, filled lazily in both directions, and lengths live in
-``lens[id]``, so a step is a list read and the descent bit is
-``lens[v] < lens[u]``.  A missing entry is filled in place: one dot product
-for ``m``, a list-built translation, and the new id interned inline with no
-length formula.  The Hecke folds and the Bernstein read-off work on these
-ids directly, reading ``(w_index, trans)`` from ``_keys``.
+generator's finite part, each finite element's inverse (its reduced word
+walked backwards through those products), the integer forms ``P . a^vee`` of
+the positive coroots, and each finite element's inversion set as a 0/1
+vector.  An element met by its id gets its length from the closed formula
+above as a sum of dot products; a step ``u -> u s_i`` gets its translation
+from one dot product and its length as ``l(u) +- 1``, going down exactly when
+``u`` sends the i-th fundamental affine root to a negative one.  Each
+generator keeps a step table ``nxt[i][id]``, filled lazily in both
+directions, and lengths live in ``lens[id]``, so a step is a list read and
+the descent bit is ``lens[v] < lens[u]``.  A missing entry is filled in
+place: one dot product for ``m``, a list-built translation, and the new id
+interned inline with no length formula.  The Hecke folds and the Bernstein
+read-off work on these ids directly, reading ``(w_index, trans)`` from
+``_keys``; ``elem(u)`` builds the element from its key.
 
-The element types (``FiniteWeylElem``, ``AffineWeylElem``) are plain
-slotted classes and ``AffineRoot`` a named tuple, so importing the package
-loads no ``dataclasses``.
+The group acts on X only.  A finite element is its matrix ``mx`` on X: it
+sends the coroot of a root ``a`` to the coroot of ``w(a)``, so a question on
+the coroot side reads the root, and a coroot orbit is walked by the simple
+reflections ``s_i(y) = y - <a_i, y> a_i^vee``, with no matrix on Y.  The
+element types (``FiniteWeylElem``, ``AffineWeylElem``) are plain slotted
+classes and ``AffineRoot`` a named tuple, so importing the package loads no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .rootdata import (
     Vec,
     coordinate_box,
     derive,
-    int_inverse,
     solve_columns,
     vadd,
     vneg,
@@ -68,18 +73,17 @@ MAX_W0 = 100_000
 
 
 class FiniteWeylElem:
-    """A finite Weyl group element, stored as its action matrices.
+    """A finite Weyl group element, stored as its matrix ``mx`` on X.
 
-    Equality and hashing use only the X-action matrix ``mx``; the Y-action
-    ``my`` is determined by it, and ``word`` (a reduced word in the simple
-    reflections, when known) is a cache.
+    Equality and hashing use only ``mx``; ``word`` (a reduced word in the
+    simple reflections, when known) is a cache.  The action on Y is not
+    stored: ``w`` sends the coroot of a root ``a`` to the coroot of ``w(a)``.
     """
 
-    __slots__ = ("mx", "my", "word", "_hash")
+    __slots__ = ("mx", "word", "_hash")
 
-    def __init__(self, mx: Matrix, my: Matrix, word: tuple[int, ...] | None = None):
+    def __init__(self, mx: Matrix, word: tuple[int, ...] | None = None):
         self.mx = mx
-        self.my = my
         self.word = word
         self._hash = hash(mx)
 
@@ -92,13 +96,10 @@ class FiniteWeylElem:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"FiniteWeylElem(mx={self.mx!r}, my={self.my!r})"
+        return f"FiniteWeylElem(mx={self.mx!r})"
 
     def apply_x(self, x: Vec) -> Vec:
         return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in self.mx)
-
-    def apply_y(self, y: Vec) -> Vec:
-        return tuple(sum(row[j] * y[j] for j in range(len(y))) for row in self.my)
 
 
 class AffineWeylElem:
@@ -137,10 +138,6 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(row[i] for row in a) for i in range(len(a)))
-
-
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -152,19 +149,13 @@ class AffineWeyl:
         self.datum = datum
         self.derived: DerivedRoots = derive(datum)
         self.rank = datum.rank
-        self._p = datum.pairing
-        self._p_inv = int_inverse(self._p)
         self._pos_root_set = frozenset(self.derived.positive_roots)
-        self._pos_coroot_set = frozenset(self.derived.positive_coroots)
-        self.id_fin = FiniteWeylElem(_identity(self.rank), _identity(self.rank), word=())
+        self.id_fin = FiniteWeylElem(_identity(self.rank), word=())
         self.identity = AffineWeylElem(self.id_fin, (0,) * self.rank)
 
         self.simple_reflections: list[FiniteWeylElem] = []
         for i, (a, b) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
-            fin = self._reflection_fin(a, b)
-            self.simple_reflections.append(
-                FiniteWeylElem(fin.mx, fin.my, word=(i,))
-            )
+            self.simple_reflections.append(self._reflection_fin(a, b, word=(i,)))
 
         # fundamental affine roots: simple coroots at level 0, then one
         # minimal coroot at level 1 per irreducible component
@@ -186,7 +177,6 @@ class AffineWeyl:
             self._gen_shifts.append(beta)
             self._gen_roots.append(beta)
 
-        self._fin_inv_cache: dict[Matrix, FiniteWeylElem] = {}
         self._factor_cache: dict[int, tuple[AffineWeylElem, tuple[int, ...]]] = {}
         self._w0_list: list[FiniteWeylElem] | None = None
         self._w_index: dict[Matrix, int] = {}
@@ -194,7 +184,6 @@ class AffineWeyl:
         # the interned elements; the W0 tables are built on first use
         self._ids: dict[tuple[int, Vec], int] = {}
         self._keys: list[tuple[int, Vec]] = []
-        self._elems: list[AffineWeylElem | None] = []
         self.lens: list[int] = []
         self.nxt: list[list[int]] = [[] for _ in self.fundamental]
         self._wmul: list[list[int]] | None = None
@@ -202,23 +191,20 @@ class AffineWeyl:
         self._forms: list[Vec] = []
         self._neg: list[tuple[int, ...]] = []
         self._fund_neg: list[tuple[bool, ...]] = []
-        self._gen_forms = [self._form(a.coroot) for a in self.fundamental]
+        self._gen_forms = [datum.form(a.coroot) for a in self.fundamental]
 
     # -- construction helpers ------------------------------------------------
 
-    def _reflection_fin(self, root: Vec, coroot: Vec) -> FiniteWeylElem:
+    def _reflection_fin(
+        self, root: Vec, coroot: Vec, word: tuple[int, ...] | None = None
+    ) -> FiniteWeylElem:
         n = self.rank
-        pb = tuple(sum(self._p[j][k] * coroot[k] for k in range(n)) for j in range(n))
-        pta = tuple(sum(self._p[k][j] * root[k] for k in range(n)) for j in range(n))
+        pb = self.datum.form(coroot)
         mx = tuple(
             tuple((1 if i == j else 0) - root[i] * pb[j] for j in range(n))
             for i in range(n)
         )
-        my = tuple(
-            tuple((1 if i == j else 0) - coroot[i] * pta[j] for j in range(n))
-            for i in range(n)
-        )
-        return FiniteWeylElem(mx, my)
+        return FiniteWeylElem(mx, word)
 
     def _components(self) -> list[list[int]]:
         m = len(self.datum.simple_roots)
@@ -272,20 +258,13 @@ class AffineWeyl:
         return AffineWeylElem(self._gen_fins[i], self._gen_shifts[i])
 
     def fin_mul(self, a: FiniteWeylElem, b: FiniteWeylElem) -> FiniteWeylElem:
-        return FiniteWeylElem(_matmul(a.mx, b.mx), _matmul(a.my, b.my))
+        return FiniteWeylElem(_matmul(a.mx, b.mx))
 
     def fin_inv(self, a: FiniteWeylElem) -> FiniteWeylElem:
-        cached = self._fin_inv_cache.get(a.mx)
-        if cached is not None:
-            return cached
-        # from  M^T P N = P:  M^{-1} = P^{-T} N^T P^T,  N^{-1} = P^{-1} M^T P
-        pt = _transpose(self._p)
-        pinv_t = _transpose(self._p_inv)
-        mx_inv = _matmul(_matmul(pinv_t, _transpose(a.my)), pt)
-        my_inv = _matmul(_matmul(self._p_inv, _transpose(a.mx)), self._p)
-        out = FiniteWeylElem(mx_inv, my_inv)
-        self._fin_inv_cache[a.mx] = out
-        return out
+        """The inverse, read from the W0 tables (built on first use)."""
+        if self._wmul is None:
+            self._build_tables()
+        return self._w0_list[self._winv[self._w_index[a.mx]]]
 
     def multiply(self, g: AffineWeylElem, h: AffineWeylElem) -> AffineWeylElem:
         winv = self.fin_inv(h.fin)
@@ -303,24 +282,25 @@ class AffineWeyl:
 
     # -- interned elements ---------------------------------------------------
 
-    def _form(self, b: Vec) -> Vec:
-        """The integer form ``P . b``, so that ``<x, b>`` is a dot product."""
-        return tuple(sum(p * bj for p, bj in zip(row, b)) for row in self._p)
-
     def _build_tables(self) -> None:
         order = self.enumerate_w0()
         idx = self._w_index
-        self._wmul = [[idx[self.fin_mul(w, s).mx] for s in self._gen_fins] for w in order]
-        self._winv = [idx[self.fin_inv(w).mx] for w in order]
-        self._forms = [self._form(b) for b in self.derived.positive_coroots]
-        pos, pos_co = self._pos_root_set, self._pos_coroot_set
+        wmul = self._wmul = [[idx[self.fin_mul(w, s).mx] for s in self._gen_fins] for w in order]
+        # w = s_1 ... s_k, so w^{-1} = s_k ... s_1: the word walked backwards
+        self._winv = []
+        for w in order:
+            v = 0
+            for i in reversed(w.word):
+                v = wmul[v][i]
+            self._winv.append(v)
+        self._forms = [self.datum.form(b) for b in self.derived.positive_coroots]
+        pos = self._pos_root_set
         self._neg = [
             tuple(0 if w.apply_x(a) in pos else 1 for a in self.derived.positive_roots)
             for w in order
         ]
-        self._fund_neg = [
-            tuple(w.apply_y(a.coroot) not in pos_co for a in self.fundamental) for w in order
-        ]
+        # w(b) is negative exactly when w sends the root of b to a negative root
+        self._fund_neg = [tuple(w.apply_x(a) not in pos for a in self._gen_roots) for w in order]
 
     def _intern(self, w: int, t: Vec) -> int:
         key = (w, t)
@@ -329,7 +309,6 @@ class AffineWeyl:
             u = len(self._keys)
             self._ids[key] = u
             self._keys.append(key)
-            self._elems.append(None)
             self.lens.append(sum([abs(sum(map(mul, form, t)) + n) for form, n in zip(self._forms, self._neg[w])]))
             for row in self.nxt:
                 row.append(-1)
@@ -339,18 +318,12 @@ class AffineWeyl:
         """The dense int id of an element."""
         if self._wmul is None:
             self._build_tables()
-        u = self._intern(self._w_index[g.fin.mx], g.trans)
-        if self._elems[u] is None:
-            self._elems[u] = g
-        return u
+        return self._intern(self._w_index[g.fin.mx], g.trans)
 
     def elem(self, u: int) -> AffineWeylElem:
-        """The element with id ``u`` (cached per id)."""
-        g = self._elems[u]
-        if g is None:
-            w, t = self._keys[u]
-            g = self._elems[u] = AffineWeylElem(self._w0_list[w], t)
-        return g
+        """The element with id ``u``."""
+        w, t = self._keys[u]
+        return AffineWeylElem(self._w0_list[w], t)
 
     def inverse_id(self, u: int) -> int:
         """The id of ``u^{-1}``: ``(w t)^{-1} = w^{-1} t_{-w t}``, as in :meth:`inverse`."""
@@ -382,7 +355,6 @@ class AffineWeyl:
             if v is None:  # intern inline: the length is one off that of u
                 v = self._ids[key] = len(keys)
                 keys.append(key)
-                self._elems.append(None)
                 self.lens.append(self.lens[u] - 1 if down else self.lens[u] + 1)
                 for r in self.nxt:
                     r.append(-1)
@@ -480,13 +452,13 @@ class AffineWeyl:
     def inversion_levels(self, g: AffineWeylElem) -> list[AffineRoot]:
         """The positive affine roots sent to negative ones by ``g``."""
         out = []
-        pos = self._pos_coroot_set
-        for b in self.datum.coroots:
+        pos = self._pos_root_set
+        for a, b in zip(self.datum.roots, self.datum.coroots):
             n = self.datum.pair(g.trans, b)
-            lo = 0 if b in pos else 1
+            lo = 0 if a in pos else 1
             for k in range(lo, n):
                 out.append(AffineRoot(b, k))
-            if n >= lo and g.fin.apply_y(b) not in pos:
+            if n >= lo and g.fin.apply_x(a) not in pos:
                 out.append(AffineRoot(b, n))
         return out
 
@@ -534,7 +506,7 @@ class AffineWeyl:
                     u = self.fin_mul(w, s)
                     if u.mx not in seen:
                         assert w.word is not None
-                        uw = FiniteWeylElem(u.mx, u.my, word=w.word + (i,))
+                        uw = FiniteWeylElem(u.mx, word=w.word + (i,))
                         seen[u.mx] = uw
                         order.append(uw)
                         nxt.append(uw)
@@ -566,13 +538,14 @@ class AffineWeyl:
         just the identity; otherwise each coset meeting the scanned window
         contributes one element.
         """
+        if self._wmul is None:
+            self._build_tables()
         points = coordinate_box(self.rank, -box, box)
         out = []
-        for w in self.enumerate_w0():
-            for p in points:
-                g = AffineWeylElem(w, p)
-                if self.length(g) == 0:
-                    out.append(g)
+        for w, neg in zip(self._w0_list, self._neg):
+            for p in points:  # length 0: every summand of the length formula is 0
+                if all(sum(map(mul, form, p)) + n == 0 for form, n in zip(self._forms, neg)):
+                    out.append(AffineWeylElem(w, p))
         return out
 
     def elements_up_to_length(self, lmax: int) -> list[AffineWeylElem]:
@@ -598,13 +571,19 @@ class AffineWeyl:
 
     def coroot_orbit(self, b: Vec) -> set[Vec]:
         """The finite Weyl orbit of a vector of Y, closed under the simple
-        reflections, so W0 itself is never enumerated."""
+        reflections ``s_i(y) = y - <a_i, y> a_i^vee``, so W0 itself is never
+        enumerated."""
+        simple = list(zip(self.datum.simple_roots, self.datum.simple_coroots))
         orbit = {b}
         frontier = [b]
         while frontier:
             cur = frontier.pop()
-            for s in self.simple_reflections:
-                nxt = s.apply_y(cur)
+            form = self.datum.form(cur)
+            for a, c in simple:
+                n = sum(map(mul, a, form))
+                if not n:
+                    continue
+                nxt = tuple([y - n * x for y, x in zip(cur, c)])
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)

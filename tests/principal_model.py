@@ -139,6 +139,16 @@ class PrincipalModel(PrincipalSeries):
         self._left = [None] * self.dim
         self._rs_action = {}
 
+    def symbolic_action(self, h, vectors=None, bernstein=None):
+        """The action on ``vectors``, by default the finite basis ``T_v`` in
+        ``basis_order`` (the full square action), in the algebra of
+        ``bernstein``, by default this model's own."""
+        if bernstein is None:
+            bernstein = self.bernstein
+        if vectors is None:
+            vectors = [bernstein.hecke.basis(self.weyl.as_affine(v)) for v in self.basis_order]
+        return super().symbolic_action(h, vectors, bernstein)
+
     def left_matrix(self, j):
         """The module action of the j-th finite basis element ``T_w``: left
         multiplication, the same at every torus point, read at the identity."""

@@ -251,7 +251,7 @@ def test_orbit_forms_are_the_coroot_forms_with_no_orbit_walk(name, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     images = {c for b in w.datum.simple_coroots for c in w.coroot_orbit(b)}
-    assert B._orbit_forms == sorted(w._form(c) for c in images)
+    assert B._orbit_forms == sorted(w.datum.form(c) for c in images)
 
 
 def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):

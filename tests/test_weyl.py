@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinehecke import build_preset
-from affinehecke.rootdata import vadd, vneg
+from affinehecke.rootdata import vadd, vneg, vscale, vsub
 from affinehecke.weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
 
 from principal_model import coset_data, orbit
@@ -75,8 +75,13 @@ def fin_from_word(w, word):
 
 
 def act_affine_root(w, g, a):
-    """``(w t_z)(a) = (w(b), k - <z, b>)`` for ``a = (b, k)``."""
-    return AffineRoot(g.fin.apply_y(a.coroot), a.level - w.datum.pair(g.trans, a.coroot))
+    """``(w t_z)(a) = (w(b), k - <z, b>)`` for ``a = (b, k)``; ``w(b)`` by the
+    simple reflections ``s_i(y) = y - <a_i, y> a_i^vee`` along a reduced word
+    of ``w``, last letter first."""
+    b = a.coroot
+    for i in reversed(w.fin_word(g.fin)):
+        b = vsub(b, vscale(w.datum.pair(w.datum.simple_roots[i], b), w.datum.simple_coroots[i]))
+    return AffineRoot(b, a.level - w.datum.pair(g.trans, a.coroot))
 
 
 def affine_root_positive(w, a):
@@ -100,6 +105,10 @@ def test_finite_group_size(name):
     elems = w.enumerate_w0()
     assert len(elems) == W0_SIZES[name]
     assert len(set(elems)) == len(elems)
+    # the orbit walked by sparse reflections is W0's image through the roots
+    der = w.derived
+    for b in w.datum.coroots:
+        assert w.coroot_orbit(b) == {der.coroot[u.apply_x(der.root[b])] for u in elems}
 
 
 @pytest.mark.parametrize("name", sorted(OMEGA_SIZES))
@@ -110,6 +119,10 @@ def test_length_zero_subgroup(name):
     for g in om:
         assert w.length(g) == 0
         assert not any(w.gen_step(g, i)[1] for i in range(len(w.fundamental)))
+    # the scan reads the length formula and interns no element
+    fresh = AffineWeyl(w.datum)
+    assert fresh.omega_elements() == om
+    assert len(fresh.lens) == 0
 
 
 def test_omega_a1_weight_element():
@@ -371,7 +384,7 @@ def test_finite_elem_equality_reads_mx_only():
     w = group("B2")
     order = w.enumerate_w0()
     for u in order:
-        twin = FiniteWeylElem(u.mx, w.id_fin.my, word=(0, 1, 0))  # other my and word
+        twin = FiniteWeylElem(u.mx, word=(0, 1, 0))  # other word
         assert twin == u and hash(twin) == hash(u)
     assert len(set(order)) == len(order)
     assert order[0] != order[1]
@@ -381,7 +394,7 @@ def test_affine_elem_equality_follows_fin_and_trans():
     w = group("B2")
     s = w.simple_reflections[0]
     g = AffineWeylElem(s, (1, 2))
-    twin = AffineWeylElem(FiniteWeylElem(s.mx, s.my), (1, 2))  # no word cached
+    twin = AffineWeylElem(FiniteWeylElem(s.mx), (1, 2))  # no word cached
     assert g == twin and hash(g) == hash(twin) == hash((s, (1, 2)))
     assert g != AffineWeylElem(s, (2, 1))
     assert g != AffineWeylElem(w.id_fin, (1, 2))
