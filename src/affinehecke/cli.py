@@ -12,8 +12,12 @@ Four subcommands over one exact engine:
 * ``spherical``— spherical-function values at a numeric torus point by the
   c-function sum and by the module computation, with a diff column.
 
-All output is JSON with sorted keys and a trailing newline; given the same
-configuration and seed, reruns are byte-identical.  Exit codes: 0 success,
+All output is the text of ``json.dumps(report, sort_keys=True, indent=2)``
+and a newline; given the same configuration and seed, reruns are
+byte-identical.  ``emit`` writes that text with its own renderer, a top-level
+key or one item of a top-level list at a time: json's indented encoder is
+pure Python with one generator step per token, and the exact polynomials of
+``trace`` and ``series`` are thousands of tokens.  Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error.
 """
 
@@ -22,7 +26,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import errno
-import itertools
 import json
 import os
 import sys
@@ -199,9 +202,10 @@ def num_obj(v):
 
 
 def emit(obj: dict, out: str | None) -> None:
-    """Write the report as sorted, indented JSON and a newline.  The text is
-    streamed in pieces of a few thousand encoder chunks, so no copy of the
-    whole report is held and the stream sees few writes."""
+    """Write the report as ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, to ``out`` or to stdout.  The text is written one top-level key,
+    and one item of a top-level list, at a time, so no copy of the whole
+    report is held."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -212,11 +216,112 @@ def emit(obj: dict, out: str | None) -> None:
         _stream(obj, sys.stdout)
 
 
-def _stream(obj: dict, fh) -> None:
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    while piece := "".join(itertools.islice(chunks, 4096)):
-        fh.write(piece)
-    fh.write("\n")
+def _stream(obj, fh) -> None:
+    if not (isinstance(obj, dict) and obj):
+        fh.write(_render(obj, "\n") + "\n")
+        return
+    sep = "{\n  "
+    for key, value in sorted(obj.items()):
+        fh.write(sep + _quote(key) + ": ")
+        sep = ",\n  "
+        if isinstance(value, (list, tuple)) and value:
+            sep_item = "[\n    "
+            for item in value:
+                fh.write(sep_item + _render(item, "\n    "))
+                sep_item = ",\n    "
+            fh.write("\n  ]")
+        else:
+            fh.write(_render(value, "\n  "))
+    fh.write("\n}\n")
+
+
+# Object keys must be strings (every report key is): json would also write
+# number keys, this renderer refuses them.
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _render(o, ind: str) -> str:
+    """The JSON text of ``o`` nested where a line starts with ``ind``
+    (a newline and the indent)."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = ind + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(v) is int for v in o):
+            items = map(int.__repr__, o)
+        else:
+            items = _int_records(o, inner) or [_render(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _render(v, inner) for k, v in sorted(o.items())
+        ) + ind + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _int_records(seq, ind: str) -> list[str] | None:
+    """The texts of a list of non-empty dicts whose values are ints or
+    non-empty lists of ints (a polynomial's terms), each filled into one
+    ``%d`` template per shape; None when some item is not such a dict."""
+    templates: dict[tuple, str] = {}
+    rows = []
+    for d in seq:
+        if type(d) is not dict or not d:
+            return None
+        shape = []
+        values = []
+        for k in sorted(d):
+            v = d[k]
+            if type(v) is int:
+                shape += (k, 0)
+                values.append(v)
+            elif type(v) is list and v:
+                for e in v:
+                    if type(e) is not int:
+                        return None
+                shape += (k, len(v))
+                values += v
+            else:
+                return None
+        shape = tuple(shape)
+        tpl = templates.get(shape)
+        if tpl is None:
+            tpl = templates[shape] = _template(shape, ind)
+        rows.append(tpl % tuple(values))
+    return rows
+
+
+def _template(shape: tuple, ind: str) -> str:
+    """The ``%``-template of one shape ``(key, length, ...)`` for
+    ``_int_records``; length 0 stands for an int."""
+    inner = ind + "  "
+    deeper = inner + "  "
+    fields = []
+    for k, n in zip(shape[::2], shape[1::2]):
+        value = "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" if n else "%d"
+        fields.append(_quote(k).replace("%", "%%") + ": " + value)
+    return "{" + inner + ("," + inner).join(fields) + ind + "}"
 
 
 def check_out(out: str | None) -> None:
@@ -246,12 +351,13 @@ def cmd_trace(args) -> int:
         part, dir_poly = partition[x], direct[x]
         equal = part == dir_poly
         all_equal = all_equal and equal
+        value = job.value_obj(dir_poly)
         records.append(
             {
-                "direct": job.value_obj(dir_poly),
+                "direct": value,
                 "equal": equal,
                 "in_negative_cone": in_negative_cone(job.datum, x),
-                "partition": job.value_obj(part),
+                "partition": value if equal else job.value_obj(part),
                 "x": list(x),
             }
         )

@@ -24,13 +24,15 @@ without ever enumerating it (it is infinite for the "GLn(n)" presets).
 Elements are interned to dense int ids: an id stands for the pair
 ``(w_index, trans)``, where ``w_index`` indexes ``enumerate_w0()``.  Tables
 built once from W0 hold the right product of each finite element with each
-generator's finite part, each finite element's inverse (its reduced word
-walked backwards through those products), the integer forms ``P . a^vee`` of
-the positive coroots, and each finite element's inversion set as a 0/1
-vector.  An element met by its id gets its length from the closed formula
-above as a sum of dot products; a step ``u -> u s_i`` gets its translation
-from one dot product and its length as ``l(u) +- 1``, going down exactly when
-``u`` sends the i-th fundamental affine root to a negative one.  Each
+generator's finite part (the simple reflections' columns are the products the
+breadth-first enumeration of W0 already formed), each finite element's
+inverse (its reduced word walked backwards through those products), the
+integer forms ``P . a^vee`` of the positive coroots, and each finite
+element's inversion set as a 0/1 vector.  An element met by its id gets its
+length from the closed formula above as a sum of dot products; a step
+``u -> u s_i`` gets its translation from one dot product and its length as
+``l(u) +- 1``, going down exactly when ``u`` sends the i-th fundamental
+affine root to a negative one.  Each
 generator keeps a step table ``nxt[i][id]``, filled lazily in both
 directions, and lengths live in ``lens[id]``, so a step is a list read and
 the descent bit is ``lens[v] < lens[u]``.  A missing entry is filled in
@@ -180,6 +182,7 @@ class AffineWeyl:
         self._factor_cache: dict[int, tuple[AffineWeylElem, tuple[int, ...]]] = {}
         self._w0_list: list[FiniteWeylElem] | None = None
         self._w_index: dict[Matrix, int] = {}
+        self._w0_cols: list[list[int]] = []
 
         # the interned elements; the W0 tables are built on first use
         self._ids: dict[tuple[int, Vec], int] = {}
@@ -285,7 +288,11 @@ class AffineWeyl:
     def _build_tables(self) -> None:
         order = self.enumerate_w0()
         idx = self._w_index
-        wmul = self._wmul = [[idx[self.fin_mul(w, s).mx] for s in self._gen_fins] for w in order]
+        # the simple columns are the BFS's own products; add the affine generators'
+        wmul = self._wmul = self._w0_cols
+        affine = self._gen_fins[len(self.simple_reflections):]
+        for w, row in zip(order, wmul):
+            row += [idx[_matmul(w.mx, g.mx)] for g in affine]
         # w = s_1 ... s_k, so w^{-1} = s_k ... s_1: the word walked backwards
         self._winv = []
         for w in order:
@@ -495,26 +502,23 @@ class AffineWeyl:
         """All finite Weyl group elements, BFS by length, with reduced words."""
         if self._w0_list is not None:
             return self._w0_list
-        start = self.id_fin
-        seen: dict[Matrix, FiniteWeylElem] = {start.mx: start}
-        order = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, s in enumerate(self.simple_reflections):
-                    u = self.fin_mul(w, s)
-                    if u.mx not in seen:
-                        assert w.word is not None
-                        uw = FiniteWeylElem(u.mx, word=w.word + (i,))
-                        seen[u.mx] = uw
-                        order.append(uw)
-                        nxt.append(uw)
-                        if len(seen) > MAX_W0:
-                            raise RootSystemError("finite Weyl group exceeded the safety cap")
-            frontier = nxt
+        order = [self.id_fin]
+        index: dict[Matrix, int] = {self.id_fin.mx: 0}
+        cols = self._w0_cols = []  # cols[k][i]: the index of order[k]·s_i
+        for w in order:  # order grows as the queue of the BFS
+            row = []
+            for i, s in enumerate(self.simple_reflections):
+                mx = _matmul(w.mx, s.mx)
+                k = index.get(mx)
+                if k is None:
+                    k = index[mx] = len(order)
+                    order.append(FiniteWeylElem(mx, word=w.word + (i,)))
+                    if k >= MAX_W0:
+                        raise RootSystemError("finite Weyl group exceeded the safety cap")
+                row.append(k)
+            cols.append(row)
         self._w0_list = order
-        self._w_index = {w.mx: k for k, w in enumerate(order)}
+        self._w_index = index
         return order
 
     def longest_element(self) -> FiniteWeylElem:

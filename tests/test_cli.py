@@ -51,6 +51,30 @@ def test_trace_formal_box(capsys):
     assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == out
 
 
+# every command prints canonical JSON, the same to stdout and to --out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--datum", "A2", "--box", "1"],
+        ["series", "--datum", "A2", "--box", "2"],
+        ["series", "--datum", "A2", "--labels", Q4_A2, "--mode", "rational", "--box", "2"],
+        ["verify", "--datum", "A1-weight", "--box", "1"],
+        ["spherical", "--datum", "A2", "--labels", Q4_A2, "--box", "2"],
+        ["spherical", "--datum", "A2", "--labels", Q4_A2, "--mode", "complex", "--box", "2"],
+    ],
+    ids=["trace", "series-formal", "series-rational", "verify", "spherical-rational",
+         "spherical-complex"],
+)
+def test_report_is_canonical_json(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    target = tmp_path / "report.json"
+    code2, out2, _ = run(capsys, [*argv, "--out", str(target)])
+    assert (code2, out2) == (code, "")
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_trace_output_is_byte_identical_across_runs(capsys):
     argv = ["trace", "--datum", "A2", "--box", "2"]
     code1, out1, _ = run(capsys, argv)

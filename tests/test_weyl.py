@@ -111,6 +111,15 @@ def test_finite_group_size(name):
         assert w.coroot_orbit(b) == {der.coroot[u.apply_x(der.root[b])] for u in elems}
 
 
+@pytest.mark.parametrize("name", sorted(W0_SIZES))
+def test_multiplication_table_is_the_matrix_product(name):
+    # the simple columns are kept from the BFS, the affine ones formed after it
+    w = AffineWeyl(build_preset(name))
+    w._build_tables()
+    for k, wk in enumerate(w.enumerate_w0()):
+        assert w._wmul[k] == [w._w_index[w.fin_mul(wk, g).mx] for g in w._gen_fins]
+
+
 @pytest.mark.parametrize("name", sorted(OMEGA_SIZES))
 def test_length_zero_subgroup(name):
     w = group(name)
