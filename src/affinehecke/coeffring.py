@@ -593,11 +593,16 @@ class LabelSet:
     # T~_s^{-1} = T~_s - xi_s, where xi_s = v_s - v_s^{-1}.  Coefficients on
     # that basis are polynomials in one xi_c per class, over ``xi_vars``.
 
-    def xi_step(self, j: int) -> LaurentPoly:
-        """``-xi_c`` for the class c of the j-th generator: the factor an up
-        step of the inverse fold puts on the normalised basis (see
-        ``HeckeAlgebra._rmul_gen``)."""
-        return LaurentPoly.monomial(self.xi_vars, self._unit_exps(self.gen_class[j], 1), -1)
+    def xi_key(self, j: int) -> int:
+        """The packed key of ``xi_c`` for the class c of the j-th generator:
+        added to every key of a coefficient, it multiplies by ``xi_c``, as an
+        up step of the targeted inverse fold does (``HeckeAlgebra._xi_fold``)."""
+        return _pack(self._unit_exps(self.gen_class[j], 1))
+
+    def xi_poly(self, terms: dict, bound: int) -> LaurentPoly:
+        """The polynomial over ``xi_vars`` with packed ``terms`` (no zero
+        coefficient) whose exponents are at most ``bound``."""
+        return _make(self.xi_vars, terms, bound)
 
     def from_xi(self, c: LaurentPoly) -> LaurentPoly:
         """``c`` with ``xi_c = v_c - v_c^{-1}`` substituted.

@@ -28,13 +28,17 @@ so an up step shifts the keys of c once and subtracts nothing; every path
 contributes +-xi^e with sign (-1)^{|e|}, so no sum cancels.  The targeted
 inverse takes the ``xi`` rule and answers on the normalised basis, where the
 trace needs no label factor: tau(T~_a T~_b) = [ab = 1].  Every other fold
-keeps the ``q`` rule; a theta element, wanted on the T-basis in full,
-measured several times slower on the ``xi`` rule.
+keeps the ``q`` rule, one ``_rmul_gen`` pass per letter; a theta element,
+wanted on the T-basis in full, measured several times slower on the ``xi``
+rule.  The ``xi`` step is a loop of its own, ``_xi_fold``: it works on
+dicts of packed xi keys, merges them in place, and drops a state in the same
+pass as soon as no target is within the letters left, reading the distance
+that each state carries along its steps (``AffineWeyl.distance_to``).
 """
 
 from __future__ import annotations
 
-from .coeffring import LabelSet, LabelValues, LaurentPoly, accumulate
+from .coeffring import MAX_EXP, ExponentOverflowError, LabelSet, LabelValues, accumulate
 from .weyl import AffineWeyl, AffineWeylElem
 
 MAX_SUPPORT = 1_000_000
@@ -42,6 +46,14 @@ MAX_SUPPORT = 1_000_000
 
 class SupportError(RuntimeError):
     """Raised when an intermediate element outgrows the support guard."""
+
+
+def _merge(into: dict, c: dict) -> None:
+    """Add the packed terms c into the dict ``into`` in place.  The xi fold's
+    terms on one state share a sign, so no sum is zero."""
+    get = into.get
+    for k, a in c.items():
+        into[k] = get(k, 0) + a
 
 
 class HeckeElem:
@@ -78,9 +90,9 @@ class HeckeAlgebra:
         n = len(weyl.fundamental)
         self._q_gen = [self.labels.q_of_gen(i) for i in range(n)]
         self._q_gen_inv = [self.labels.q_of_gen_inv(i) for i in range(n)]
-        # -xi_s per generator, for the xi rule; formal labels only
+        # the packed key of xi_s per generator, for the xi rule; formal labels only
         formal = isinstance(self.labels, LabelSet)
-        self._xi_gen = [self.labels.xi_step(i) for i in range(n)] if formal else None
+        self._xi_keys = [self.labels.xi_key(i) for i in range(n)] if formal else None
 
     # -- constructors --------------------------------------------------------
 
@@ -122,21 +134,19 @@ class HeckeAlgebra:
                 "the computation is out of desk scale"
             )
 
-    def _rmul_gen(self, terms: dict, i: int, inverse: bool = False, xi: bool = False) -> dict:
+    def _rmul_gen(self, terms: dict, i: int, inverse: bool = False) -> dict:
         """Right-multiply an id-keyed term dict by T_{s_i}, or by its inverse.
 
         A term whose step goes up (down, for the inverse) maps to one term;
         otherwise c becomes (c*q - c) on u and c*q on us, with q replaced by
         q^{-1} and the two terms written in the opposite order for the
-        inverse.  With ``xi`` (inverse only) the terms are coefficients on
-        the normalised basis, in the xi variables, and the right factor is
-        T~_{s_i}^{-1}: an up step keeps c on us and puts -xi_s*c on u.
+        inverse.
         """
         weyl = self.weyl
         nxt = weyl.nxt[i]
         lens = weyl.lens
         fill = weyl.step
-        q = self._xi_gen[i] if xi else self._q_gen_inv[i] if inverse else self._q_gen[i]
+        q = self._q_gen_inv[i] if inverse else self._q_gen[i]
         out: dict = {}
         get = out.get
         for u, c in terms.items():
@@ -155,12 +165,7 @@ class HeckeAlgebra:
                         del out[us]
                 continue
             cq = c * q  # q is a monomial: one shift of every key of a polynomial c
-            if not inverse:
-                split = ((u, cq - c), (us, cq))
-            elif xi:
-                split = ((us, c), (u, cq))
-            else:
-                split = ((us, cq), (u, cq - c))
+            split = ((us, cq), (u, cq - c)) if inverse else ((u, cq - c), (us, cq))
             for g, d in split:
                 s = get(g)
                 if s is not None:
@@ -179,30 +184,15 @@ class HeckeAlgebra:
             return terms
         return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
 
-    def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False,
-              targets: list[AffineWeylElem] | None = None) -> dict:
-        """Right-multiply an id-keyed term dict by T_h, or by its inverse.
+    def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False) -> dict:
+        """Right-multiply an id-keyed term dict by T_h, or by its inverse, by
+        the ``q`` rule.
 
         Factors ``h = om . s_{i_1} ... s_{i_k}`` through the length-zero
         subgroup.  T_h relabels by om and folds the letters in order;
         T_h^{-1} folds the one-letter inverses last letter first and
-        relabels by ``om^{-1}``.  With ``targets`` (inverse only) the result
-        is exactly the restriction to them, and the fold keeps only what can
-        reach them: a state u with r letters left can only become ``u p``,
-        p a product of a subword of those letters (the subword property),
-        and it lands on the target v only if ``u p = v om``.  So u is kept
-        while ``l(u^{-1} v om) <= r`` for some v, measured by
-        ``AffineWeyl.distance_to`` once per id.  Distance 0 after the last
-        letter still admits ``v om`` times a length-zero element, so the last
-        states are matched against the targets themselves.
-
-        A targeted fold takes the ``xi`` rule of the module docstring:
-        ``terms`` are coefficients on the normalised basis, in the xi
-        variables, and the right factor is ``T~_h^{-1}``.  A state u that
-        survives to the end holds the coefficient of T~_u, and
-        ``LabelSet.from_xi`` substitutes ``xi_c = v_c - v_c^{-1}`` in it;
-        ``v = 1`` on the length-zero relabel, so the result stays on the
-        normalised basis.
+        relabels by ``om^{-1}``.  The targeted inverse on the ``xi`` rule is
+        a loop of its own, :meth:`_xi_fold`.
         """
         weyl = self.weyl
         om, word = weyl.factor_extended(h)
@@ -211,18 +201,78 @@ class HeckeAlgebra:
             for i in word:
                 terms = self._rmul_gen(terms, i)
             return terms
-        xi = targets is not None
-        if xi:
-            ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
-            near = weyl.distance_to(ends, len(word))
-        for rest in range(len(word) - 1, -1, -1):
-            terms = self._rmul_gen(terms, word[rest], inverse=True, xi=xi)
-            if xi:
-                terms = {u: c for u, c in terms.items() if near(u) <= rest}
-        if xi:
-            from_xi = self.labels.from_xi
-            terms = {u: from_xi(c) for u, c in terms.items() if u in ends}
+        for i in reversed(word):
+            terms = self._rmul_gen(terms, i, inverse=True)
         return self._relabel_right(terms, weyl.inverse(om))
+
+    def _xi_fold(self, word: tuple[int, ...], ends: set[int]) -> dict:
+        """The restriction to the ids ``ends`` of ``T~_p^{-1}``, p the product
+        of the letters of ``word``, on the normalised basis and in the xi
+        variables: the ``xi`` rule of the module docstring, letters last
+        first, in one loop that keeps a state only while an end is in reach.
+
+        A state u with r letters left can only become ``u p'``, p' a product
+        of a subword of those letters (the subword property), so it is kept
+        while ``d(u) = min over v in ends of l(u^{-1} v) <= r``.  Each live
+        state carries ``(c, sum, d)``: its coefficient as a dict of packed xi
+        keys, and the packed distance sum and d of
+        ``AffineWeyl.distance_to``.  A step ``u -> us`` moves c to us, which
+        is kept only if its d is at most the letters left; its pair comes
+        from the previous letter's states when us is one of them, and from
+        ``move`` otherwise.  An up step also puts ``-xi_s c`` on u, built
+        only while u is in reach; nothing else lands on us in that letter,
+        so c is still u's own when the copy is made.
+
+        Every path to a state after k letters stays put (taking a factor
+        ``-xi``) ``k - l(u)`` times mod 2, so all terms of a coefficient have
+        one sign and no merge cancels: a coefficient that lands on a state
+        already in the letter's dict is added into that state's dict in
+        place.  Each dict has one owner; a down step moves it, an up step
+        moves it and builds a shifted copy.  A state's xi-degree is at most
+        its up steps, so ``len(word)`` bounds every exponent.
+        """
+        if len(word) > MAX_EXP:
+            raise ExponentOverflowError(
+                f"a word of {len(word)} letters could take a xi exponent past the packed field (+-{MAX_EXP})"
+            )
+        weyl = self.weyl
+        lens = weyl.lens
+        fill = weyl.step
+        start, move = weyl.distance_to(ends, len(word))
+        u = weyl.gid(weyl.identity)
+        live = {u: ({0: 1}, *start(u))}
+        for rest in range(len(word) - 1, -1, -1):
+            i = word[rest]
+            nxt = weyl.nxt[i]
+            key = self._xi_keys[i]
+            out: dict = {}
+            get = out.get
+            for u, (c, s, d) in live.items():
+                us = nxt[u]
+                if us < 0:
+                    us = fill(u, i)
+                if lens[us] > lens[u]:
+                    if d <= rest:  # -xi_s c stays on u
+                        neg = {k + key: -a for k, a in c.items()}
+                        e = get(u)
+                        if e is None:
+                            out[u] = (neg, s, d)
+                        else:
+                            _merge(e[0], neg)
+                    e = None  # nothing else lands on us
+                else:
+                    e = get(us)
+                if e is not None:
+                    _merge(e[0], c)
+                    continue
+                p = live.get(us)
+                s, d = move(u, i, us, s, d) if p is None else p[1:]
+                if d <= rest:
+                    out[us] = (c, s, d)
+            self._guard(out)
+            live = out
+        xi_poly, from_xi = self.labels.xi_poly, self.labels.from_xi
+        return {u: from_xi(xi_poly(c, len(word))) for u, (c, _, _) in live.items() if u in ends}
 
     # -- ring operations -----------------------------------------------------
 
@@ -273,13 +323,22 @@ class HeckeAlgebra:
 
     def invert_basis(self, g: AffineWeylElem, targets: list[AffineWeylElem]) -> HeckeElem:
         """The restriction of T~_g^{-1} = v(g) T_g^{-1} to ``targets`` on the
-        normalised basis T~_u = v(u)^{-1} T_u: the targeted inverse fold of
-        T~_1 = T_1 by the ``xi`` rule (see ``_fold``), so the coefficient at
-        u is ``v(g) v(u)`` times that of T_g^{-1}.  Only formal labels have
-        the xi variables.  The whole T_g^{-1} on the T-basis is
+        normalised basis T~_u = v(u)^{-1} T_u, so the coefficient at u is
+        ``v(g) v(u)`` times that of T_g^{-1}.  Only formal labels have the xi
+        variables.  The whole T_g^{-1} on the T-basis is
         ``rmul_basis(unit(), g, inverse=True)``.
+
+        With ``g = om . p``, ``l(om) = 0``: ``T~_g^{-1} = T~_p^{-1} T_om^{-1}``,
+        and T~_u lands on a target v exactly when ``u = v om``, so the fold
+        (:meth:`_xi_fold`) aims at the ids of ``v om``; a state at distance 0
+        after the last letter still admits ``v om`` times a length-zero
+        element, so the last states are matched against them exactly.  ``v = 1``
+        on the length-zero relabel, so the result stays on the normalised basis.
         """
-        if self._xi_gen is None:
+        if self._xi_keys is None:
             raise ValueError("a targeted inverse needs formal labels")
-        terms = {self.weyl.gid(self.weyl.identity): LaurentPoly.one(self.labels.xi_vars)}
-        return HeckeElem(self._fold(terms, g, inverse=True, targets=targets))
+        weyl = self.weyl
+        om, word = weyl.factor_extended(g)
+        ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
+        terms = self._xi_fold(word, ends)
+        return HeckeElem(self._relabel_right(terms, weyl.inverse(om)))

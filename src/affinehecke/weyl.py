@@ -36,10 +36,17 @@ affine root to a negative one.  Each
 generator keeps a step table ``nxt[i][id]``, filled lazily in both
 directions, and lengths live in ``lens[id]``, so a step is a list read and
 the descent bit is ``lens[v] < lens[u]``.  A missing entry is filled in
-place: one dot product for ``m``, a list-built translation, and the new id
-interned inline with no length formula.  The Hecke folds and the Bernstein
+place: one dot product for the level ``c`` (see ``step``), the translation
+moved by ``c a_i`` (the same tuple when ``c = 0``), and the new id interned
+inline with no length formula.  The Hecke folds and the Bernstein
 read-off work on these ids directly, reading ``(w_index, trans)`` from
 ``_keys``; ``elem(u)`` builds the element from its key.
+
+A length ``l(u^{-1} v)`` is an L1 distance between two per-root vectors
+``K(u^{-1})``, read off ``u``'s key by ``inverse_coord_rows``.  A step
+``u -> u s_i`` crosses one wall, so it moves one entry of the vector by one,
+at the positive root ``+-w(a_i)``; ``distance_to`` carries a state's packed
+distances to a set of ends along such steps, one table entry per step.
 
 The group acts on X only.  A finite element is its matrix ``mx`` on X: it
 sends the coroot of a root ``a`` to the coroot of ``w(a)``, so a question on
@@ -52,6 +59,7 @@ classes and ``AffineRoot`` a named tuple, so importing the package loads no
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
@@ -194,7 +202,10 @@ class AffineWeyl:
         self._forms: list[Vec] = []
         self._neg: list[tuple[int, ...]] = []
         self._fund_neg: list[tuple[bool, ...]] = []
-        self._gen_forms = [datum.form(a.coroot) for a in self.fundamental]
+        # per generator: the form of its affine root's coroot, its level, its root
+        self._gen_walls = [
+            (datum.form(f.coroot), f.level, a) for f, a in zip(self.fundamental, self._gen_roots)
+        ]
 
     # -- construction helpers ------------------------------------------------
 
@@ -340,29 +351,29 @@ class AffineWeyl:
     def step(self, u: int, i: int) -> int:
         """The id of ``u s_i``; fills ``nxt[i]`` in both directions.
 
-        With ``m = <t, b_i>`` for the generator's affine root ``(b_i, k_i)``
-        and root ``a_i``, ``w t . s_i = (w s_i) t'`` with
-        ``t' = t - m a_i + shift_i``, and the step goes down exactly when
-        ``w t`` sends ``(b_i, k_i)`` to the negative affine root
-        ``(w(b_i), k_i - m)``; the length moves by one either way.
+        For the generator's affine root ``(b_i, k_i)`` and root ``a_i`` (its
+        translation part is ``k_i a_i``), ``w t . s_i = (w s_i) t'`` with
+        ``t' = t + c a_i``, ``c = k_i - <t, b_i>``: the level of ``(w(b_i), c)``,
+        the image of ``(b_i, k_i)`` under ``w t``.  So a step with ``c = 0``
+        keeps u's translation, and the step goes down exactly when that
+        image is negative; the length moves by one either way.
         """
         row = self.nxt[i]
         v = row[u]
         if v < 0:
             keys = self._keys
             w, t = keys[u]
-            m = sum(map(mul, self._gen_forms[i], t))
-            level = self.fundamental[i].level - m
-            down = level < 0 or (level == 0 and self._fund_neg[w][i])
-            key = (
-                self._wmul[w][i],
-                tuple([x - m * a + c for x, a, c in zip(t, self._gen_roots[i], self._gen_shifts[i])]),
-            )
-            v = self._ids.get(key)
+            form, level, root = self._gen_walls[i]
+            level -= sum(map(mul, form, t))
+            key = (self._wmul[w][i], tuple([x + level * a for x, a in zip(t, root)]) if level else t)
+            ids = self._ids
+            v = ids.get(key)
             if v is None:  # intern inline: the length is one off that of u
-                v = self._ids[key] = len(keys)
+                v = ids[key] = len(keys)
                 keys.append(key)
-                self.lens.append(self.lens[u] - 1 if down else self.lens[u] + 1)
+                lens = self.lens
+                down = level < 0 or (level == 0 and self._fund_neg[w][i])
+                lens.append(lens[u] - 1 if down else lens[u] + 1)
                 for r in self.nxt:
                     r.append(-1)
             row[u] = v
@@ -376,8 +387,9 @@ class AffineWeyl:
                 return i
         return None
 
-    def inverse_coords(self):
-        """The map ``u -> K(u^{-1})`` on ids; the per-W0 rows are built per call.
+    def inverse_coord_rows(self) -> list[list[tuple[Vec, int]]]:
+        """Per W0 index w and positive root a, the pair ``(r, n)`` with
+        ``K_a(u^{-1}) = n + <r, t>`` for ``u = w t``; built per call.
 
         ``K_a(w t) = <t, a^vee> + [w a < 0]``, over the positive roots a, is
         the summand of the length formula, and ``-K_a(g^{-1})`` numbers the
@@ -385,71 +397,118 @@ class AffineWeyl:
         ``l(u^{-1} v) = sum_a |K_a(u^{-1}) - K_a(v^{-1})|``, the walls between
         ``u(A)`` and ``v(A)``, with no product formed.  For ``u = w t`` the
         inverse is ``w^{-1} t_{-w t}``.
+
+        A step ``u -> u s_i`` crosses one wall of ``u(A)``, of direction
+        ``w(a_i)`` for the generator's root ``a_i``, so exactly one entry of
+        ``K(u^{-1})`` moves: the one at the positive root ``+-w(a_i)``, up by
+        one when ``w(a_i)`` is positive and down by one when it is negative.
         """
         if self._wmul is None:
             self._build_tables()
-        rows = []
-        for w, winv in zip(self._w0_list, self._winv):
-            rows.append([
+        return [
+            [
                 (tuple(-sum(f * row[j] for f, row in zip(form, w.mx)) for j in range(self.rank)), n)
                 for form, n in zip(self._forms, self._neg[winv])
-            ])
-        keys = self._keys
-
-        def coords(u: int) -> Vec:
-            w, t = keys[u]
-            return tuple(n + sum(map(mul, r, t)) for r, n in rows[w])
-
-        return coords
+            ]
+            for w, winv in zip(self._w0_list, self._winv)
+        ]
 
     def distance_to(self, ends, cap: int):
-        """The map ``u -> min(cap, min over v in ends of l(u^{-1} v))`` on ids,
-        cached per id.
+        """``(start, move)`` for ``d(u) = min(cap, min over v in ends of l(u^{-1} v))``.
 
-        Each length is an L1 distance between ``inverse_coords`` vectors, and
-        the distances to all ends are summed at once: one int holds a field
-        per end, added up from per-root tables of packed ``|k_a - e_a|``.  A
-        field d gives ``d + half - 1 - r`` with its high bit clear exactly
-        when ``d <= r``, so the least such r is a bisection on the high bits.
-        A field is at most ``l(u) + l(v)``, and a state with
-        ``l(u) >= cap + max l(v)`` is at ``cap`` unpacked, so no field ever
-        carries into the next.
+        Each length is an L1 distance between ``K(u^{-1})`` vectors (see
+        :meth:`inverse_coord_rows`), and the distances to all ends are summed
+        at once: u's packed sum is one int with a field per end,
+        ``sum_j l(u^{-1} v_j) << (width j)``.  ``start(u)`` returns the pair
+        ``(sum, d(u))`` from u's whole vector.  ``move(u, i, us, sum, d)``
+        returns the pair of ``us = u s_i`` from u's pair: one entry of the
+        vector moves by one, so the sum moves by one table entry of packed
+        ``+-1``s, keyed by that entry's value (one dot product); every field
+        moves by one, so ``d`` moves by at most one, and two mask tests read
+        it.  Nothing is kept per id.
+
+        A field f gives ``f + half - 1 - r`` with its high bit clear exactly
+        when ``f <= r``.  A field is at most ``l(u) + l(v)``, so while
+        ``l(u) < cap + max l(v)`` no field carries into the next; a state past
+        that is at ``cap`` unread.  The sum is exact either way, so a walk
+        through such states reads true again once it is back.
         """
-        coords = self.inverse_coords()
+        rows = self.inverse_coord_rows()
+        keys = self._keys
         lens = self.lens
         ends = sorted(set(ends))
         top = max((lens[v] for v in ends), default=0)
+        limit = cap + top
         half = 1 << (cap + 2 * top).bit_length()
         width = half.bit_length()
         ones = sum(1 << (width * j) for j in range(len(ends)))
         high = half * ones
         offs = [(half - 1 - r) * ones for r in range(cap)]
-        cols = list(zip(*map(coords, ends)))
-        tables: list[dict[int, int]] = [{} for _ in cols]
-        best: dict[int, int] = {}
 
-        def dist(u: int) -> int:
-            d = best.get(u)
-            if d is None:
-                d = cap
-                if lens[u] < cap + top:
-                    s = 0
-                    for col, table, k in zip(cols, tables, coords(u)):
-                        p = table.get(k)
-                        if p is None:
-                            p = table[k] = sum(abs(k - e) << (width * j) for j, e in enumerate(col))
-                        s += p
-                    lo = 0
-                    while lo < d:
-                        mid = (lo + d) // 2
-                        if (s + offs[mid]) & high != high:
-                            d = mid
-                        else:
-                            lo = mid + 1
-                best[u] = d
-            return d
+        def coords(u: int) -> Vec:
+            w, t = keys[u]
+            return tuple(n + sum(map(mul, r, t)) for r, n in rows[w])
 
-        return dist
+        cols = list(zip(*map(coords, ends))) or [()] * len(self._forms)
+
+        # A move of entry j from k to k + 1 adds one to the field of each end
+        # with e <= k and takes one from the others: ``2 P - ones``, P the
+        # packed ones of those ends, a prefix sum over the ends sorted by e.
+        # A move down from k adds one where e >= k.
+        sides = []
+        for col in cols:
+            order = sorted(range(len(col)), key=col.__getitem__)
+            pre = [0]
+            for m in order:
+                pre.append(pre[-1] + (1 << (width * m)))
+            sides.append(([col[m] for m in order], pre))
+
+        # the wall of u -> u s_i, per (w, i): the entry's row, its root, the
+        # direction it moves in, and the packed moves keyed by its value
+        root_index = {a: j for j, a in enumerate(self.derived.positive_roots)}
+        moves = [({}, {}) for _ in cols]
+        walls = []
+        for w, row in zip(self._w0_list, rows):
+            wall = []
+            for a in self._gen_roots:
+                b = w.apply_x(a)
+                j = root_index.get(b)
+                up = j is not None
+                if not up:
+                    j = root_index[vneg(b)]
+                r, n = row[j]
+                wall.append((r, n, j, up, moves[j][up]))
+            walls.append(wall)
+
+        def start(u: int) -> tuple[int, int]:
+            s = sum(abs(k - e) << (width * m) for k, col in zip(coords(u), cols) for m, e in enumerate(col))
+            d = cap if lens[u] >= limit else 0
+            while d < cap and (s + offs[d]) & high == high:
+                d += 1
+            return s, d
+
+        def move(u: int, i: int, us: int, s: int, d: int) -> tuple[int, int]:
+            w, t = keys[u]
+            r, n, j, up, table = walls[w][i]
+            k = n + sum(map(mul, r, t))
+            p = table.get(k)
+            if p is None:
+                es, pre = sides[j]
+                if up:
+                    p = 2 * pre[bisect_right(es, k)] - ones
+                else:
+                    p = ones - 2 * pre[bisect_left(es, k)]
+                table[k] = p
+            s += p
+            if lens[us] >= limit:
+                return s, cap
+            if d and (s + offs[d - 1]) & high != high:
+                return s, d - 1
+            if d < cap and (s + offs[d]) & high == high:
+                return s, d + 1
+            return s, d
+
+        return start, move
 
     # -- lengths and descents ------------------------------------------------
 

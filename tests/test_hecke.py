@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinehecke import build_preset
-from affinehecke.coeffring import LabelSet, LaurentPoly
+from affinehecke.coeffring import MAX_EXP, ExponentOverflowError, LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.weyl import AffineWeyl
 
@@ -195,6 +195,7 @@ def test_invert_basis_targets_is_a_slice(name, data):
         sliced = H.invert_basis(g, targets=targets)
         ids = {w.gid(v) for v in targets}
         assert sliced.terms == {u: c for u, c in full.items() if u in ids}
+        assert H.invert_basis(g, targets=[]).terms == {}
 
 
 def test_invert_basis_targets_is_a_slice_on_a_rank_three_translation():
@@ -207,6 +208,49 @@ def test_invert_basis_targets_is_a_slice_on_a_rank_three_translation():
     assert len(full) == 2032
     targets = [w.elem(u) for u in full] + w.elements_up_to_length(2)
     assert H.invert_basis(g, targets=targets).terms == full
+
+
+class XiLabels(LabelSet):
+    """Labels that hand the targeted fold's coefficients back in the xi."""
+
+    def from_xi(self, c):
+        return c
+
+
+@lru_cache(maxsize=None)
+def xi_algebra(name):
+    w = AffineWeyl(build_preset(name))
+    return HeckeAlgebra(w, XiLabels(w))
+
+
+# Every path to u after k letters stays put (a factor -xi) k - l(u) times
+# mod 2, so each coefficient is (-1)^(k - l(u)) times one in N[xi]: the fold
+# merges coefficients in place, as no sum can cancel.
+@pytest.mark.parametrize("name", ALL_PRESETS)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_xi_fold_states_have_one_sign(name, data):
+    H = xi_algebra(name)
+    w = H.weyl
+    word = tuple(data.draw(word_strategy(name, max_len=7)))
+    ends = {w.gid(g) for g in w.elements_up_to_length(len(word))}  # every state
+    for k in range(1, len(word) + 1):
+        states = H._xi_fold(word[-k:], ends)
+        assert states
+        for u, c in states.items():
+            sign = (-1) ** (k - w.lens[u])
+            assert c and all(a * sign > 0 for a in c.terms.values())
+
+
+def test_targeted_inverse_refuses_a_word_past_the_packed_field():
+    # a state's xi-degree is at most the word's up steps, so a word longer
+    # than MAX_EXP is refused before the fold starts
+    H = algebra("A1-weight")
+    w = H.weyl
+    g = w.translation((MAX_EXP + 1,))
+    assert w.length(g) == MAX_EXP + 1
+    with pytest.raises(ExponentOverflowError, match="32768 letters"):
+        H.invert_basis(g, targets=[w.identity])
 
 
 def test_targeted_inverse_needs_formal_labels():

@@ -352,6 +352,17 @@ def extended_elements(name):
     return st.builds(w.multiply, oms, affine_elements(name))
 
 
+def inverse_coords(w):
+    """The map ``u -> K(u^{-1})`` on ids, from ``inverse_coord_rows``."""
+    rows = w.inverse_coord_rows()
+
+    def coords(u):
+        fin, t = w._keys[u]
+        return tuple(n + sum(a * b for a, b in zip(r, t)) for r, n in rows[fin])
+
+    return coords
+
+
 @pytest.mark.parametrize("name", DISTANCE_PRESETS)
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
@@ -359,10 +370,31 @@ def test_length_is_the_l1_distance_of_inverse_coords(name, data):
     w = group(name)
     u = data.draw(extended_elements(name))
     v = data.draw(extended_elements(name))
-    coords = w.inverse_coords()
+    coords = inverse_coords(w)
     ku, kv = coords(w.gid(u)), coords(w.gid(v))
     assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(w.multiply(w.inverse(u), v))
     assert sum(map(abs, ku)) == w.length(u)
+
+
+@pytest.mark.parametrize("name", list(W0_SIZES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_step_moves_one_inverse_coord_at_its_wall_root(name, data):
+    # u -> u s_i crosses the wall of direction w(a_i): the entry at the
+    # positive root +-w(a_i) moves, by +1 exactly when w(a_i) is positive
+    w = group(name)
+    coords = inverse_coords(w)
+    roots = w.derived.positive_roots
+    u = w.gid(data.draw(extended_elements(name)))
+    for i in data.draw(st.lists(st.integers(0, len(w.fundamental) - 1), min_size=1, max_size=8)):
+        us = w.step(u, i)
+        b = w.elem(u).fin.apply_x(w._gen_roots[i])
+        moved = [(j, y - x) for j, (x, y) in enumerate(zip(coords(u), coords(us))) if x != y]
+        if b in roots:
+            assert moved == [(roots.index(b), 1)]
+        else:
+            assert moved == [(roots.index(vneg(b)), -1)]
+        u = us
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "BnCn(3)", "GLn(3)", "A1-weight"])
@@ -372,10 +404,54 @@ def test_distance_to_is_the_capped_nearest_length(name, data):
     w = group(name)
     ends = data.draw(st.lists(extended_elements(name), max_size=5))
     cap = data.draw(st.integers(min_value=0, max_value=80))
-    near = w.distance_to([w.gid(v) for v in ends], cap)
+    start, _move = w.distance_to([w.gid(v) for v in ends], cap)
     for u in data.draw(st.lists(extended_elements(name), min_size=1, max_size=4)):
         dists = [w.length(w.multiply(w.inverse(u), v)) for v in ends]
-        assert near(w.gid(u)) == min(dists + [cap])
+        assert start(w.gid(u))[1] == min(dists + [cap])
+
+
+@pytest.mark.parametrize("name", list(W0_SIZES))
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_the_carried_distance_is_the_fresh_one(name, data):
+    # a walk carries (sum, d) by ``move`` alone; small caps put most of its
+    # states at l(u) >= cap + max l(v), where the sum is carried unread
+    w = group(name)
+    ends = [w.gid(v) for v in data.draw(st.lists(extended_elements(name), max_size=4))]
+    cap = data.draw(st.sampled_from([0, 1, 2, 5, 30]))
+    start, move = w.distance_to(ends, cap)
+    u = w.gid(data.draw(extended_elements(name)))
+    s, d = start(u)
+    gens = st.integers(0, len(w.fundamental) - 1)
+    for i in data.draw(st.lists(gens, min_size=1, max_size=40)):
+        us = w.step(u, i)
+        s, d = move(u, i, us, s, d)
+        assert (s, d) == start(us)
+        u = us
+
+
+@pytest.mark.parametrize("name", list(W0_SIZES))
+def test_the_carried_distance_on_empty_ends_and_caps_0_and_1(name):
+    # a walk out past l(u) >= cap + max l(v) and back along the same letters;
+    # the one end is the identity, so max l(v) = 0
+    w = group(name)
+    n = len(w.fundamental)
+    one = w.gid(w.identity)
+    word = [i % n for i in range(8)]
+    for ends in ([], [one]):
+        for cap in (0, 1):
+            start, move = w.distance_to(ends, cap)
+            u = one
+            s, d = start(u)
+            past = False
+            for i in word + word[::-1]:
+                us = w.step(u, i)
+                s, d = move(u, i, us, s, d)
+                assert (s, d) == start(us)
+                past |= w.lens[us] >= cap
+                u = us
+            assert past and u == one
+            assert d == (0 if ends else cap)
 
 
 @pytest.mark.parametrize("name", DISTANCE_PRESETS)
