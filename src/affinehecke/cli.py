@@ -14,11 +14,12 @@ Four subcommands over one exact engine:
 
 All output is the text of ``json.dumps(report, sort_keys=True, indent=2)``
 and a newline; given the same configuration and seed, reruns are
-byte-identical.  ``emit`` writes that text with its own renderer, a top-level
-key or one item of a top-level list at a time: json's indented encoder is
-pure Python with one generator step per token, and the exact polynomials of
-``trace`` and ``series`` are thousands of tokens.  Exit codes: 0 success,
-1 verification failure, 2 usage or configuration error.
+byte-identical.  ``emit`` writes that text a top-level key or one item of a
+top-level list at a time.  The records of ``trace`` and ``series`` hold their
+exact polynomials, each written straight from its terms by
+``coeffring.poly_json``; json writes every other value.  Exit codes:
+0 success, 1 verification failure, 2 usage or configuration error or a
+report that could not be written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .bernstein import Bernstein, BoxError
 from .coeffring import (
-    ExponentOverflowError, LabelConfigError, LabelSet, LaurentPoly, poly_to_obj,
+    ExponentOverflowError, LabelConfigError, LabelSet, LaurentPoly, poly_json,
 )
 from .hecke import HeckeAlgebra, SupportError
 from .principal import PrincipalSeries
@@ -158,10 +159,10 @@ class Job:
         return self.principal.seeded_point(args.seed, mode=self.mode)
 
     def value_obj(self, poly: LaurentPoly):
-        """A trace value in the output: exact polynomial object in formal
-        mode, a number otherwise."""
+        """A trace value in the output: in formal mode the polynomial itself,
+        which ``emit`` writes as its JSON object; a number otherwise."""
         if self.assignment is None:
-            return poly_to_obj(poly)
+            return poly
         return num_obj(poly.evaluate(self.assignment))
 
     def describe(self) -> dict:
@@ -202,18 +203,24 @@ def num_obj(v):
 
 
 def emit(obj: dict, out: str | None) -> None:
-    """Write the report as ``json.dumps(obj, sort_keys=True, indent=2)`` and a
-    newline, to ``out`` or to stdout.  The text is written one top-level key,
-    and one item of a top-level list, at a time, so no copy of the whole
-    report is held."""
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline to
+    ``out`` or stdout, a ``LaurentPoly`` as its ``poly_json`` text, one
+    top-level key or item of a top-level list at a time, so no copy of the
+    whole report is held.  A failed write is a usage error."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 _stream(obj, fh)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out!r}: {exc}")
-    else:
+        return
+    try:
         _stream(obj, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: give it a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write to stdout: {exc}")
 
 
 def _stream(obj, fh) -> None:
@@ -238,90 +245,21 @@ def _stream(obj, fh) -> None:
 # Object keys must be strings (every report key is): json would also write
 # number keys, this renderer refuses them.
 _quote = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def _render(o, ind: str) -> str:
     """The JSON text of ``o`` nested where a line starts with ``ind``
     (a newline and the indent)."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
+    if isinstance(o, LaurentPoly):
+        return poly_json(o, ind)
     inner = ind + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(type(v) is int for v in o):
-            items = map(int.__repr__, o)
-        else:
-            items = _int_records(o, inner) or [_render(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + ind + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
+    if isinstance(o, dict) and o:
         return "{" + inner + ("," + inner).join(
             _quote(k) + ": " + _render(v, inner) for k, v in sorted(o.items())
         ) + ind + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _int_records(seq, ind: str) -> list[str] | None:
-    """The texts of a list of non-empty dicts whose values are ints or
-    non-empty lists of ints (a polynomial's terms), each filled into one
-    ``%d`` template per shape; None when some item is not such a dict."""
-    templates: dict[tuple, str] = {}
-    rows = []
-    for d in seq:
-        if type(d) is not dict or not d:
-            return None
-        shape = []
-        values = []
-        for k in sorted(d):
-            v = d[k]
-            if type(v) is int:
-                shape += (k, 0)
-                values.append(v)
-            elif type(v) is list and v:
-                for e in v:
-                    if type(e) is not int:
-                        return None
-                shape += (k, len(v))
-                values += v
-            else:
-                return None
-        shape = tuple(shape)
-        tpl = templates.get(shape)
-        if tpl is None:
-            tpl = templates[shape] = _template(shape, ind)
-        rows.append(tpl % tuple(values))
-    return rows
-
-
-def _template(shape: tuple, ind: str) -> str:
-    """The ``%``-template of one shape ``(key, length, ...)`` for
-    ``_int_records``; length 0 stands for an int."""
-    inner = ind + "  "
-    deeper = inner + "  "
-    fields = []
-    for k, n in zip(shape[::2], shape[1::2]):
-        value = "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" if n else "%d"
-        fields.append(_quote(k).replace("%", "%%") + ": " + value)
-    return "{" + inner + ("," + inner).join(fields) + ind + "}"
+    if isinstance(o, (list, tuple)) and o:
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in o]) + ind + "]"
+    return json.dumps(o)  # a scalar, {} or []
 
 
 def check_out(out: str | None) -> None:

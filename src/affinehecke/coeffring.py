@@ -22,6 +22,7 @@ weight ``delta`` come out right on the non-reduced presets.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -394,14 +395,17 @@ def accumulate(out: dict, key, c) -> None:
         del out[key]
 
 
-def poly_to_obj(p: LaurentPoly) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"exp": list(e), "num": c.numerator, "den": c.denominator}
-            for e, c in p.sorted_terms()
-        ],
-    }
+def poly_json(p: LaurentPoly, ind: str) -> str:
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` for the object
+    ``obj_to_poly`` reads, ``{"terms": [{"den", "exp", "num"}, ...], "vars"}``,
+    nested where a line starts with ``ind``; each term fills one ``%d`` template."""
+    t, f, e = ind + "    ", ind + "      ", ind + "        "  # term, field, exponent
+    exp = "[" + e + ("," + e).join(["%d"] * len(p.vars)) + f + "]" if p.vars else "[]"
+    term = "{" + f + '"den": %d,' + f + '"exp": ' + exp + "," + f + '"num": %d' + t + "}"
+    body = ("," + t).join([term % (c.denominator, *x, c.numerator) for x, c in p.sorted_terms()])
+    terms = "[" + t + body + ind + "  ]" if body else "[]"
+    names = "[" + t + ("," + t).join(map(json.dumps, p.vars)) + ind + "  ]" if p.vars else "[]"
+    return "{" + ind + '  "terms": ' + terms + "," + ind + '  "vars": ' + names + ind + "}"
 
 
 def obj_to_poly(obj: dict) -> LaurentPoly:

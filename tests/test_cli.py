@@ -643,6 +643,36 @@ def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, ki
     assert "cannot write --out" in err
 
 
+def cli_process(argv, stdout):
+    """``hecke-trace`` with ``argv`` in a fresh interpreter writing to ``stdout``."""
+    src = str(Path(affinehecke.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "affinehecke.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_closed_stdout_pipe_exit_usage():
+    # the report (about 320 KB) outgrows a 64 KiB pipe buffer, so writes are
+    # still pending when the reader goes away
+    proc = cli_process(["trace", "--datum", "BnCn(2)", "--box", "3"], subprocess.PIPE)
+    assert proc.stdout.read(64).startswith("{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert_one_line_usage_error(proc.wait(timeout=120), "", err)
+    assert "cannot write to stdout" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_device_exit_usage():
+    # a report smaller than the stdout buffer fails only when emit flushes it
+    with open("/dev/full", "w") as full:
+        proc = cli_process(["series", "--datum", "A2", "--box", "1"], full)
+        err = proc.stderr.read()
+    assert_one_line_usage_error(proc.wait(timeout=120), "", err)
+    assert err == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
 def test_spherical_zero_coordinate_exit_usage(capsys):
     code, out, err = run(
         capsys,

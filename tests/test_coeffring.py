@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affinehecke import (
@@ -22,7 +22,7 @@ from affinehecke.coeffring import (
     LabelSet,
     accumulate,
     obj_to_poly,
-    poly_to_obj,
+    poly_json,
     power_table,
 )
 from affinehecke.rootdata import is_dominant, vneg
@@ -227,20 +227,21 @@ class RefPoly:
         return RefPoly({tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
 
 
-NAMES = ("x", "y", "z")
+NAMES = ("x", "y", "z", "w")
 SMALL = st.integers(-4, 4)
 NEAR_EDGE = st.one_of(
     st.integers(MAX_EXP - 2, MAX_EXP), st.integers(-MAX_EXP, -MAX_EXP + 2), SMALL
 )
 COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+HUGE = st.integers(-(2**100), 2**100) | st.fractions(max_denominator=2**80).map(lambda c: c * 2**70)
 
 
 @st.composite
-def ring_dicts(draw, count, exps=SMALL, max_terms=5):
-    """``count`` tuple-keyed term dicts over 1 to 3 variables."""
-    n = draw(st.integers(1, 3))
+def ring_dicts(draw, count, exps=SMALL, max_terms=5, coeffs=COEFF, max_vars=3):
+    """``count`` tuple-keyed term dicts over 1 to ``max_vars`` variables."""
+    n = draw(st.integers(1, max_vars))
     exp = st.tuples(*[exps] * n)
-    return n, [draw(st.dictionaries(exp, COEFF, max_size=max_terms)) for _ in range(count)]
+    return n, [draw(st.dictionaries(exp, coeffs, max_size=max_terms)) for _ in range(count)]
 
 
 def both(n, d):
@@ -288,14 +289,33 @@ def test_powers_and_inverses_match_reference(drawn, k, mono):
     assert m * m.inverse() == LaurentPoly.one(NAMES[:n])
 
 
-@given(ring_dicts(1, exps=NEAR_EDGE))
-def test_views_match_reference(drawn):
+def ref_obj(p):
+    """The JSON object of a polynomial, built as plain data: ``poly_json``
+    writes its text and ``obj_to_poly`` reads it."""
+    return {
+        "vars": list(p.vars),
+        "terms": [
+            {"exp": list(e), "num": c.numerator, "den": c.denominator}
+            for e, c in p.sorted_terms()
+        ],
+    }
+
+
+@given(ring_dicts(1, exps=NEAR_EDGE, coeffs=COEFF | HUGE, max_vars=4), st.integers(0, 8))
+@example((1, [{}]), 0)
+@example((4, [{}]), 3)
+@example((4, [{(MAX_EXP, -MAX_EXP, 0, 1): -(2**90) - 1, (0, 0, 0, 0): Fraction(3, 2**70)}]), 2)
+def test_views_match_reference(drawn, depth):
     n, (d,) = drawn
     p, rp = both(n, d)
     assert p.sorted_terms() == rp.sorted_terms()
-    obj = poly_to_obj(p)
+    obj = ref_obj(p)
     assert [tuple(t["exp"]) for t in obj["terms"]] == [e for e, _ in rp.sorted_terms()]
-    assert obj_to_poly(json.loads(json.dumps(obj))) == p
+    # the writer's text at any indent is json's own, and reads back to p
+    ind = "\n" + "  " * depth
+    text = poly_json(p, ind)
+    assert text == json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind)
+    assert obj_to_poly(json.loads(text)) == p
     # constant: no term off the zero exponent, whose packed key is 0
     assert (set(p.terms) <= {0}) == (set(rp.terms) <= {(0,) * n})
 

@@ -1,4 +1,6 @@
-"""The report writer against json: the same bytes, streamed in small writes."""
+"""The report writer against json: the same bytes, streamed in small writes.
+
+A ``LaurentPoly`` in a report stands for its JSON object, ``ref_obj``."""
 
 import io
 import json
@@ -11,10 +13,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinehecke.cli import _stream, emit
+from affinehecke.coeffring import LaurentPoly
+
+from test_coeffring import ref_obj
+
+
+def plain(obj):
+    """The tree with each polynomial replaced by its JSON object."""
+    if isinstance(obj, LaurentPoly):
+        return ref_obj(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
 
 
 def streamed(obj) -> str:
@@ -23,26 +39,28 @@ def streamed(obj) -> str:
     return fh.getvalue()
 
 
-# Keys and strings with quotes, backslashes, control characters, non-ASCII
-# (astral too) and the template's own "%".
+# Keys, strings and variable names with quotes, backslashes, control
+# characters, non-ASCII (astral too) and a "%" that no template may read.
 KEYS = st.sampled_from(["den", "exp", "num", "a%d", '"q"', "tab\t", "é", "\U0001d11e", ""])
 INTS = st.integers() | st.sampled_from([2**64 + 1, -(2**70), 0, -1])
+# polynomials in 0 to 4 variables named like keys, the zero polynomial too
+POLYS = st.lists(KEYS, max_size=4).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * len(names)),
+        INTS | st.fractions(max_denominator=2**70),
+        max_size=4,
+    ).map(lambda terms: LaurentPoly(tuple(names), terms))
+)
 LEAVES = (
     st.none()
     | st.booleans()
     | INTS
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text()
-)
-# lists of dicts close to a polynomial's terms, so the template path runs
-# and is left part way by a bool, an empty list or dict, or a float
-TERM_VALUES = INTS | st.lists(INTS | st.booleans(), min_size=0, max_size=3) | st.booleans() | st.floats()
-TERMS = st.lists(
-    st.dictionaries(KEYS, TERM_VALUES, max_size=4) | st.dictionaries(st.sampled_from(["exp"]), INTS),
-    max_size=6,
+    | POLYS
 )
 TREES = st.recursive(
-    LEAVES | TERMS,
+    LEAVES,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
@@ -64,6 +82,8 @@ TREES = st.recursive(
 @example({'k"\n\x01é\U0001d11e': 'v"\\\t\x1f é\U0001d11e'})
 @example([{"a%d": 5, "%%": [1, 2]}])
 @example({"x": [2**64 + 1, -(2**64)]})
+@example([LaurentPoly(("v1",), {}), {"p": LaurentPoly(("a%d", "é"), {(1, -2): Fraction(-3, 7)})}])
+@example(LaurentPoly(("v1", "v2"), {(0, 0): 2**70, (-1, 2): 1}))
 def test_stream_gives_json_bytes(obj):
     assert streamed(obj) == json_text(obj)
 
@@ -89,15 +109,18 @@ class CountingSink:
     def write(self, s):
         self.chars += len(s)
 
+    def flush(self):
+        pass
+
 
 def synthetic_report(n: int) -> dict:
-    """A trace-shaped report with ``n`` records of four-term polynomials."""
+    """A trace-shaped report with ``n`` records of four-term polynomials,
+    held as ``LaurentPoly`` values as ``cmd_trace`` hands them to ``emit``."""
     def poly(seed):
-        return {
-            "terms": [{"den": 1 + k % 3, "exp": [seed % 7 - k, k], "num": (-1) ** k * (seed + k)}
-                      for k in range(4)],
-            "vars": ["v1", "v2"],
-        }
+        return LaurentPoly(
+            ("v1", "v2"),
+            {(seed % 7 - k, k): Fraction((-1) ** k * (seed + k), 1 + k % 3) for k in range(4)},
+        )
     return {
         "all_equal": True,
         "box": 9,
