@@ -45,7 +45,7 @@ from .rootdata import (
     make_datum,
 )
 from .tracegen import PoleError, TorusPoint, TraceGen
-from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
+from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem, PackedFieldError
 
 __all__ = [
     "AffineRoot",
@@ -62,6 +62,7 @@ __all__ = [
     "LabelSet",
     "LaurentPoly",
     "ModeError",
+    "PackedFieldError",
     "PoleError",
     "PrincipalSeries",
     "RootDatum",

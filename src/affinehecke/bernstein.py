@@ -136,29 +136,33 @@ class Bernstein:
         raises BoxError.
         """
         weyl = self.weyl
-        keys = weyl._keys  # id -> (W0 index, translation)
-        z0 = vscale(self._orbit_shift({keys[u][1] for u in h.terms}), weyl.derived.two_rho)
+        # an id's key is its W0 index plus its packed translation shifted by wb
+        keys, wb, wmask = weyl._keys, weyl._wbits, weyl._wmask
+        firsts = {keys[u] >> wb: u for u in h.terms}.values()
+        z0 = vscale(self._orbit_shift(map(weyl.trans, firsts)), weyl.derived.two_rho)
         shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
         # delta_sqrt(xp - z0): its exponents are linear in the point
         delta_sqrt = self.labels.delta_sqrt
         order = weyl.enumerate_w0()
-        weights: dict[Vec, LaurentPoly] = {}
+        points: dict[int, tuple[Vec, LaurentPoly]] = {}  # packed xp -> (x, weight)
         out: dict[tuple[FiniteWeylElem, Vec], LaurentPoly] = {}
         for u, c in shifted.terms.items():
-            w, xp = keys[u]
-            for f in self._simple_forms:
-                if sum(map(mul, f, xp)) < 0:
-                    raise BoxError(
-                        "expansion leaves the dominant range "
-                        f"(term at translation {xp} after shifting by {z0})"
-                    )
-            x = tuple([a - b for a, b in zip(xp, z0)])
-            weight = weights.get(x)
-            if weight is None:
-                weight = weights[x] = delta_sqrt(x)
-            out[(order[w], x)] = c * weight
+            key = keys[u]
+            point = points.get(key >> wb)
+            if point is None:
+                xp = weyl.trans(u)
+                for f in self._simple_forms:
+                    if sum(map(mul, f, xp)) < 0:
+                        raise BoxError(
+                            "expansion leaves the dominant range "
+                            f"(term at translation {xp} after shifting by {z0})"
+                        )
+                x = tuple([a - b for a, b in zip(xp, z0)])
+                point = points[key >> wb] = (x, delta_sqrt(x))
+            x, weight = point
+            out[(order[key & wmask], x)] = c * weight
         return out
 
     def _orbit_shift(self, ys) -> int:

@@ -51,7 +51,7 @@ from .rootdata import (
     vneg,
 )
 from .tracegen import PoleError, TorusPoint, TraceGen
-from .weyl import AffineWeyl
+from .weyl import AffineWeyl, PackedFieldError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -637,7 +637,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, RootSystemError, LabelConfigError, BoxError, SupportError) as exc:
+    except (
+        UsageError, RootSystemError, LabelConfigError, BoxError, SupportError, PackedFieldError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

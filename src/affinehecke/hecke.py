@@ -145,14 +145,14 @@ class HeckeAlgebra:
         weyl = self.weyl
         nxt = weyl.nxt[i]
         lens = weyl.lens
-        fill = weyl.step
         q = self._q_gen_inv[i] if inverse else self._q_gen[i]
         out: dict = {}
         get = out.get
         for u, c in terms.items():
             us = nxt[u]
-            if us < 0:
-                us = fill(u, i)
+            if us < 0:  # the letter's first miss: fill them all
+                weyl.fill(i, terms)
+                us = nxt[u]
             if (lens[us] < lens[u]) == inverse:
                 s = get(us)
                 if s is None:
@@ -165,15 +165,24 @@ class HeckeAlgebra:
                         del out[us]
                 continue
             cq = c * q  # q is a monomial: one shift of every key of a polynomial c
-            split = ((us, cq), (u, cq - c)) if inverse else ((u, cq - c), (us, cq))
-            for g, d in split:
-                s = get(g)
-                if s is not None:
-                    d = s + d
-                if d:
-                    out[g] = d
-                elif s is not None:
-                    del out[g]
+            if inverse:
+                g, d, h, e = us, cq, u, cq - c
+            else:
+                g, d, h, e = u, cq - c, us, cq
+            s = get(g)
+            if s is not None:
+                d = s + d
+            if d:
+                out[g] = d
+            elif s is not None:
+                del out[g]
+            s = get(h)
+            if s is not None:
+                e = s + e
+            if e:
+                out[h] = e
+            elif s is not None:
+                del out[h]
         self._guard(out)
         return out
 
@@ -237,7 +246,6 @@ class HeckeAlgebra:
             )
         weyl = self.weyl
         lens = weyl.lens
-        fill = weyl.step
         start, move = weyl.distance_to(ends, len(word))
         u = weyl.gid(weyl.identity)
         live = {u: ({0: 1}, *start(u))}
@@ -249,8 +257,9 @@ class HeckeAlgebra:
             get = out.get
             for u, (c, s, d) in live.items():
                 us = nxt[u]
-                if us < 0:
-                    us = fill(u, i)
+                if us < 0:  # the letter's first miss: fill them all
+                    weyl.fill(i, live)
+                    us = nxt[u]
                 if lens[us] > lens[u]:
                     if d <= rest:  # -xi_s c stays on u
                         neg = {k + key: -a for k, a in c.items()}

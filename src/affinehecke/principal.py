@@ -43,6 +43,7 @@ the c-values of the last point asked.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -187,7 +188,9 @@ class PrincipalSeries:
         exponent ranges met in this call); an entry is then summed as a
         Python int and divided once by the product of the denominators.  A
         coefficient that is already a number (an action computed at the
-        labels) is its own value.
+        labels, so an int or a Fraction) is its own value, taken as an int
+        over the least common multiple of the numbers' denominators, which
+        joins the product.
 
         With rational labels and a rational point every touched entry is an
         exact Fraction, equal to the term-by-term sum.  A float label or a
@@ -212,7 +215,12 @@ class PrincipalSeries:
         point_nums, point_den = _monomial_values(points, t.images)
         label_num = dict(zip(keys, label_nums))
         point_num = dict(zip(points, point_nums))
-        den = label_den * point_den
+        scale = math.lcm(*(
+            p.denominator for triples in action for _r, _x, p in triples
+            if not isinstance(p, LaurentPoly)
+        ))
+        den = label_den * point_den * scale
+        lift = label_den != 1  # a number also carries the labels' denominator
         for col, triples in enumerate(action):
             sums: dict[int, object] = {}
             for row, x, poly in triples:
@@ -220,8 +228,13 @@ class PrincipalSeries:
                     pv = 0
                     for k, c in poly.terms.items():
                         pv += c * label_num[k]
+                    if scale != 1:
+                        pv *= scale
                 else:
-                    pv = poly if label_den == 1 else poly * label_den
+                    num, d = poly.as_integer_ratio()
+                    pv = num * (scale // d)
+                    if lift:
+                        pv *= label_den
                 sums[row] = sums.get(row, 0) + pv * point_num[x]
             for row, s in sums.items():
                 m[row][col] = s / den

@@ -21,32 +21,43 @@ plus, per irreducible component, the minimal coroot at level 1; elements of
 length 0 form the subgroup ``Omega``, which ``factor_extended`` peels off
 without ever enumerating it (it is infinite for the "GLn(n)" presets).
 
-Elements are interned to dense int ids: an id stands for the pair
-``(w_index, trans)``, where ``w_index`` indexes ``enumerate_w0()``.  Tables
-built once from W0 hold the right product of each finite element with each
-generator's finite part (the simple reflections' columns are the products the
-breadth-first enumeration of W0 already formed), each finite element's
-inverse (its reduced word walked backwards through those products), the
-integer forms ``P . a^vee`` of the positive coroots, and each finite
-element's inversion set as a 0/1 vector.  An element met by its id gets its
-length from the closed formula above as a sum of dot products; a step
-``u -> u s_i`` gets its translation from one dot product and its length as
-``l(u) +- 1``, going down exactly when ``u`` sends the i-th fundamental
-affine root to a negative one.  Each
-generator keeps a step table ``nxt[i][id]``, filled lazily in both
-directions, and lengths live in ``lens[id]``, so a step is a list read and
-the descent bit is ``lens[v] < lens[u]``.  A missing entry is filled in
-place: one dot product for the level ``c`` (see ``step``), the translation
-moved by ``c a_i`` (the same tuple when ``c = 0``), and the new id interned
-inline with no length formula.  The Hecke folds and the Bernstein
-read-off work on these ids directly, reading ``(w_index, trans)`` from
-``_keys``; ``elem(u)`` builds the element from its key.
+Elements are interned to dense int ids, and an id is stored as two ints.
+Its key is ``w + 2^wb T``, where ``w`` indexes ``enumerate_w0()`` in the low
+``wb`` bits (``2^wb >= |W0|``) and ``T`` packs the translation into biased
+fixed-width fields; ``_ids`` maps the key to the id, which is one-to-one on
+every datum, GLn included.  Its levels pack, per generator i with
+fundamental affine root ``(b_i, k_i)``, the field ``k_i - <b_i, t>``.  An
+element is interned from its translation only with every coordinate in
+``[-MAX_FIELD, MAX_FIELD)``, and no element with a length past
+``MAX_FIELD``; past that :class:`PackedFieldError` is raised.  The fields
+are wide enough for every element those bounds admit, so none ever wraps
+(see ``_build_packing``).  Tables built once from W0 hold the right product
+of each finite element with each generator's finite part (the simple
+reflections' columns are the products the breadth-first enumeration of W0
+already formed), each finite element's inverse (its reduced word walked
+backwards through those products), the integer forms ``P . a^vee`` of the
+positive coroots, and each finite element's inversion set as a 0/1 vector.
+An element met by its translation gets its key from one ``struct`` pack, and
+on a miss its levels from one dot product with packed columns and its length
+from the closed formula above.  A step ``u -> u s_i`` reads its level c,
+field i of u's levels: the key moves by ``c`` packed roots ``a_i`` plus the
+move of its W0 field, the levels by ``c`` packed ``<a_i, b_j>``, and the
+length by one, down exactly when ``u`` sends the i-th fundamental affine
+root to a negative one.  Each generator keeps a step table ``nxt[i][id]``,
+filled in both directions, and lengths live in ``lens[id]``, so a step is a
+list read and the descent bit is ``lens[v] < lens[u]``.  ``fill(i, ids)``
+fills every missing entry of a letter in one pass, each new id from one
+``setdefault``; the Hecke folds call it at a letter's first miss and
+``step`` for one id.  No translation tuple is kept per id: ``trans(u)``
+decodes it from the key, for ``elem(u)``, ``inverse_id``, ``distance_to``
+and the Bernstein read-off.
 
 A length ``l(u^{-1} v)`` is an L1 distance between two per-root vectors
-``K(u^{-1})``, read off ``u``'s key by ``inverse_coord_rows``.  A step
-``u -> u s_i`` crosses one wall, so it moves one entry of the vector by one,
-at the positive root ``+-w(a_i)``; ``distance_to`` carries a state's packed
-distances to a set of ends along such steps, one table entry per step.
+``K(u^{-1})``, read off ``u``'s translation by ``inverse_coord_rows``.  A
+step ``u -> u s_i`` crosses one wall, so it moves one entry of the vector by
+one, at the positive root ``+-w(a_i)``, where the entry is ``+-c`` plus a
+constant; ``distance_to`` carries a state's packed distances to a set of ends
+along such steps, one table entry per step.
 
 The group acts on X only.  A finite element is its matrix ``mx`` on X: it
 sends the coroot of a root ``a`` to the coroot of ``w(a)``, so a question on
@@ -63,6 +74,8 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
+from struct import Struct
+from struct import error as StructError
 
 from .rootdata import (
     DerivedRoots,
@@ -80,6 +93,16 @@ Matrix = tuple[Vec, ...]
 
 #: Safety cap for finite Weyl group enumeration.
 MAX_W0 = 100_000
+
+#: An element is interned from its translation only with every coordinate in
+#: ``[-MAX_FIELD, MAX_FIELD)``, and no element with a length past ``MAX_FIELD``;
+#: the packed fields of an id are sized for what those bounds admit.
+MAX_FIELD = 1 << 16
+
+
+class PackedFieldError(ValueError):
+    """Raised when an element's translation or length is past the bounds of
+    the packed ids (see ``MAX_FIELD``)."""
 
 
 class FiniteWeylElem:
@@ -109,7 +132,7 @@ class FiniteWeylElem:
         return f"FiniteWeylElem(mx={self.mx!r})"
 
     def apply_x(self, x: Vec) -> Vec:
-        return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in self.mx)
+        return tuple([sum(map(mul, row, x)) for row in self.mx])
 
 
 class AffineWeylElem:
@@ -192,20 +215,16 @@ class AffineWeyl:
         self._w_index: dict[Matrix, int] = {}
         self._w0_cols: list[list[int]] = []
 
-        # the interned elements; the W0 tables are built on first use
-        self._ids: dict[tuple[int, Vec], int] = {}
-        self._keys: list[tuple[int, Vec]] = []
+        # the interned elements; the W0 tables and the packing are built on first use
+        self._ids: dict[int, int] = {}
+        self._keys: list[int] = []
+        self._levels: list[int] = []
         self.lens: list[int] = []
         self.nxt: list[list[int]] = [[] for _ in self.fundamental]
         self._wmul: list[list[int]] | None = None
         self._winv: list[int] = []
         self._forms: list[Vec] = []
         self._neg: list[tuple[int, ...]] = []
-        self._fund_neg: list[tuple[bool, ...]] = []
-        # per generator: the form of its affine root's coroot, its level, its root
-        self._gen_walls = [
-            (datum.form(f.coroot), f.level, a) for f, a in zip(self.fundamental, self._gen_roots)
-        ]
 
     # -- construction helpers ------------------------------------------------
 
@@ -317,17 +336,101 @@ class AffineWeyl:
             tuple(0 if w.apply_x(a) in pos else 1 for a in self.derived.positive_roots)
             for w in order
         ]
-        # w(b) is negative exactly when w sends the root of b to a negative root
-        self._fund_neg = [tuple(w.apply_x(a) not in pos for a in self._gen_roots) for w in order]
+        self._build_packing()
+
+    def _build_packing(self) -> None:
+        """The field layout of the interned ids (see the module docstring).
+
+        Each field holds its value plus a bias of half its range, and is wide
+        enough for every value an interned element can have, so no field
+        wraps or borrows and steps need no check but the length.  An element
+        is interned from its translation only with every coordinate in
+        ``[-MAX_FIELD, MAX_FIELD)``, and never with a length past
+        ``MAX_FIELD``.  Every ``b_j`` is a coroot, and ``|<t, b>| <= l + 1``
+        for a coroot b (one summand of the length formula), so a level is at
+        most ``MAX_FIELD + 2`` in size.  A step moves t by a root, so
+        ``t - t0`` is in the root lattice for the element ``t0`` its steps
+        began at: it is ``N y`` with ``y_k = <t - t0, b_k>`` over the simple
+        coroots, N the simple roots times the inverse transposed Cartan
+        matrix, and ``|y_k| <= l(t) + l(t0) + 2``.  So a coordinate is less
+        than ``MAX_FIELD + (2 MAX_FIELD + 2) S`` in size, S the largest row
+        sum of ``|N|`` (one step past the length bound adds one to that).  A
+        translation field is 32 bits when that bound fits (64 otherwise),
+        with bias ``2^31``, so flipping each field's top bit gives its value
+        in two's complement and one ``struct`` unpack decodes a translation.
+        """
+        order = self._w0_list
+        pos = self._pos_root_set
+        datum = self.datum
+        gen_forms = [datum.form(f.coroot) for f in self.fundamental]
+        cartan = [[sum(map(mul, f, a)) for f in gen_forms] for a in self._gen_roots]
+        simple = datum.simple_roots
+        k = len(simple)
+        units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        inv = solve_columns([row[:k] for row in cartan[:k]], units)
+        spread = max(
+            sum(abs(sum(a[m] * x for a, x in zip(simple, col))) for col in inv) for m in range(self.rank)
+        )
+        reach = MAX_FIELD + int((2 * MAX_FIELD + 4) * spread) + 1
+        if reach >= 1 << 63:
+            raise PackedFieldError(f"the roots are too long for the packed ids (a step may reach {reach})")
+        tw = 32 if reach < 1 << 31 else 64
+        lw = (MAX_FIELD + 2).bit_length() + 1
+        r, n = self.rank, len(self.fundamental)
+        wb = self._wbits = (len(order) - 1).bit_length()
+        self._wmask = (1 << wb) - 1
+        tbias = 1 << (tw - 1)
+        self._tflip = sum(tbias << (tw * j) for j in range(r))
+        self._tbytes = r * tw // 8
+        fields = Struct(f"<{r}{'i' if tw == 32 else 'q'}")
+        self._tpack, self._tunpack = fields.pack, fields.unpack
+        self._lwidth, self._lbias, self._lfull = lw, 1 << (lw - 1), (1 << lw) - 1
+
+        def packed(values, width, shift=0):
+            return sum(v << (shift + width * j) for j, v in enumerate(values))
+
+        self._lbase = packed([f.level + self._lbias for f in self.fundamental], lw)
+        self._lcols = [packed([form[j] for form in gen_forms], lw) for j in range(r)]
+        # per generator: its level field, the packed moves per unit of level
+        # of the key (the root) and of the levels (<a_i, b_j>), and per W0
+        # index the move of the key's W0 field and whether w(a_i) < 0
+        self._fills = [
+            (
+                lw * i,
+                packed(a, tw, wb),
+                packed(row, lw),
+                [col[i] - w for w, col in enumerate(self._wmul)],
+                [w.apply_x(a) not in pos for w in order],
+            )
+            for i, (a, row) in enumerate(zip(self._gen_roots, cartan))
+        ]
+
+    def _refuse(self, key: int, length: int) -> None:
+        t = self._tunpack(((key >> self._wbits) ^ self._tflip).to_bytes(self._tbytes, "little"))
+        raise PackedFieldError(
+            f"the element with translation {t} has length {length}, "
+            f"past the bound of {MAX_FIELD} of the packed ids"
+        )
 
     def _intern(self, w: int, t: Vec) -> int:
-        key = (w, t)
+        try:  # struct refuses a coordinate past its field, so no key aliases another
+            key = ((int.from_bytes(self._tpack(*t), "little") ^ self._tflip) << self._wbits) + w
+        except StructError:
+            key = -1
         u = self._ids.get(key)
         if u is None:
-            u = len(self._keys)
-            self._ids[key] = u
+            if not -MAX_FIELD <= min(t) <= max(t) < MAX_FIELD:
+                raise PackedFieldError(
+                    f"translation {t} is past the packed ids: "
+                    f"every coordinate must lie in [{-MAX_FIELD}, {MAX_FIELD})"
+                )
+            length = sum([abs(sum(map(mul, form, t)) + n) for form, n in zip(self._forms, self._neg[w])])
+            if length > MAX_FIELD:
+                self._refuse(key, length)
+            u = self._ids[key] = len(self._keys)
             self._keys.append(key)
-            self.lens.append(sum([abs(sum(map(mul, form, t)) + n) for form, n in zip(self._forms, self._neg[w])]))
+            self._levels.append(self._lbase - sum(map(mul, t, self._lcols)))
+            self.lens.append(length)
             for row in self.nxt:
                 row.append(-1)
         return u
@@ -338,46 +441,85 @@ class AffineWeyl:
             self._build_tables()
         return self._intern(self._w_index[g.fin.mx], g.trans)
 
+    def trans(self, u: int) -> Vec:
+        """The translation of the element with id ``u``, decoded from its key."""
+        return self._tunpack(((self._keys[u] >> self._wbits) ^ self._tflip).to_bytes(self._tbytes, "little"))
+
     def elem(self, u: int) -> AffineWeylElem:
         """The element with id ``u``."""
-        w, t = self._keys[u]
-        return AffineWeylElem(self._w0_list[w], t)
+        return AffineWeylElem(self._w0_list[self._keys[u] & self._wmask], self.trans(u))
 
     def inverse_id(self, u: int) -> int:
         """The id of ``u^{-1}``: ``(w t)^{-1} = w^{-1} t_{-w t}``, as in :meth:`inverse`."""
-        w, t = self._keys[u]
-        return self._intern(self._winv[w], vneg(self._w0_list[w].apply_x(t)))
+        w = self._keys[u] & self._wmask
+        t = self.trans(u)
+        return self._intern(self._winv[w], tuple([-sum(map(mul, row, t)) for row in self._w0_list[w].mx]))
 
-    def step(self, u: int, i: int) -> int:
-        """The id of ``u s_i``; fills ``nxt[i]`` in both directions.
+    def fill(self, i: int, ids) -> None:
+        """Fill ``nxt[i]`` at every id of ``ids`` that has no entry yet, in
+        both directions, interning each new ``u s_i`` in the order met.
 
         For the generator's affine root ``(b_i, k_i)`` and root ``a_i`` (its
         translation part is ``k_i a_i``), ``w t . s_i = (w s_i) t'`` with
         ``t' = t + c a_i``, ``c = k_i - <t, b_i>``: the level of ``(w(b_i), c)``,
-        the image of ``(b_i, k_i)`` under ``w t``.  So a step with ``c = 0``
-        keeps u's translation, and the step goes down exactly when that
-        image is negative; the length moves by one either way.
+        the image of ``(b_i, k_i)`` under ``w t``, and field i of u's levels.
+        So a step with ``c = 0`` keeps u's key but its W0 field and all its
+        levels, and otherwise the key moves by ``c`` packed roots and the
+        levels by ``c`` packed ``<a_i, b_j>``.  The step goes down exactly
+        when the image is negative; the length moves by one either way.  A
+        new id of length past ``MAX_FIELD`` raises :class:`PackedFieldError`
+        and is not interned.
         """
         row = self.nxt[i]
-        v = row[u]
-        if v < 0:
-            keys = self._keys
-            w, t = keys[u]
-            form, level, root = self._gen_walls[i]
-            level -= sum(map(mul, form, t))
-            key = (self._wmul[w][i], tuple([x + level * a for x, a in zip(t, root)]) if level else t)
-            ids = self._ids
-            v = ids.get(key)
-            if v is None:  # intern inline: the length is one off that of u
-                v = ids[key] = len(keys)
-                keys.append(key)
-                lens = self.lens
-                down = level < 0 or (level == 0 and self._fund_neg[w][i])
-                lens.append(lens[u] - 1 if down else lens[u] + 1)
+        keys, levs, lens = self._keys, self._levels, self.lens
+        table = self._ids
+        setdefault = table.setdefault
+        wmask, full, bias, lmax = self._wmask, self._lfull, self._lbias, MAX_FIELD
+        shift, a, m, dw, negs = self._fills[i]
+        top = first = len(keys)
+        try:
+            for u in ids:
+                if row[u] >= 0:
+                    continue
+                key = keys[u]
+                levels = levs[u]
+                w = key & wmask
+                c = ((levels >> shift) & full) - bias
+                if c:
+                    key += dw[w] + c * a
+                    levels -= c * m
+                    up = c > 0
+                else:
+                    key += dw[w]
+                    up = not negs[w]
+                v = setdefault(key, top)
+                if v == top:
+                    length = lens[u] + 1 if up else lens[u] - 1
+                    if length > lmax:
+                        del table[key]
+                        self._refuse(key, length)
+                    top += 1
+                    keys.append(key)
+                    levs.append(levels)
+                    lens.append(length)
+                    row.append(u)
+                else:
+                    row[v] = u
+                row[u] = v
+        finally:  # the other rows get their entries of the new ids, -1
+            if top > first:
+                pad = [-1] * (top - first)
                 for r in self.nxt:
-                    r.append(-1)
-            row[u] = v
-            row[v] = u
+                    if r is not row:
+                        r += pad
+
+    def step(self, u: int, i: int) -> int:
+        """The id of ``u s_i``: a read of ``nxt[i]``, filled by :meth:`fill`
+        on a miss."""
+        v = self.nxt[i][u]
+        if v < 0:
+            self.fill(i, (u,))
+            v = self.nxt[i][u]
         return v
 
     def _descent(self, u: int) -> int | None:
@@ -423,7 +565,8 @@ class AffineWeyl:
         ``(sum, d(u))`` from u's whole vector.  ``move(u, i, us, sum, d)``
         returns the pair of ``us = u s_i`` from u's pair: one entry of the
         vector moves by one, so the sum moves by one table entry of packed
-        ``+-1``s, keyed by that entry's value (one dot product); every field
+        ``+-1``s, keyed by that entry's value, ``+-c`` plus a constant for
+        u's level c of the generator (see ``walls`` below); every field
         moves by one, so ``d`` moves by at most one, and two mask tests read
         it.  Nothing is kept per id.
 
@@ -434,8 +577,8 @@ class AffineWeyl:
         through such states reads true again once it is back.
         """
         rows = self.inverse_coord_rows()
-        keys = self._keys
-        lens = self.lens
+        keys, levs, lens = self._keys, self._levels, self.lens
+        wmask, full, bias = self._wmask, self._lfull, self._lbias
         ends = sorted(set(ends))
         top = max((lens[v] for v in ends), default=0)
         limit = cap + top
@@ -446,8 +589,8 @@ class AffineWeyl:
         offs = [(half - 1 - r) * ones for r in range(cap)]
 
         def coords(u: int) -> Vec:
-            w, t = keys[u]
-            return tuple(n + sum(map(mul, r, t)) for r, n in rows[w])
+            t = self.trans(u)
+            return tuple(n + sum(map(mul, r, t)) for r, n in rows[keys[u] & wmask])
 
         cols = list(zip(*map(coords, ends))) or [()] * len(self._forms)
 
@@ -463,21 +606,25 @@ class AffineWeyl:
                 pre.append(pre[-1] + (1 << (width * m)))
             sides.append(([col[m] for m in order], pre))
 
-        # the wall of u -> u s_i, per (w, i): the entry's row, its root, the
-        # direction it moves in, and the packed moves keyed by its value
+        # the wall of u -> u s_i, per (w, i): u's level field c of the
+        # generator, the entry's value at c = 0 and the sign of c in it, its
+        # root, the direction it moves in, and the packed moves keyed by its
+        # value.  The entry is at the root a = +-w(a_i), so w^{-1}(a^vee) =
+        # +-b_i and <r, t> = -<t, w^{-1}(a^vee)> = -+(k_i - c).
         root_index = {a: j for j, a in enumerate(self.derived.positive_roots)}
         moves = [({}, {}) for _ in cols]
         walls = []
         for w, row in zip(self._w0_list, rows):
             wall = []
-            for a in self._gen_roots:
+            for i, (a, f) in enumerate(zip(self._gen_roots, self.fundamental)):
                 b = w.apply_x(a)
                 j = root_index.get(b)
                 up = j is not None
                 if not up:
                     j = root_index[vneg(b)]
-                r, n = row[j]
-                wall.append((r, n, j, up, moves[j][up]))
+                n = row[j][1]
+                base, sign = (n - f.level, 1) if up else (n + f.level, -1)
+                wall.append((self._lwidth * i, base, sign, j, up, moves[j][up]))
             walls.append(wall)
 
         def start(u: int) -> tuple[int, int]:
@@ -488,9 +635,8 @@ class AffineWeyl:
             return s, d
 
         def move(u: int, i: int, us: int, s: int, d: int) -> tuple[int, int]:
-            w, t = keys[u]
-            r, n, j, up, table = walls[w][i]
-            k = n + sum(map(mul, r, t))
+            shift, base, sign, j, up, table = walls[keys[u] & wmask][i]
+            k = base + sign * (((levs[u] >> shift) & full) - bias)
             p = table.get(k)
             if p is None:
                 es, pre = sides[j]

@@ -614,6 +614,21 @@ def test_malformed_datum_file_exit_usage(tmp_path, capsys, field, value, message
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("command", ["trace", "verify"])
+def test_element_past_the_packed_field_exit_usage(tmp_path, capsys, command):
+    # A1 times a torus in a basis where the root reads (1, 70000): the
+    # translation of s0 is past the packed ids.  trace meets it interning a
+    # point, verify interning an inverse.
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "rank": 2, "pairing": [[1, 0], [0, 1]],
+        "simple_roots": [[1, 70000]], "simple_coroots": [[2, 0]],
+    }), encoding="utf-8")
+    code, out, err = run(capsys, [command, "--datum", str(path), "--box", "1"])
+    assert_one_line_usage_error(code, out, err)
+    assert "past the packed ids" in err and "[-65536, 65536)" in err
+
+
 def test_datum_file_that_is_not_an_object_exit_usage(tmp_path, capsys):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps([A1_ROOT_JSON]), encoding="utf-8")

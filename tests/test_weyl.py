@@ -1,14 +1,22 @@
 """Affine Weyl group: lengths, descents, the length-zero subgroup, cosets."""
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinehecke import build_preset
+from affinehecke import build_preset, make_datum
 from affinehecke.rootdata import vadd, vneg, vscale, vsub
-from affinehecke.weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem
+from affinehecke.weyl import (
+    MAX_FIELD,
+    AffineRoot,
+    AffineWeyl,
+    AffineWeylElem,
+    FiniteWeylElem,
+    PackedFieldError,
+)
 
 from principal_model import coset_data, orbit
 
@@ -357,7 +365,8 @@ def inverse_coords(w):
     rows = w.inverse_coord_rows()
 
     def coords(u):
-        fin, t = w._keys[u]
+        t = w.trans(u)
+        fin = w._w_index[w.elem(u).fin.mx]
         return tuple(n + sum(a * b for a, b in zip(r, t)) for r, n in rows[fin])
 
     return coords
@@ -485,3 +494,108 @@ def test_affine_elem_equality_follows_fin_and_trans():
     assert g != AffineWeylElem(w.id_fin, (1, 2))
     assert g != (s, (1, 2))
     assert len({g, twin, AffineWeylElem(s, (2, 1))}) == 2
+
+
+# -- packed ids: fill against the group product, and the field bound ----------
+
+
+@pytest.mark.parametrize("name", list(W0_SIZES))
+@pytest.mark.parametrize("seed", range(3))
+def test_fill_steps_are_the_group_product(name, seed):
+    # seeded walks on a fresh group, so every new id comes from fill: a batch
+    # of ids per letter, repeats included, some of whose entries an earlier
+    # id of the batch fills
+    rng = random.Random(f"{name}-{seed}")
+    w = AffineWeyl(build_preset(name))
+    n = len(w.fundamental)
+    frontier = [w.gid(w.identity)]
+    for _ in range(30):
+        i = rng.randrange(n)
+        batch = rng.choices(frontier, k=min(len(frontier), 10))
+        w.fill(i, batch)
+        for u in batch:
+            v = w.nxt[i][u]
+            g = w.elem(v)
+            assert g == w.multiply(w.elem(u), w.simple_affine(i))
+            assert w.nxt[i][v] == u
+            assert w.lens[v] == len(w.inversion_levels(g))
+            assert w.trans(v) == g.trans and w.gid(g) == v  # the tuple path finds the same id
+        frontier = sorted(set(frontier) | {w.nxt[i][u] for u in batch})
+    for row in w.nxt:
+        assert len(row) == len(w.lens)
+        assert all(v < 0 or row[v] == u for u, v in enumerate(row))
+
+
+def test_an_element_past_the_packed_field_is_refused():
+    # A1-weight: t = (x,) has length |x|, so the coordinate bound decides
+    w = AffineWeyl(build_preset("A1-weight"))
+    for x in (MAX_FIELD - 1, -MAX_FIELD):
+        g = w.translation((x,))
+        assert w.length(g) == len(w.inversion_levels(g)) == abs(x)
+    for x in (MAX_FIELD, -MAX_FIELD - 1, 10**30):
+        with pytest.raises(PackedFieldError, match=r"past the packed ids.*\[-65536, 65536\)"):
+            w.gid(w.translation((x,)))
+    # A2: coordinates in range, but a length past the bound
+    a2 = AffineWeyl(build_preset("A2"))
+    with pytest.raises(PackedFieldError, match="past the bound of 65536"):
+        a2.gid(a2.translation((MAX_FIELD - 1, 0)))
+    assert len(a2.lens) == len(a2._ids) == 0
+    # GLn: a translation along the centre has length 0 but its coordinates
+    # still meet the bound
+    gl = AffineWeyl(build_preset("GLn(2)"))
+    assert gl.length(gl.translation((MAX_FIELD - 1,) * 2)) == 0
+    with pytest.raises(PackedFieldError):
+        gl.gid(gl.translation((MAX_FIELD,) * 2))
+
+
+def test_a_step_past_the_length_bound_is_refused_and_adds_no_id():
+    w = AffineWeyl(build_preset("A1-weight"))
+    u = w.gid(w.translation((MAX_FIELD - 1,)))
+    # one generator goes up, to the bound itself; from there the other one
+    # goes up past it
+    i = next(i for i in range(2) if w.lens[w.step(u, i)] > w.lens[u])
+    v = w.step(u, i)
+    assert w.lens[v] == MAX_FIELD
+    assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+    count = len(w.lens)
+    with pytest.raises(PackedFieldError, match=f"length {MAX_FIELD + 1}, past the bound"):
+        w.step(v, 1 - i)
+    assert len(w.lens) == len(w._ids) == count
+    assert all(len(row) == count for row in w.nxt) and w.nxt[1 - i][v] == -1
+    assert w.step(v, i) == u
+
+
+@pytest.mark.parametrize("name", ["GLn(2)", "GLn(3)"])
+def test_steps_near_the_packed_bound_decode_exactly(name):
+    # a centre of MAX_FIELD - 1 puts every step's coordinates at or past
+    # MAX_FIELD: the translation fields hold them, and elem reads them back
+    rng = random.Random(name)
+    w = AffineWeyl(build_preset(name))
+    u = w.gid(w.translation((MAX_FIELD - 1,) * w.rank))
+    for _ in range(60):
+        i = rng.randrange(len(w.fundamental))
+        v = w.step(u, i)
+        assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+        assert w.lens[v] == len(w.inversion_levels(w.elem(v)))
+        u = v
+    assert max(max(w.trans(u)) for u in range(len(w.lens))) >= MAX_FIELD
+
+
+def skewed_a1(height):
+    """A1 times a torus, in a basis where the root reads ``(1, height)``."""
+    return make_datum(2, [[1, 0], [0, 1]], [[1, height]], [[2, 0]])
+
+
+def test_long_roots_take_64_bit_fields_and_past_that_are_refused():
+    # the root (1, 2^30) puts a step's coordinates past 32 bits
+    w = AffineWeyl(skewed_a1(1 << 30))
+    rng = random.Random(0)
+    u = w.gid(w.identity)
+    for _ in range(40):
+        i = rng.randrange(len(w.fundamental))
+        v = w.step(u, i)
+        assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+        u = v
+    assert max(abs(x) for v in range(len(w.lens)) for x in w.trans(v)) >= 1 << 31
+    with pytest.raises(PackedFieldError, match="too long"):
+        AffineWeyl(skewed_a1(1 << 62)).gid(w.identity)
