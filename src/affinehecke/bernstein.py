@@ -10,18 +10,22 @@ x is itself dominant.
 Everything downstream (the commutation relation with the generators, the
 star involution on the basis, the expansion of arbitrary elements over pairs
 ``T_w theta(x)``) is built from that one constructor.  The expansion uses the
-same move the other way: it reads its shift off the element, the least
-multiple of 2rho that takes the W0-orbits of the translations in its support
-into the dominant cone, where every ``T_w theta(x)`` is one T-term.
+same move the other way: it reads its shift off the element, a dominant z
+that takes the W0-orbits of the translations in its support into the
+dominant cone, where every ``T_w theta(x)`` is one T-term.  Over exact label
+values that z is ``rootdata.shift_for_bounds`` of the orbits' bounds, the
+shortest such z where the fundamental weights lie in X; over formal labels
+it is the least multiple of 2rho, for its term order (see
+``expand_in_bernstein``).
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .coeffring import LaurentPoly
+from .coeffring import LabelSet, LaurentPoly
 from .hecke import HeckeAlgebra, HeckeElem
-from .rootdata import Vec, dominant_decomposition, vneg, vscale, vsub
+from .rootdata import Vec, dominant_decomposition, shift_for_bounds, vneg, vscale, vsub
 from .weyl import FiniteWeylElem
 
 
@@ -44,6 +48,14 @@ class Bernstein:
         # every coroot c (see _orbit_shift)
         self._simple_forms = [self.datum.form(b) for b in self.datum.simple_coroots]
         self._orbit_forms = sorted(self.datum.form(c) for c in self.datum.coroots)
+        # per simple coroot b_i, the forms of the coroots of its W0-invariant
+        # norm sum_a <a, c>^2: a set that holds the orbit of b_i, so the
+        # largest -<y, c> over it bounds -<w y, b_i> over the orbit of y
+        # (see _orbit_bounds)
+        roots = self.datum.roots
+        norms = {f: sum(sum(map(mul, f, a)) ** 2 for a in roots) for f in self._orbit_forms}
+        self._norm_forms = [[f for f in self._orbit_forms if norms[f] == norms[s]]
+                            for s in self._simple_forms]
 
     # -- the basis -----------------------------------------------------------
 
@@ -128,18 +140,30 @@ class Bernstein:
         """Exact coordinates of h over the product basis T_w theta(x).
 
         The coordinates of ``T_{w t_y}`` lie in the convex hull of the orbit
-        ``W0 y`` (Lusztig 1989), so with ``z0`` the dominant shift of the
+        ``W0 y`` (Lusztig 1989), so with ``z0`` a dominant shift of the
         orbits of the translations in h's support, multiplying by
         ``theta(z0)`` takes every ``T_w theta(x)`` to the single T-term
         ``T_{w t_{x+z0}}`` with ``x + z0`` dominant, and coordinates are read
         off termwise.  A term off the dominant range breaks that invariant and
         raises BoxError.
+
+        Over exact label values ``z0`` is ``shift_for_bounds`` of
+        ``_orbit_bounds``, the shortest such shift where the fundamental
+        weights lie in X.  Over formal labels it stays the least multiple of
+        2rho (``_orbit_shift``): the shift sets the order of the terms, and
+        complex ``spherical`` reports sum their floats in that order, so a
+        shorter shift would move their last digits.  That branch can go once
+        those sums no longer depend on the order.
         """
         weyl = self.weyl
         # an id's key is its W0 index plus its packed translation shifted by wb
         keys, wb, wmask = weyl._keys, weyl._wbits, weyl._wmask
         firsts = {keys[u] >> wb: u for u in h.terms}.values()
-        z0 = vscale(self._orbit_shift(map(weyl.trans, firsts)), weyl.derived.two_rho)
+        ys = list(map(weyl.trans, firsts))
+        if isinstance(self.labels, LabelSet):
+            z0 = vscale(self._orbit_shift(ys), weyl.derived.two_rho)
+        else:
+            z0 = shift_for_bounds(self.datum, self._orbit_bounds(ys))
         shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
@@ -164,6 +188,15 @@ class Bernstein:
             x, weight = point
             out[(order[key & wmask], x)] = c * weight
         return out
+
+    def _orbit_bounds(self, ys) -> list[int]:
+        """For each simple coroot ``b_i``, the largest ``-<w y, b_i>`` over
+        the W0-orbits of ``ys`` (0 at least), read as ``-<y, c>`` over the
+        coroots ``c`` of ``b_i``'s norm, with no orbit formed."""
+        return [
+            max([0] + [-sum(map(mul, f, y)) for y in ys for f in forms])
+            for forms in self._norm_forms
+        ]
 
     def _orbit_shift(self, ys) -> int:
         """``dominant_shift`` of the W0-orbits of ``ys``, read from the forms

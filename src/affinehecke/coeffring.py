@@ -712,6 +712,7 @@ class LabelValues:
         self.weyl = labels.weyl
         self._labels = labels
         self._values = {v: Fraction(x) for v, x in values.items()}
+        self._ratios = [v.as_integer_ratio() for v in self._values.values()]
 
     def _value(self, poly: LaurentPoly):
         return _ratio(poly.evaluate(self._values))
@@ -729,14 +730,19 @@ class LabelValues:
         return self._value(self._labels.q_of_gen_inv(j))
 
     def delta_sqrt(self, x: Vec):
-        """:meth:`LabelSet.delta_sqrt` at these values, as the product of
-        ``v_c ** <x, F_c>`` with no monomial built."""
-        out = 1
-        for v, f in zip(self._values.values(), self._labels._delta_forms):
+        """:meth:`LabelSet.delta_sqrt` at these values: ``prod v_c ** <x, F_c>``
+        as one integer numerator and one integer denominator, with no
+        monomial built and no Fraction formed until the end."""
+        num = den = 1
+        for (p, q), f in zip(self._ratios, self._labels._delta_forms):
             e = sum(map(mul, f, x))
-            if e:
-                out = out * v**e
-        return _ratio(out)
+            if e > 0:
+                num *= p**e
+                den *= q**e
+            elif e:
+                num *= q**-e
+                den *= p**-e
+        return num if den == 1 else _ratio(Fraction(num, den))
 
 
 def _parse_rational(raw) -> Fraction:

@@ -17,6 +17,7 @@ length-zero subgroup).
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -110,11 +111,15 @@ def solve_columns(cols, xs: list[Vec]) -> list[tuple[Fraction, ...]] | None:
     return [tuple(row[j] for row in sol) for j in range(len(xs))]
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def int_inverse(mat) -> tuple[Vec, ...] | None:
     """The inverse of a square integer matrix when it is again an integer
     matrix, i.e. when ``mat`` is unimodular; None otherwise."""
     n = len(mat)
-    rank, inv = solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    rank, inv = solve(mat, _identity(n))
     if rank < n or any(v.denominator != 1 for row in inv for v in row):
         return None
     return tuple(tuple(int(v) for v in row) for row in inv)
@@ -290,11 +295,14 @@ class DerivedRoots:
     with, for each root whose coroot is divisible by 2 in Y, its double
     ``(2*alpha, alpha^vee / 2)``.  ``r1_positive`` keeps only the
     unmultipliable layer (roots whose double is not a root of the extension).
+    ``_left_inverse`` is an integer matrix ``N`` and ``_left_den`` an integer
+    ``d`` with ``N / d`` a left inverse of the simple roots.
     """
 
     __slots__ = (
         "positive_roots", "positive_coroots", "coroot", "root", "nonreduced_positive",
-        "r1_positive", "two_rho", "two_rho_check", "_coord_cache",
+        "r1_positive", "two_rho", "two_rho_check", "_simple_roots", "_left_inverse",
+        "_left_den",
     )
 
     def __init__(
@@ -307,7 +315,9 @@ class DerivedRoots:
         r1_positive: tuple[tuple[Vec, Vec], ...],
         two_rho: Vec,
         two_rho_check: Vec,
-        coord_cache: dict[Vec, tuple[Fraction, ...] | None],
+        simple_roots: tuple[Vec, ...],
+        left_inverse: tuple[Vec, ...],
+        left_den: int,
     ):
         self.positive_roots = positive_roots
         self.positive_coroots = positive_coroots
@@ -317,31 +327,43 @@ class DerivedRoots:
         self.r1_positive = r1_positive
         self.two_rho = two_rho
         self.two_rho_check = two_rho_check
-        self._coord_cache = coord_cache
+        self._simple_roots = simple_roots
+        self._left_inverse = left_inverse
+        self._left_den = left_den
 
-    def root_coordinates(self, datum: RootDatum, x: Vec) -> tuple[Fraction, ...] | None:
+    def root_coordinates(self, x: Vec) -> tuple[Fraction, ...] | None:
         """Coordinates of ``x`` in the simple-root basis, or None if x is
         outside the rational span of the roots."""
-        if x in self._coord_cache:
-            return self._coord_cache[x]
-        sol = solve_columns(datum.simple_roots, [x])
-        coords = None if sol is None else sol[0]
-        self._coord_cache[x] = coords
-        return coords
+        return _left_solve(self._simple_roots, self._left_inverse, self._left_den, x)
+
+
+def _left_solve(simple_roots, left_inverse, den: int, x: Vec) -> tuple[Fraction, ...] | None:
+    """``N x / d`` through the left inverse ``N / d`` of the simple roots,
+    or None when the roots do not give ``x`` back."""
+    nums = [sum(map(mul, row, x)) for row in left_inverse]
+    for j, xj in enumerate(x):
+        if sum(c * a[j] for c, a in zip(nums, simple_roots)) != den * xj:
+            return None
+    return tuple(Fraction(c, den) for c in nums)
 
 
 @lru_cache(maxsize=None)
 def derive(datum: RootDatum) -> DerivedRoots:
     coroot = dict(zip(datum.roots, datum.coroots))
     root = dict(zip(datum.coroots, datum.roots))
-    cache: dict[Vec, tuple[Fraction, ...] | None] = {}
 
-    all_coords = solve_columns(datum.simple_roots, datum.roots)
-    if all_coords is None:
-        raise RootSystemError("a root lies outside the span of the simple roots")
+    # the one elimination: the rows of the solution X of S^T X = 1, for S
+    # the simple roots as columns, are a left inverse of S, which gives
+    # every root its coordinates
+    simple = datum.simple_roots
+    _, left = solve(simple, _identity(len(simple)))
+    den = math.lcm(*(v.denominator for row in left for v in row))
+    left_inverse = tuple(tuple(int(v * den) for v in col) for col in zip(*left))
     positive = []
-    for r, coords in zip(datum.roots, all_coords):
-        cache[r] = coords
+    for r in datum.roots:
+        coords = _left_solve(simple, left_inverse, den, r)
+        if coords is None:
+            raise RootSystemError("a root lies outside the span of the simple roots")
         if any(c.denominator != 1 for c in coords):
             raise RootSystemError("a root has non-integral simple-root coordinates")
         if all(c >= 0 for c in coords):
@@ -384,8 +406,23 @@ def derive(datum: RootDatum) -> DerivedRoots:
         r1_positive=tuple(r1),
         two_rho=two_rho,
         two_rho_check=two_rho_check,
-        coord_cache=cache,
+        simple_roots=simple,
+        left_inverse=left_inverse,
+        left_den=den,
     )
+
+
+@lru_cache(maxsize=None)
+def fundamental_weights(datum: RootDatum) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """``(weights, steps)``: ``weights[i] = k_i * omega_i`` for the
+    fundamental weight ``omega_i`` (``<omega_i, b_j> = delta_ij`` on the
+    simple coroots, free coordinates 0), with ``k_i = steps[i]`` the least
+    integer that puts it in X.  One elimination per datum."""
+    forms = [datum.form(b) for b in datum.simple_coroots]
+    _, omegas = solve(forms, _identity(len(forms)))
+    steps = tuple(math.lcm(*(v.denominator for v in col)) for col in zip(*omegas))
+    weights = tuple(tuple(int(v * k) for v in col) for col, k in zip(zip(*omegas), steps))
+    return weights, steps
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +444,29 @@ def dominant_shift(datum: RootDatum, xs: list[Vec]) -> int:
     return n
 
 
+def shift_for_bounds(datum: RootDatum, bounds) -> Vec:
+    """A dominant ``z`` in X with ``<z, b_i> >= bounds[i]`` for every simple
+    coroot ``b_i``, short by ``<z, 2rho^vee>``, the length of ``t_z``.
+
+    It is the shorter of ``sum_i k_i ceil(m_i / k_i) omega_i``, with
+    ``m_i = max(bounds[i], 0)`` and ``k_i omega_i`` the least multiple of the
+    fundamental weight in X (:func:`fundamental_weights`), and the least multiple
+    ``n * 2rho`` with ``2n >= m_i``; ``2rho`` on a tie.  Where every
+    ``omega_i`` lies in X (every ``k_i = 1``) the weight sum is the least
+    length of all: a dominant ``z`` pairs to some ``c_i >= m_i`` with each
+    ``b_i`` and has length ``sum_i c_i <omega_i, 2rho^vee>``.  Where it does
+    not (A2) the rounding up to ``k_i`` can make ``2rho`` the shorter.
+    """
+    der = derive(datum)
+    tops = [max(m, 0) for m in bounds]
+    z = (0,) * datum.rank
+    for m, w, k in zip(tops, *fundamental_weights(datum)):
+        z = vadd(z, vscale(-(-m // k), w))
+    rho = vscale(-(-max(tops, default=0) // 2), der.two_rho)
+    check = der.two_rho_check
+    return z if datum.pair(z, check) < datum.pair(rho, check) else rho
+
+
 def dominant_decomposition(datum: RootDatum, x: Vec) -> tuple[Vec, Vec]:
     """Write ``x = y - z`` with ``y``, ``z`` dominant and ``z`` the minimal
     multiple of the positive-root sum, ``dominant_shift(datum, [x]) * 2rho``."""
@@ -422,7 +482,7 @@ def height(datum: RootDatum, x: Vec) -> Fraction:
 
 def in_negative_cone(datum: RootDatum, x: Vec) -> bool:
     """True when ``-x`` is a non-negative integer combination of simple roots."""
-    coords = derive(datum).root_coordinates(datum, x)
+    coords = derive(datum).root_coordinates(x)
     return coords is not None and all(c.denominator == 1 and c <= 0 for c in coords)
 
 

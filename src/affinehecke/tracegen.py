@@ -27,7 +27,7 @@ from fractions import Fraction
 from .bernstein import Bernstein
 from .coeffring import LabelSet, LaurentPoly, accumulate
 from .rootdata import (
-    Vec, coordinate_box, dominant_shift, height, in_negative_cone, vadd, vneg, vscale,
+    Vec, coordinate_box, height, in_negative_cone, shift_for_bounds, vadd, vneg,
 )
 from .weyl import FiniteWeylElem
 
@@ -135,7 +135,7 @@ class TraceGen:
         if self._root_coords is None:
             out = []
             for root, _coroot in self.derived.nonreduced_positive:
-                coords = self.derived.root_coordinates(self.datum, root)
+                coords = self.derived.root_coordinates(root)
                 assert coords is not None and all(c.denominator == 1 for c in coords)
                 out.append((root, tuple(int(c) for c in coords)))
             self._root_coords = out
@@ -158,7 +158,7 @@ class TraceGen:
         """
         datum = self.datum
         cells_of = {
-            x: tuple(-int(c) for c in self.derived.root_coordinates(datum, x))
+            x: tuple(-int(c) for c in self.derived.root_coordinates(x))
             for x in map(tuple, xs)
             if in_negative_cone(datum, x)
         }
@@ -185,21 +185,27 @@ class TraceGen:
     def trace_sweep(self, xs: list[Vec]) -> dict[Vec, LaurentPoly]:
         """Direct traces for a batch of x, sharing one translation inverse.
 
-        Every x is decomposed against one dominant shift z, the least
-        multiple of the sum of positive roots that makes every ``y = x + z``
-        dominant (``rootdata.dominant_shift``).  On the normalised basis
-        ``theta_x = T~_{t_y} T~_{t_z}^{-1}`` (Lusztig, *Affine Hecke algebras
-        and their graded version*, 1989), and ``tau(T~_a T~_b) = [ab = 1]``,
-        so ``tau(theta_x)`` is the coefficient of ``T~_{t_{-y}}`` in
+        Every x is decomposed against one dominant shift z that makes every
+        ``y = x + z`` dominant: ``rootdata.shift_for_bounds`` at the bounds
+        ``m_i = max_x -<x, b_i>``, the shortest such z where the fundamental
+        weights lie in X.  On the normalised basis
+        ``theta_x = T~_{t_y} T~_{t_z}^{-1}`` for any dominant y, z with
+        ``x = y - z`` (Lusztig, *Affine Hecke algebras and their graded
+        version*, 1989), and ``tau(T~_a T~_b) = [ab = 1]``, so
+        ``tau(theta_x)`` is the coefficient of ``T~_{t_{-y}}`` in
         ``T~_{t_z}^{-1}``: all traces are coefficients of one targeted
-        ``invert_basis``.  By the subword property a fold state u with r
-        letters left can reach ``t_{-y}`` only if ``l(u^{-1} t_{-y}) <= r``,
-        and that length is an L1 distance between per-root vectors, so the
-        other states are dropped as soon as they fall out of reach.
+        ``invert_basis``, whose length is that of ``t_z``.  By the subword
+        property a fold state u with r letters left can reach ``t_{-y}`` only
+        if ``l(u^{-1} t_{-y}) <= r``, and that length is an L1 distance
+        between per-root vectors, so the other states are dropped as soon as
+        they fall out of reach.
         """
         weyl = self.weyl
         xs = [tuple(x) for x in xs]
-        z = vscale(dominant_shift(self.datum, xs), self.derived.two_rho)
+        datum = self.datum
+        z = shift_for_bounds(
+            datum, [max((-datum.pair(x, b) for x in xs), default=0) for b in datum.simple_coroots]
+        )
         targets = {x: weyl.translation(vneg(vadd(x, z))) for x in xs}
         inv = self.hecke.invert_basis(weyl.translation(z), targets=list(targets.values()))
         zero = self.labels.zero()

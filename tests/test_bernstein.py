@@ -13,7 +13,8 @@ from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.rootdata import (
-    coordinate_box, dominant_decomposition, dominant_shift, is_dominant, vadd, vneg, vscale, vsub,
+    coordinate_box, dominant_decomposition, dominant_shift, fundamental_weights,
+    is_dominant, shift_for_bounds, vadd, vneg, vscale, vsub,
 )
 from affinehecke.weyl import AffineWeyl
 
@@ -267,6 +268,79 @@ def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
     monkeypatch.setattr(bernstein.Bernstein, "_orbit_shift", lambda self, ys: shift - 1)
     with pytest.raises(BoxError, match="leaves the dominant range"):
         B.expand_in_bernstein(h)
+
+
+ALL_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "BnCn(3)", "GLn(2)",
+               "GLn(3)")
+
+
+@lru_cache(maxsize=None)
+def exact_tower(name):
+    """(formal Bernstein, Bernstein over exact label values, assignment)."""
+    formal = tower(name)
+    w, labels = formal.weyl, formal.labels
+    qs = (4, 9, 16)
+    raw = {g: qs[labels.gen_class[j]] for j, g in enumerate(w.generator_names)}
+    asg = labels.numeric_assignment(raw, "rational")
+    return formal, Bernstein(HeckeAlgebra(w, labels.at(asg))), asg
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_norm_forms_are_the_coroot_orbits(name):
+    # coroots of one W0-invariant norm hold the orbit, so the bounds are
+    # safe; on every preset they are exactly the orbit
+    B = tower(name)
+    for b, forms in zip(B.datum.simple_coroots, B._norm_forms):
+        assert sorted(forms) == sorted(B.datum.form(c) for c in B.weyl.coroot_orbit(b))
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_exact_expansion_is_the_formal_one_evaluated(name):
+    # T_{t_x} at antidominant points needs a shift; the exact tower takes
+    # the short one, the formal tower the multiple of 2rho
+    formal, exact, asg = exact_tower(name)
+    datum, derived = formal.datum, formal.weyl.derived
+    x0 = vneg(derived.two_rho)
+    lengths = []
+    for x in (x0, vsub(x0, datum.simple_roots[0])):
+        h = formal.hecke.basis(formal.weyl.translation(x))
+        want = {k: c.evaluate(asg) for k, c in formal.expand_in_bernstein(h).items()}
+        assert exact.expand_in_bernstein(exact.hecke.basis(exact.weyl.translation(x))) == want
+        ys = [formal.weyl.trans(u) for u in h.terms]
+        z = shift_for_bounds(datum, exact._orbit_bounds(ys))
+        two_rho = vscale(formal._orbit_shift(ys), derived.two_rho)
+        lengths.append((datum.pair(z, derived.two_rho_check),
+                        datum.pair(two_rho, derived.two_rho_check)))
+    assert all(short <= long for short, long in lengths)
+    if name in ("B2", "C2", "G2"):
+        assert lengths[0][0] < lengths[0][1]
+
+
+@pytest.mark.parametrize("name", ["A1-weight", "B2", "C2", "G2", "BnCn(3)", "GLn(3)"])
+def test_exact_expand_raises_when_a_bound_falls_one_short(name, monkeypatch):
+    # theta(y) at the orbit point that attains bound i has its coordinate
+    # there, so with that bound one lower (and k_i = 1, so the shift falls
+    # short by one too) the per-term guard reports it
+    _formal, B, _asg = exact_tower(name)
+    datum = B.datum
+    x = vneg(B.weyl.derived.two_rho)
+    steps = fundamental_weights(datum)[1]
+    tried = 0
+    for i, b in enumerate(datum.simple_coroots):
+        if steps[i] != 1:
+            continue
+        y = max(orbit(B.weyl, x), key=lambda y: -datum.pair(y, b))
+        h = B.theta(y)
+        bounds = B._orbit_bounds([B.weyl.trans(u) for u in h.terms])
+        assert bounds[i] == -datum.pair(y, b)
+        assert B.expand_in_bernstein(h)
+        lowered = bounds[:i] + [bounds[i] - 1] + bounds[i + 1:]
+        monkeypatch.setattr(B, "_orbit_bounds", lambda ys: lowered)
+        with pytest.raises(BoxError, match="leaves the dominant range"):
+            B.expand_in_bernstein(h)
+        monkeypatch.undo()
+        tried += 1
+    assert tried
 
 
 def ref_shift_for_box(datum, box):

@@ -16,6 +16,7 @@ from affinehecke.cli import main
 from affinehecke.principal import PrincipalSeries
 from affinehecke.rootdata import MAX_ROOTS, PRESET_NAMES
 from affinehecke.tracegen import TraceGen
+from affinehecke.weyl import AffineWeyl
 
 Q4_A1 = '{"s1": 4, "s0": 4}'
 Q4_A2 = '{"s1": 4, "s2": 4, "s0": 4}'
@@ -236,6 +237,27 @@ def test_spherical_report_digest(capsys, datum, labels, mode, digest, box):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_spherical_bench_run_interns_the_ids_of_the_short_shifts(capsys, monkeypatch):
+    # the bench's spherical workload at seed 0: the exact expansions fold
+    # through the shortest dominant shifts, so one Weyl group interns 6,194
+    # ids (13,872 through the least multiples of 2rho)
+    made = []
+    init = AffineWeyl.__init__
+    monkeypatch.setattr(
+        AffineWeyl, "__init__", lambda self, datum: init(self, datum) or made.append(self)
+    )
+    code, out, _ = run(
+        capsys,
+        ["spherical", "--datum", "B2", "--labels", '{"s1":4,"s2":9}', "--mode", "rational",
+         "--box", "3", "--seed", "0"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "d2b8847990f3bff893fcc622684296047f0b768a93bdd6ba7722083dce2bf3c0"
+    )
+    assert [len(w._keys) for w in made] == [6194]
 
 
 @pytest.mark.parametrize("mode,code", [("rational", 1), ("complex", 0)])

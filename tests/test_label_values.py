@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinehecke import build_preset
 from affinehecke.bernstein import Bernstein
@@ -133,3 +135,18 @@ def test_delta_sqrt_values_are_the_evaluated_monomials(name, kind):
         want = value(mono, asg)
         got = view.delta_sqrt(x)
         assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("kind", sorted(LABELS))
+@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+@given(data=st.data())
+@settings(deadline=None, max_examples=25)
+def test_integer_delta_sqrt_is_the_evaluated_monomial(name, kind, data):
+    # one integer numerator and denominator against the monomial evaluated
+    # at the Fraction labels, far past the box above
+    formal, numeric, asg = towers(name, kind)
+    coord = st.integers(min_value=-40, max_value=40)
+    x = data.draw(st.tuples(*[coord] * formal.datum.rank))
+    want = value(formal.labels.delta_sqrt(x), asg)
+    got = numeric.labels.delta_sqrt(x)
+    assert got == want and type(got) is type(want)

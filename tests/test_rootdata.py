@@ -1,6 +1,7 @@
 """Root-datum construction: closure, cones, decompositions, JSON interchange,
 and the exact linear algebra behind them."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,10 @@ from affinehecke import (
 )
 from affinehecke import rootdata
 from affinehecke.rootdata import (
+    coordinate_box,
+    fundamental_weights,
     int_inverse,
+    shift_for_bounds,
     solve,
     solve_columns,
     vadd,
@@ -206,7 +210,7 @@ def test_dominant_shift_of_a_batch_is_the_least_common_shift(name, xs):
 @given(small_vectors(2))
 def test_negative_cone_vs_coordinates_a2(x):
     datum = build_preset("A2")
-    coords = derive(datum).root_coordinates(datum, x)
+    coords = derive(datum).root_coordinates(x)
     expect = all(c.denominator == 1 and c <= 0 for c in coords)
     assert in_negative_cone(datum, x) == expect
 
@@ -219,14 +223,14 @@ def test_negative_cone_a1_weight_is_even_nonpositive():
     assert not in_negative_cone(datum, (-1,))
     # (1,) is half the simple root (2,), off the root lattice; (4,) is on it
     coords = derive(datum).root_coordinates
-    assert coords(datum, (1,)) == (Fraction(1, 2),)
-    assert coords(datum, (4,)) == (Fraction(2),)
+    assert coords((1,)) == (Fraction(1, 2),)
+    assert coords((4,)) == (Fraction(2),)
 
 
 def test_gln_cone_stays_inside_the_root_span():
     datum = build_preset("GLn(2)")
     # (1, 1) is central, outside the span of e1 - e2
-    assert derive(datum).root_coordinates(datum, (1, 1)) is None
+    assert derive(datum).root_coordinates((1, 1)) is None
     assert not in_negative_cone(datum, (1, 1))
     assert in_negative_cone(datum, (-1, 1))
     assert not in_negative_cone(datum, (1, -1))
@@ -495,8 +499,8 @@ def test_derive_caches_on_equal_datums(name):
 
 @pytest.mark.parametrize("name", ["A2", "G2", "BnCn(4)", "GLn(4)"])
 def test_derive_solves_every_root_in_one_elimination(name, monkeypatch):
-    # one solve with a right-hand side per root, not one solve per root; the
-    # coordinates it keeps are those of a per-root solve
+    # one solve, for a left inverse of the simple roots, not one solve per
+    # root; the coordinates it gives are those of a per-root solve
     datum = build_preset(name)
     calls = []
     real = rootdata.solve
@@ -505,5 +509,83 @@ def test_derive_solves_every_root_in_one_elimination(name, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     for r in datum.roots:
-        assert derived.root_coordinates(datum, r) == solve_columns(datum.simple_roots, [r])[0]
+        assert derived.root_coordinates(r) == solve_columns(datum.simple_roots, [r])[0]
     assert derived.positive_roots == derive(datum).positive_roots
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_root_coordinates_match_a_solve_per_point(name):
+    # the left inverse against an elimination per point over a box, points
+    # off the roots' span (GLn) included
+    datum = build_preset(name)
+    derived = derive(datum)
+    off_span = 0
+    for x in coordinate_box(datum.rank, -3, 3):
+        sol = solve_columns(datum.simple_roots, [x])
+        assert derived.root_coordinates(x) == (None if sol is None else sol[0])
+        off_span += sol is None
+    assert (off_span > 0) == name.startswith("GLn")
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_fundamental_weights_are_the_least_multiples_in_x(name):
+    datum = build_preset(name)
+    weights, steps = fundamental_weights(datum)
+    for i, (w, k) in enumerate(zip(weights, steps)):
+        assert [datum.pair(w, b) for b in datum.simple_coroots] == [
+            k * (i == j) for j in range(len(steps))
+        ]
+        assert math.gcd(k, *w) == 1  # w / d is off X for every d > 1 dividing k
+    in_x = name in ("A1-weight", "B2", "C2", "G2", "GLn(2)", "GLn(3)")
+    assert (set(steps) == {1}) == in_x
+
+
+def _length(datum, z):
+    return datum.pair(z, derive(datum).two_rho_check)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_shift_for_bounds_is_dominant_and_never_longer_than_2rho(name):
+    datum = build_preset(name)
+    two_rho = derive(datum).two_rho
+    rank = len(datum.simple_coroots)
+    for bounds in coordinate_box(rank, -1, 6 if rank < 3 else 4):
+        z = shift_for_bounds(datum, bounds)
+        assert is_dominant(datum, z)
+        assert all(datum.pair(z, b) >= m for m, b in zip(bounds, datum.simple_coroots))
+        n = max(0, *((m + 1) // 2 for m in bounds))
+        assert _length(datum, z) <= _length(datum, vscale(n, two_rho))
+
+
+@pytest.mark.parametrize("name", ["A1-weight", "B2", "C2", "G2", "GLn(3)"])
+def test_shift_for_bounds_is_the_least_length_where_the_weights_lie_in_x(name):
+    # a brute-force minimum over a box of lattice points wide enough to hold
+    # the weight sum at the largest bounds
+    datum = build_preset(name)
+    rank = len(datum.simple_coroots)
+    top = 3
+    wide = top * sum(abs(v) for w in fundamental_weights(datum)[0] for v in w)
+    cands = [z for z in coordinate_box(datum.rank, -wide, wide) if is_dominant(datum, z)]
+    for bounds in coordinate_box(rank, 0, top):
+        best = min(
+            _length(datum, z) for z in cands
+            if all(datum.pair(z, b) >= m for m, b in zip(bounds, datum.simple_coroots))
+        )
+        assert _length(datum, shift_for_bounds(datum, bounds)) == best
+
+
+def test_shift_for_bounds_takes_2rho_where_the_weight_sum_is_longer():
+    # A2's fundamental weights are off X, so the weight sum rounds up to
+    # multiples of 3 and is the longer choice at some bounds
+    datum = build_preset("A2")
+    weights, steps = fundamental_weights(datum)
+    assert steps == (3, 3)
+    two_rho = derive(datum).two_rho
+    longer = 0
+    for bounds in coordinate_box(2, 0, 4):
+        z = vadd(*(vscale(-(-m // k), w) for m, w, k in zip(bounds, weights, steps)))
+        n = (max(bounds) + 1) // 2
+        if _length(datum, z) > _length(datum, vscale(n, two_rho)):
+            assert shift_for_bounds(datum, bounds) == vscale(n, two_rho)
+            longer += 1
+    assert longer > 0

@@ -50,7 +50,7 @@ def ref_partitions(trace, target):
     of the positive non-reduced roots, as maps root -> multiplicity;
     depth-first in a fixed root order, one target at a time: the reference
     for the batch partition route."""
-    coords = trace.derived.root_coordinates(trace.datum, tuple(target))
+    coords = trace.derived.root_coordinates(tuple(target))
     if coords is None or any(c.denominator != 1 for c in coords):
         return
     rem = tuple(int(c) for c in coords)
@@ -98,7 +98,7 @@ def brute_force_partitions(trace, target):
     positive roots summing to the target, via bounded nested products."""
     datum = trace.datum
     roots = [beta for beta, _ in derive(datum).nonreduced_positive]
-    coords = derive(datum).root_coordinates(datum, target)
+    coords = derive(datum).root_coordinates(target)
     if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
         return []
     total = int(height(datum, target))
@@ -158,7 +158,7 @@ def test_batch_partition_route_matches_the_partition_sum(name):
     derived = derive(trace.datum)
     off_lattice = on_cone = 0
     for x in xs:
-        coords = derived.root_coordinates(trace.datum, vneg(x))
+        coords = derived.root_coordinates(vneg(x))
         if coords is None or any(c.denominator != 1 for c in coords):
             off_lattice += 1
         elif all(c >= 0 for c in coords):
