@@ -23,14 +23,22 @@ It provides what the ``spherical`` and ``verify`` commands read:
   vector.
 
 The value on the spherical Bernstein element, which the ``spherical`` report
-checks against the c-function formula, folds numbers when the labels and the
-torus point are exact: its double-coset sum, the product with ``sym`` and the
-expansion run in an algebra over the labels read at the assignment
+checks against the c-function formula, takes a shorter route when the labels
+and the torus point are exact.  The symmetrizer absorbs every finite
+generator, ``sym·T_s = q_s·sym``, so ``sym·T_w = q(w)·sym`` and
+``sym·sym = p0·sym``, and every coordinate of ``sym·u`` is the pairing
+``<1, u> = sum_w q(w)·u_w`` that reads the functional.  Hence
+``<1, (sym·T_{t_x}·sym)·v0> = p0^2 <1, T_{t_x}·v0>`` on the spherical vector
+``v0``, and the value is read off ``T_{t_x}`` alone: one product with
+``sym`` and one expansion of ``|W0|`` terms per point.  They run in an
+algebra over the labels read at the assignment
 (:meth:`~affinehecke.coeffring.LabelSet.at`), and the factor
 ``delta^{1/2}(-x)`` multiplies the value instead of the element, so with
-integral parameters every fold coefficient is an int.  Complex points, float
-labels and every other action keep Laurent coefficients and evaluate them at
-the end.
+integral parameters every fold coefficient is an int.  Complex points and
+float labels keep the double-coset sum with Laurent coefficients, evaluated
+at the end: their float sums follow the term order of that expansion, so a
+shorter route would move a complex report in its last digits.  Every other
+action keeps Laurent coefficients too.
 
 All torus points are numeric; identities in the torus variable are verified
 on seeded random points rather than over a field of rational functions.
@@ -385,46 +393,38 @@ class PrincipalSeries:
 
     def theta_plus_cleared(self, x: Vec) -> HeckeElem:
         """Denominator-free version of the spherical Bernstein element: the
-        double symmetrised translation, scaled by the square root of the
-        modulus character."""
+        double-coset sum ``sym·T_{t_x}·sym``, scaled by the square root of
+        the modulus character."""
         x = tuple(x)
-        H = self.hecke
-        return H.scale(
-            self._double_coset_sum(H, self.symmetrizer(), x), self.labels.delta_sqrt(vneg(x))
-        )
-
-    def _double_coset_sum(self, H: HeckeAlgebra, sym: HeckeElem, x: Vec) -> HeckeElem:
-        """``sym·T_{t_x}·sym`` in ``H``, with ``sym`` its symmetrizer."""
         if not is_dominant(self.datum, x):
             raise ValueError(f"{x} is not dominant")
-        return H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
-
-    def _theta_plus_action(self, x: Vec, exact: bool) -> list:
-        """One-column action on the spherical vector: of the cleared
-        element, or with ``exact`` of its double-coset sum computed at the
-        labels (so without the factor ``delta^{1/2}(-x)``)."""
-        if exact:
-            bernstein, sym = self._exact()
-            elem = self._double_coset_sum(bernstein.hecke, sym, x)
-        else:
-            bernstein, sym = self.bernstein, self.symmetrizer()
-            elem = self.theta_plus_cleared(x)
-        return self.symbolic_action(elem, [sym], bernstein)
+        H = self.hecke
+        sym = self.symmetrizer()
+        elem = H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
+        return H.scale(elem, self.labels.delta_sqrt(vneg(x)))
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
-        through the module action.  With exact labels at a rational point
-        the action folds numbers (see the module docstring) and the factor
-        ``delta^{1/2}(-x)`` multiplies the value; the result is the same
-        exact number either way."""
+        through the module action.
+
+        With exact labels at a rational point it reads ``T_{t_x}`` alone on
+        the spherical vector, in the algebra over the label values, and
+        multiplies the value by ``delta^{1/2}(-x)`` (see the module
+        docstring).  Otherwise it acts by :meth:`theta_plus_cleared` and
+        divides by ``p0^2``.  Both give the same value."""
         x = tuple(x)
         self._need_numeric()
-        if self._exact_labels and t._rational():
-            val = self._spherical_of(self._theta_plus_action(x, True), t)
-            val *= self.trace.delta_sqrt_value(vneg(x))
-        else:
-            val = self._spherical_of(self._theta_plus_action(x, False), t)
-        return val / (self._p0_val ** 2)
+        if not (self._exact_labels and t._rational()):
+            action = self.symbolic_action(
+                self.theta_plus_cleared(x), [self.symmetrizer()], self.bernstein
+            )
+            return self._spherical_of(action, t) / (self._p0_val ** 2)
+        if not is_dominant(self.datum, x):
+            raise ValueError(f"{x} is not dominant")
+        bernstein, sym = self._exact()
+        tx = bernstein.hecke.basis(self.weyl.translation(x))
+        val = self._spherical_of(self.symbolic_action(tx, [sym], bernstein), t)
+        return val * self.trace.delta_sqrt_value(vneg(x))
 
     def macdonald_value(self, t: TorusPoint, x: Vec):
         """The c-function series formula for the spherical functional on the

@@ -4,8 +4,9 @@ No ``hecke-trace`` command reads what is here; the tests check the paper's
 identities through it.  :class:`PrincipalModel` adds to ``PrincipalSeries``
 the finite Hecke algebra of the module, the intertwining vectors and
 operators, matrix elements, the spherical functional of any element, the
-plus basis and the truncated series check, with two memos bounded by the
-datum (the left matrices and the intertwiner actions).  The functions give
+double-coset route of the exact spherical value, the plus basis and the
+truncated series check, with two memos bounded by the datum (the left
+matrices and the intertwiner actions).  The functions give
 the trace pairing, Weyl orbits and cosets, the Poincare series, orbit sums,
 the group algebra's embedding, the inverse Bernstein expansion and the
 numeric generating identity.
@@ -231,6 +232,18 @@ class PrincipalModel(PrincipalSeries):
         ``h·sym = P(q)·h`` for an invariant ``h``, so the value stays
         independent of the formula it is checked against."""
         return self._spherical_of(self.symbolic_action(h, [self.symmetrizer()]), t)
+
+    def double_coset_spherical(self, t, x):
+        """The exact spherical value through the double-coset sum: the
+        action of ``sym·T_{t_x}·sym`` on the spherical vector, folded at the
+        label values, over ``p0^2`` and times ``delta^{1/2}(-x)``.  The
+        reference of ``spherical_theta_plus``, which reads ``T_{t_x}`` alone."""
+        x = tuple(x)
+        bernstein, sym = self._exact()
+        H = bernstein.hecke
+        elem = H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
+        val = self._spherical_of(self.symbolic_action(elem, [sym], bernstein), t)
+        return val * self.trace.delta_sqrt_value(vneg(x)) / self._p0_val ** 2
 
     def theta_plus(self, x):
         """The spherical Bernstein basis element at a dominant point, with

@@ -240,9 +240,9 @@ def test_spherical_report_digest(capsys, datum, labels, mode, digest, box):
 
 
 def test_spherical_bench_run_interns_the_ids_of_the_short_shifts(capsys, monkeypatch):
-    # the bench's spherical workload at seed 0: the exact expansions fold
-    # through the shortest dominant shifts, so one Weyl group interns 6,194
-    # ids (13,872 through the least multiples of 2rho)
+    # the bench's spherical workload at seed 0: each exact value expands
+    # T_{t_x}·sym alone, through the shortest dominant shifts, so one Weyl
+    # group interns 2,807 ids
     made = []
     init = AffineWeyl.__init__
     monkeypatch.setattr(
@@ -257,7 +257,7 @@ def test_spherical_bench_run_interns_the_ids_of_the_short_shifts(capsys, monkeyp
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "d2b8847990f3bff893fcc622684296047f0b768a93bdd6ba7722083dce2bf3c0"
     )
-    assert [len(w._keys) for w in made] == [6194]
+    assert [len(w._keys) for w in made] == [2807]
 
 
 @pytest.mark.parametrize("mode,code", [("rational", 1), ("complex", 0)])

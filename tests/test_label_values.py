@@ -150,3 +150,27 @@ def test_integer_delta_sqrt_is_the_evaluated_monomial(name, kind, data):
     want = value(formal.labels.delta_sqrt(x), asg)
     got = numeric.labels.delta_sqrt(x)
     assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("algebra", ["formal", "integral", "fractional"])
+@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+def test_the_symmetrizer_absorbs_the_finite_generators(name, algebra):
+    # sym·T_s = T_s·sym = q_s·sym and sym·sym = p0·sym, over the formal labels
+    # and over their values: the identities that let the exact spherical
+    # value act by T_{t_x} alone instead of sym·T_{t_x}·sym
+    formal, numeric, asg = towers(name, "integral" if algebra == "formal" else algebra)
+    B = formal if algebra == "formal" else numeric
+    H, w, labels = B.hecke, B.weyl, formal.labels
+
+    def q(poly):
+        return poly if algebra == "formal" else value(poly, asg)
+
+    order = w.enumerate_w0()
+    sym = H.add(*(H.basis(w.as_affine(u)) for u in order))
+    for s in w.simple_reflections:
+        ts = H.basis(w.as_affine(s))
+        want = H.scale(sym, q(labels.q_of_fin(s))).terms
+        assert H.mul(sym, ts).terms == want
+        assert H.mul(ts, sym).terms == want
+    p0 = sum((labels.q_of_fin(u) for u in order), labels.zero())
+    assert H.mul(sym, sym).terms == H.scale(sym, q(p0)).terms

@@ -15,7 +15,7 @@ from affinehecke.bernstein import Bernstein
 from affinehecke.coeffring import LabelSet, LaurentPoly
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import ModeError, PrincipalSeries
-from affinehecke.rootdata import is_dominant, solve
+from affinehecke.rootdata import coordinate_box, is_dominant, solve
 from affinehecke.tracegen import TorusPoint
 from affinehecke.weyl import AffineWeyl
 
@@ -585,7 +585,34 @@ def test_spherical_is_normalised():
         assert ps.spherical(t, h=ps.hecke.unit()) == 1
 
 
+TEN_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)",
+               "BnCn(3)")
+
+
+def class_labels(name, qs):
+    """One ``q`` per label class, in class order, as generator items."""
+    w = AffineWeyl(build_preset(name))
+    gen_class = LabelSet(w).gen_class
+    return tuple((g, qs[gen_class[j]]) for j, g in enumerate(w.generator_names))
+
+
 def test_macdonald_formula_exact_on_samples():
+    # the exact route (T_{t_x} on the spherical vector) against the
+    # double-coset route it replaced and the c-function formula, at every
+    # dominant point up to box 2 (box 1 at rank 3)
+    for qs in ((4, 9, 16), (Fraction(9, 4), Fraction(1, 4), Fraction(25, 16))):
+        for name in TEN_PRESETS:
+            ps = series(name, class_labels(name, qs))
+            rank = ps.datum.rank
+            box = coordinate_box(rank, 0, 1 if rank >= 3 else 2)
+            xs = [x for x in box if is_dominant(ps.datum, x)]
+            for seed in range(3):
+                t = ps.seeded_point(seed)
+                for x in xs:
+                    direct = ps.spherical_theta_plus(t, x)
+                    assert direct == ps.double_coset_spherical(t, x), (name, qs, seed, x)
+                    assert direct == ps.macdonald_value(t, x), (name, qs, seed, x)
+    # and through the spherical element with numeric coefficients
     for name, items, xs in (
         ("A1-weight", A1Q4, [(0,), (1,), (3,)]),
         ("A2", A2Q4, [(0, 0), (1, 1), (2, 1)]),
