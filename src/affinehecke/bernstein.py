@@ -12,18 +12,16 @@ star involution on the basis, the expansion of arbitrary elements over pairs
 ``T_w theta(x)``) is built from that one constructor.  The expansion uses the
 same move the other way: it reads its shift off the element, a dominant z
 that takes the W0-orbits of the translations in its support into the
-dominant cone, where every ``T_w theta(x)`` is one T-term.  Over exact label
-values that z is ``rootdata.shift_for_bounds`` of the orbits' bounds, the
-shortest such z where the fundamental weights lie in X; over formal labels
-it is the least multiple of 2rho, for its term order (see
-``expand_in_bernstein``).
+dominant cone, where every ``T_w theta(x)`` is one T-term.  Over formal and
+exact labels alike that z is ``rootdata.shift_for_bounds`` of the orbits'
+bounds, the shortest such z where the fundamental weights lie in X.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .coeffring import LabelSet, LaurentPoly
+from .coeffring import LaurentPoly
 from .hecke import HeckeAlgebra, HeckeElem
 from .rootdata import Vec, dominant_decomposition, shift_for_bounds, vneg, vscale, vsub
 from .weyl import FiniteWeylElem
@@ -42,19 +40,16 @@ class Bernstein:
         self.labels = hecke.labels
         self.datum = hecke.weyl.datum
         self._theta_cache: dict[Vec, HeckeElem] = {}
-        # integer forms of the simple coroots, and of their W0-images, which
-        # are all the coroots: since <w x, b> = <x, w^{-1} b>, the orbit of x
-        # is dominant after adding n * 2rho exactly when <x, c> >= -2n for
-        # every coroot c (see _orbit_shift)
+        # integer forms of the simple coroots, and per simple coroot b_i the
+        # forms of the coroots of its W0-invariant norm sum_a <a, c>^2: a set
+        # that holds the orbit of b_i, so since <w y, b> = <y, w^{-1} b> the
+        # largest -<y, c> over it bounds -<w y, b_i> over the orbit of y (see
+        # _orbit_bounds); the coroots are read off the datum, no orbit walked
         self._simple_forms = [self.datum.form(b) for b in self.datum.simple_coroots]
-        self._orbit_forms = sorted(self.datum.form(c) for c in self.datum.coroots)
-        # per simple coroot b_i, the forms of the coroots of its W0-invariant
-        # norm sum_a <a, c>^2: a set that holds the orbit of b_i, so the
-        # largest -<y, c> over it bounds -<w y, b_i> over the orbit of y
-        # (see _orbit_bounds)
+        forms = sorted(self.datum.form(c) for c in self.datum.coroots)
         roots = self.datum.roots
-        norms = {f: sum(sum(map(mul, f, a)) ** 2 for a in roots) for f in self._orbit_forms}
-        self._norm_forms = [[f for f in self._orbit_forms if norms[f] == norms[s]]
+        norms = {f: sum(sum(map(mul, f, a)) ** 2 for a in roots) for f in forms}
+        self._norm_forms = [[f for f in forms if norms[f] == norms[s]]
                             for s in self._simple_forms]
 
     # -- the basis -----------------------------------------------------------
@@ -147,23 +142,16 @@ class Bernstein:
         off termwise.  A term off the dominant range breaks that invariant and
         raises BoxError.
 
-        Over exact label values ``z0`` is ``shift_for_bounds`` of
-        ``_orbit_bounds``, the shortest such shift where the fundamental
-        weights lie in X.  Over formal labels it stays the least multiple of
-        2rho (``_orbit_shift``): the shift sets the order of the terms, and
-        complex ``spherical`` reports sum their floats in that order, so a
-        shorter shift would move their last digits.  That branch can go once
-        those sums no longer depend on the order.
+        ``z0`` is ``shift_for_bounds`` of ``_orbit_bounds``, the shortest
+        such shift where the fundamental weights lie in X, over formal and
+        exact labels alike.  The shift sets the order of the terms; no
+        reader depends on that order.
         """
         weyl = self.weyl
         # an id's key is its W0 index plus its packed translation shifted by wb
         keys, wb, wmask = weyl._keys, weyl._wbits, weyl._wmask
         firsts = {keys[u] >> wb: u for u in h.terms}.values()
-        ys = list(map(weyl.trans, firsts))
-        if isinstance(self.labels, LabelSet):
-            z0 = vscale(self._orbit_shift(ys), weyl.derived.two_rho)
-        else:
-            z0 = shift_for_bounds(self.datum, self._orbit_bounds(ys))
+        z0 = shift_for_bounds(self.datum, self._orbit_bounds(list(map(weyl.trans, firsts))))
         shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
@@ -197,12 +185,3 @@ class Bernstein:
             max([0] + [-sum(map(mul, f, y)) for y in ys for f in forms])
             for forms in self._norm_forms
         ]
-
-    def _orbit_shift(self, ys) -> int:
-        """``dominant_shift`` of the W0-orbits of ``ys``, read from the forms
-        of the coroots (the simple coroots' W0-images) with no orbit formed."""
-        n = 0
-        for y in ys:
-            for f in self._orbit_forms:
-                n = max(n, -(sum(map(mul, f, y)) // 2))  # ceil(-<y, c> / 2)
-        return n

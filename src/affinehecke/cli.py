@@ -637,6 +637,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller --box", file=sys.stderr)
+        return EXIT_USAGE
     except (
         UsageError, RootSystemError, LabelConfigError, BoxError, SupportError, PackedFieldError,
     ) as exc:

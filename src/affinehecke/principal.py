@@ -23,30 +23,29 @@ It provides what the ``spherical`` and ``verify`` commands read:
   vector.
 
 The value on the spherical Bernstein element, which the ``spherical`` report
-checks against the c-function formula, takes a shorter route when the labels
-and the torus point are exact.  The symmetrizer absorbs every finite
-generator, ``sym·T_s = q_s·sym``, so ``sym·T_w = q(w)·sym`` and
-``sym·sym = p0·sym``, and every coordinate of ``sym·u`` is the pairing
-``<1, u> = sum_w q(w)·u_w`` that reads the functional.  Hence
-``<1, (sym·T_{t_x}·sym)·v0> = p0^2 <1, T_{t_x}·v0>`` on the spherical vector
-``v0``, and the value is read off ``T_{t_x}`` alone: one product with
-``sym`` and one expansion of ``|W0|`` terms per point.  They run in an
-algebra over the labels read at the assignment
-(:meth:`~affinehecke.coeffring.LabelSet.at`), and the factor
-``delta^{1/2}(-x)`` multiplies the value instead of the element, so with
-integral parameters every fold coefficient is an int.  Complex points and
-float labels keep the double-coset sum with Laurent coefficients, evaluated
-at the end: their float sums follow the term order of that expansion, so a
-shorter route would move a complex report in its last digits.  Every other
-action keeps Laurent coefficients too.
+checks against the c-function formula, is read off ``T_{t_x}`` alone.  The
+symmetrizer absorbs every finite generator, ``sym·T_s = q_s·sym``, so
+``sym·T_w = q(w)·sym`` and ``sym·sym = p0·sym``, and every coordinate of
+``sym·u`` is the pairing ``<1, u> = sum_w q(w)·u_w`` that reads the
+functional.  Hence ``<1, (sym·T_{t_x}·sym)·v0> = p0^2 <1, T_{t_x}·v0>`` on
+the spherical vector ``v0``: one product with ``sym`` and one expansion of
+``|W0|`` terms per point, with ``delta^{1/2}(-x)`` multiplying the value
+instead of the element.  Over exact labels they run in an algebra over the
+labels read at the assignment (:meth:`~affinehecke.coeffring.LabelSet.at`),
+so with integral parameters every fold coefficient is an int, at rational
+and complex points alike; over float labels they run formally and are
+evaluated at the end.  A float or complex matrix entry is the correctly
+rounded sum of its terms (``math.fsum``), so it does not depend on the order
+in which a fold inserted them.
 
 All torus points are numeric; identities in the torus variable are verified
 on seeded random points rather than over a field of rational functions.
 
 Nothing is memoised per torus point or lattice point, so the memos stay
 bounded however many points are asked: the inversion sets per finite element,
-and one slot each for the symmetrizer, the algebra over the label values and
-the c-values of the last point asked.
+the label values of the normalisation factor per root, and one slot each for
+the symmetrizer, the algebra over the label values and the c-values of the
+last point asked.
 """
 
 from __future__ import annotations
@@ -103,6 +102,14 @@ def _monomial_values(exps: list[Vec], point) -> tuple[list, object]:
     return nums, den
 
 
+def _fsum(terms: list, cplx: bool):
+    """The correctly rounded sum of float (or, with ``cplx``, complex)
+    ``terms``, real and imaginary parts apart: it depends on the terms and
+    not on their order."""
+    re = math.fsum(v.real for v in terms)
+    return complex(re, math.fsum(v.imag for v in terms)) if cplx else re
+
+
 class PrincipalSeries:
     """Module actions, intertwiners and the spherical functional over one
     algebra.
@@ -146,6 +153,7 @@ class PrincipalSeries:
         # memos bounded by the datum (per finite element) or holding one
         # slot; none is keyed by a point
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
+        self._n_label_values: dict[Vec, tuple] = {}  # per root: q_a, q_{2a}^{1/2}, q_{2a}
         self._sym_elem: HeckeElem | None = None
         self._exact_tower: tuple[Bernstein, HeckeElem] | None = None
         self._c_values: tuple | None = None
@@ -202,11 +210,12 @@ class PrincipalSeries:
 
         With rational labels and a rational point every touched entry is an
         exact Fraction, equal to the term-by-term sum.  A float label or a
-        complex coordinate enters as plain powers with denominator 1, so the
-        entries are floats or complex numbers, equal to the term-by-term sum
-        up to rounding; exact labels at a complex point give a complex sum
-        divided by the labels' rational denominator.  An entry that no
-        triple touches is the int 0.
+        complex coordinate enters as plain powers with denominator 1, and an
+        entry is then the ``math.fsum`` of its ``coefficient × label monomial
+        × point`` products, real and imaginary parts apart, divided by the
+        common denominator: a float or complex number that does not depend
+        on the order of the triples or of a coefficient's terms.  An entry
+        that no triple touches is the int 0.
         """
         asg = self._need_numeric()
         vars_ = self.labels.vars
@@ -229,23 +238,24 @@ class PrincipalSeries:
         ))
         den = label_den * point_den * scale
         lift = label_den != 1  # a number also carries the labels' denominator
+        exact = all(type(v) is int for v in label_nums + point_nums)
+        cplx = any(isinstance(v, complex) for v in point_nums)
         for col, triples in enumerate(action):
             sums: dict[int, object] = {}
             for row, x, poly in triples:
                 if isinstance(poly, LaurentPoly):
-                    pv = 0
-                    for k, c in poly.terms.items():
-                        pv += c * label_num[k]
-                    if scale != 1:
-                        pv *= scale
+                    cs = [c * label_num[k] * scale for k, c in poly.terms.items()]
                 else:
                     num, d = poly.as_integer_ratio()
                     pv = num * (scale // d)
-                    if lift:
-                        pv *= label_den
-                sums[row] = sums.get(row, 0) + pv * point_num[x]
+                    cs = [pv * label_den if lift else pv]
+                if exact:
+                    sums[row] = sums.get(row, 0) + sum(cs) * point_num[x]
+                else:
+                    px = point_num[x]
+                    sums.setdefault(row, []).extend(c * px for c in cs)
             for row, s in sums.items():
-                m[row][col] = s / den
+                m[row][col] = (s if exact else _fsum(s, cplx)) / den
         return m
 
     # -- intertwining elements (symbolic) ------------------------------------
@@ -324,12 +334,16 @@ class PrincipalSeries:
     def n_value(self, beta: Vec, t: TorusPoint):
         """``n_element(beta)`` evaluated on the module attached to ``t``."""
         alpha, doubled = self._n_root(beta)
-        a, b = self.labels.c_pair(alpha)
-        # floats round as q_a = B/A, q_{2a}^{1/2} = 1/B, q_{2a} multiplied out
-        qa = self._val(a.inverse() * b)
+        vals = self._n_label_values.get(alpha)
+        if vals is None:
+            a, b = self.labels.c_pair(alpha)
+            # floats round as q_a = B/A, q_{2a}^{1/2} = 1/B, q_{2a} multiplied out
+            vals = self._n_label_values[alpha] = (
+                self._val(a.inverse() * b), self._val(b.inverse()), self._val(b ** -2)
+            )
+        qa, qhs, qh = vals
         if not doubled:
             return qa - t.value(beta)
-        qhs, qh = self._val(b.inverse()), self._val(b ** -2)
         return qh * qa + qhs * (qa - 1) * t.value(_half(beta)) - t.value(beta)
 
     def r1_inversions(self, w: FiniteWeylElem) -> list[Vec]:
@@ -374,10 +388,13 @@ class PrincipalSeries:
             self._sym_elem = _finite_sum(self.hecke, self.basis_order)
         return self._sym_elem
 
-    def _exact(self) -> tuple[Bernstein, HeckeElem]:
-        """The Bernstein context over the labels read at the assignment
-        (:meth:`~affinehecke.coeffring.LabelSet.at`) and its symmetrizer,
-        built on first use."""
+    def _tower(self) -> tuple[Bernstein, HeckeElem]:
+        """The Bernstein context the spherical value folds in, and its
+        symmetrizer: over exact labels the algebra over the labels read at
+        the assignment (:meth:`~affinehecke.coeffring.LabelSet.at`), built on
+        first use; over float labels the formal one."""
+        if not self._exact_labels:
+            return self.bernstein, self.symmetrizer()
         if self._exact_tower is None:
             H = HeckeAlgebra(self.weyl, self.labels.at(self._need_numeric()))
             self._exact_tower = (Bernstein(H), _finite_sum(H, self.basis_order))
@@ -405,23 +422,14 @@ class PrincipalSeries:
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed
-        through the module action.
-
-        With exact labels at a rational point it reads ``T_{t_x}`` alone on
-        the spherical vector, in the algebra over the label values, and
-        multiplies the value by ``delta^{1/2}(-x)`` (see the module
-        docstring).  Otherwise it acts by :meth:`theta_plus_cleared` and
-        divides by ``p0^2``.  Both give the same value."""
+        through the module action: ``T_{t_x}`` alone on the spherical vector,
+        in the context of :meth:`_tower`, with the value multiplied by
+        ``delta^{1/2}(-x)`` (see the module docstring)."""
         x = tuple(x)
         self._need_numeric()
-        if not (self._exact_labels and t._rational()):
-            action = self.symbolic_action(
-                self.theta_plus_cleared(x), [self.symmetrizer()], self.bernstein
-            )
-            return self._spherical_of(action, t) / (self._p0_val ** 2)
         if not is_dominant(self.datum, x):
             raise ValueError(f"{x} is not dominant")
-        bernstein, sym = self._exact()
+        bernstein, sym = self._tower()
         tx = bernstein.hecke.basis(self.weyl.translation(x))
         val = self._spherical_of(self.symbolic_action(tx, [sym], bernstein), t)
         return val * self.trace.delta_sqrt_value(vneg(x))

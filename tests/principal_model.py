@@ -4,7 +4,7 @@ No ``hecke-trace`` command reads what is here; the tests check the paper's
 identities through it.  :class:`PrincipalModel` adds to ``PrincipalSeries``
 the finite Hecke algebra of the module, the intertwining vectors and
 operators, matrix elements, the spherical functional of any element, the
-double-coset route of the exact spherical value, the plus basis and the
+double-coset route of the spherical value, the plus basis and the
 truncated series check, with two memos bounded by the datum (the left
 matrices and the intertwiner actions).  The functions give
 the trace pairing, Weyl orbits and cosets, the Poincare series, orbit sums,
@@ -234,12 +234,13 @@ class PrincipalModel(PrincipalSeries):
         return self._spherical_of(self.symbolic_action(h, [self.symmetrizer()]), t)
 
     def double_coset_spherical(self, t, x):
-        """The exact spherical value through the double-coset sum: the
-        action of ``sym·T_{t_x}·sym`` on the spherical vector, folded at the
-        label values, over ``p0^2`` and times ``delta^{1/2}(-x)``.  The
-        reference of ``spherical_theta_plus``, which reads ``T_{t_x}`` alone."""
+        """The spherical value through the double-coset sum: the action of
+        ``sym·T_{t_x}·sym`` on the spherical vector, over ``p0^2`` and times
+        ``delta^{1/2}(-x)``, folded in the same context (at the label values
+        when they are exact, else formally).  The reference of
+        ``spherical_theta_plus``, which reads ``T_{t_x}`` alone."""
         x = tuple(x)
-        bernstein, sym = self._exact()
+        bernstein, sym = self._tower()
         H = bernstein.hecke
         elem = H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
         val = self._spherical_of(self.symbolic_action(elem, [sym], bernstein), t)

@@ -212,8 +212,9 @@ def test_spherical_seeded_point_when_t_missing(capsys):
 # The bench's one spherical workload (B2) has no doubled roots and integral
 # labels: these pin the c-function and intertwiner paths of BnCn(2), exact and
 # in floating point, and B2 at fractional labels, whose folds run on Fractions.
-# A complex report sums floats in the insertion order of the expansion's term
-# dicts, so the deeper B2 box-3 pin also guards the fold's order.
+# A complex entry is the correctly rounded sum of its terms, whatever their
+# order, so the complex pins guard the terms (the route T_{t_x}·sym and the
+# formal expansion), not the order the folds insert them in.
 @pytest.mark.parametrize(
     "datum,labels,mode,digest,box",
     [
@@ -222,11 +223,11 @@ def test_spherical_seeded_point_when_t_missing(capsys):
         ("B2", '{"s1":"9/4","s2":"1/4"}', "rational",
          "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af", 2),
         ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
-         "f0197fd821ee70bfe68ba4f0deca3e4025806ff4f6dc28b2f0403b928c531aee", 2),
+         "96db8990857049176412fc373b96faecf59a51e035554c03e790001c1383b6e0", 2),
         ("B2", '{"s1":2,"s2":3}', "complex",
-         "f8e6dddc0dc07626ce279a08501b751d296a686c2256c984d9758c82563d0789", 2),
+         "ceffb4e3bf9b9f238ae6f57f020a46838fc1c1b1154f2d6ff60cb2a64616a625", 2),
         ("B2", '{"s1":2,"s2":3}', "complex",
-         "10ca5eaf1625b1227166ed98b5951610f48d8a9b9909f9cfe98f8c4761d3ced5", 3),
+         "abe8c2c58a4751496df8ad09a10ea243e10f2357ba8b17854f13d47c98e47742", 3),
     ],
 )
 def test_spherical_report_digest(capsys, datum, labels, mode, digest, box):
@@ -665,6 +666,19 @@ def test_out_in_missing_directory_exit_usage(tmp_path, capsys):
                                   "--out", str(target)])
     assert_one_line_usage_error(code, out, err)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "series"])
+def test_memory_error_exit_usage(capsys, monkeypatch, command):
+    # a computation that runs out of memory ends with one line, not a traceback
+    def exhausted(self, xs):
+        raise MemoryError
+
+    monkeypatch.setattr(TraceGen, "trace_sweep", exhausted)
+    monkeypatch.setattr(TraceGen, "trace_theta_partition", exhausted)
+    code, out, err = run(capsys, [command, "--datum", "A1-weight", "--box", "1"])
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == "error: out of memory; try a smaller --box"
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -33,6 +33,7 @@ ALLOWED = {
     "gen_step": "perfbench/tracer.py counts its calls",
     "length": "perfbench/tracer.py counts its calls",
     "datum_to_json": "the documented writer of datum files (README)",
+    "theta_plus_cleared": "perfbench/tracer.py spans it",
 }
 
 

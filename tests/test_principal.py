@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from affinehecke import PoleError, build_preset
 from affinehecke.bernstein import Bernstein
-from affinehecke.coeffring import LabelSet, LaurentPoly
+from affinehecke.coeffring import LabelSet, LaurentPoly, _make
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import ModeError, PrincipalSeries
 from affinehecke.rootdata import coordinate_box, is_dominant, solve
@@ -628,6 +628,54 @@ def test_macdonald_formula_exact_on_samples():
                 assert ps.spherical(t, h=ps.theta_plus(x)) == direct
 
 
+def test_spherical_value_matches_the_double_coset_route_in_floats():
+    # complex points at exact labels (folded at the label values) and at
+    # float labels (no label class has a rational root; folded formally):
+    # T_{t_x} alone against sym·T_{t_x}·sym / p0^2 in the same context
+    for qs in ((4, 9, 16), (2, 3, 5)):
+        for name in TEN_PRESETS:
+            ps = series(name, class_labels(name, qs), "complex")
+            assert ps._exact_labels == (qs[0] == 4)
+            rank = ps.datum.rank
+            xs = [x for x in coordinate_box(rank, 0, 1 if rank >= 3 else 2)
+                  if is_dominant(ps.datum, x)]
+            for seed in range(1 if rank >= 3 else 2):
+                t = ps.seeded_point(seed, mode="complex")
+                for x in xs:
+                    want = ps.double_coset_spherical(t, x)
+                    got = ps.spherical_theta_plus(t, x)
+                    assert abs(got - want) <= 1e-10 * abs(want), (name, qs, seed, x)
+
+
+def reversed_action(action):
+    """``action`` with the triples of every column, and the terms of every
+    coefficient, in reverse order."""
+    return [
+        [(row, x, _make(p.vars, dict(reversed(p.terms.items())), p.bound))
+         for row, x, p in reversed(col)]
+        for col in action
+    ]
+
+
+def test_float_entries_do_not_depend_on_term_order():
+    ps = series("B2", (("s1", 2), ("s2", 3)), "complex")
+    assert not ps._exact_labels
+    t = ps.seeded_point(0, mode="complex")
+    sym = ps.symmetrizer()
+    for h in (sample_element(ps), ps.theta_plus_cleared((1, 1))):
+        for vectors in (None, [sym]):
+            action = ps.symbolic_action(h, vectors)
+            assert any(len(p.terms) > 1 for col in action for _r, _x, p in col)
+            assert ps.laplace_matrix(reversed_action(action), t) == ps.laplace_matrix(action, t)
+    # terms that a running sum gets wrong in this order: 1e16 + 1 rounds to
+    # an even neighbour, so the +-1e16 pair leaves 0 or 2; every order gives 1
+    one = TorusPoint((1 + 0j, 1 + 0j))
+    triples = [(0, (0, 0), 10**16), (0, (1, 0), 1), (0, (2, 0), -(10**16))]
+    for order in itertools.permutations(triples):
+        m = ps.laplace_matrix([list(order)], one)
+        assert m[0][0] == 1 + 0j and m[1][0] == 0
+
+
 def test_macdonald_reads_the_c_values_once_per_point(monkeypatch):
     base = series("B2", (("s1", 4), ("s2", 9)))
     ps = PrincipalSeries(base.bernstein, base.assignment)  # its own memo
@@ -816,6 +864,19 @@ def test_theta_plus_needs_exact_arithmetic():
     ps = series("A2", (("s1", 2),), mode="complex")
     with pytest.raises(ModeError):
         ps.theta_plus((1, 1))
+
+
+def test_n_value_reads_its_label_values_once_per_root(monkeypatch):
+    # seeded_point asks n_value at every orbit point of every candidate; its
+    # label factors depend on the root only
+    base = series("BnCn(2)", BC2)
+    ps = PrincipalSeries(base.bernstein, base.assignment)  # its own memo
+    calls = []
+    val = ps._val
+    monkeypatch.setattr(ps, "_val", lambda poly: calls.append(poly) or val(poly))
+    for seed in range(3):
+        ps.seeded_point(seed)
+    assert len(calls) == 3 * len({ps._n_root(beta)[0] for beta in ps._r1_pos})
 
 
 def test_normalised_vector_raises_at_a_pole():
