@@ -29,7 +29,7 @@ from .coeffring import (
     exact_divide,
 )
 from .hecke import HeckeAlgebra, HeckeElem, SupportError
-from .principal import ModeError, PrincipalSeries
+from .principal import PrincipalSeries
 from .rootdata import (
     RootDatum,
     RootSystemError,
@@ -44,7 +44,7 @@ from .rootdata import (
     is_dominant,
     make_datum,
 )
-from .tracegen import PoleError, TorusPoint, TraceGen
+from .tracegen import ModeError, PoleError, TorusPoint, TraceGen
 from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem, PackedFieldError
 
 __all__ = [

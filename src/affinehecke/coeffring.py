@@ -369,12 +369,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         c = _ratio(Fraction(fterms[flead]) / Fraction(glead_c))
         quot[exp] = c
         for ge, gc in gterms.items():
-            key = ge + exp
-            s = fterms.get(key, 0) - c * gc
-            if s:
-                fterms[key] = s
-            else:
-                fterms.pop(key, None)
+            accumulate(fterms, ge + exp, -c * gc)
     shift = tuple(a - b for a, b in zip(sf, sg))
     return LaurentPoly(
         f.vars,
@@ -623,17 +618,11 @@ class LabelSet:
             shift = FIELD_BITS * (n - 1 - i)
             two = 2 << shift  # v^{-2} in field i
             out: dict = {}
-            get = out.get
             for key, a in terms.items():
                 k = (key >> shift) & _MASK
                 for j in range(k + 1):
-                    g = key - j * two
                     b = math.comb(k, j)
-                    s = get(g, 0) + (-a * b if j & 1 else a * b)
-                    if s:
-                        out[g] = s
-                    else:
-                        del out[g]
+                    accumulate(out, key - j * two, -a * b if j & 1 else a * b)
             terms = out
         return _make(self.vars, terms, c.bound)
 

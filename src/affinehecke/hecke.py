@@ -140,49 +140,30 @@ class HeckeAlgebra:
         A term whose step goes up (down, for the inverse) maps to one term;
         otherwise c becomes (c*q - c) on u and c*q on us, with q replaced by
         q^{-1} and the two terms written in the opposite order for the
-        inverse.
+        inverse.  Every term adds in through ``accumulate``, so a sum that
+        cancels leaves no key.
         """
         weyl = self.weyl
         nxt = weyl.nxt[i]
         lens = weyl.lens
         q = self._q_gen_inv[i] if inverse else self._q_gen[i]
+        add = accumulate
         out: dict = {}
-        get = out.get
         for u, c in terms.items():
             us = nxt[u]
             if us < 0:  # the letter's first miss: fill them all
                 weyl.fill(i, terms)
                 us = nxt[u]
             if (lens[us] < lens[u]) == inverse:
-                s = get(us)
-                if s is None:
-                    out[us] = c  # term dicts hold no zero coefficient
-                else:
-                    s = s + c
-                    if s:
-                        out[us] = s
-                    else:
-                        del out[us]
+                add(out, us, c)
                 continue
             cq = c * q  # q is a monomial: one shift of every key of a polynomial c
             if inverse:
-                g, d, h, e = us, cq, u, cq - c
+                add(out, us, cq)
+                add(out, u, cq - c)
             else:
-                g, d, h, e = u, cq - c, us, cq
-            s = get(g)
-            if s is not None:
-                d = s + d
-            if d:
-                out[g] = d
-            elif s is not None:
-                del out[g]
-            s = get(h)
-            if s is not None:
-                e = s + e
-            if e:
-                out[h] = e
-            elif s is not None:
-                del out[h]
+                add(out, u, cq - c)
+                add(out, us, cq)
         self._guard(out)
         return out
 
@@ -339,15 +320,17 @@ class HeckeAlgebra:
 
         With ``g = om . p``, ``l(om) = 0``: ``T~_g^{-1} = T~_p^{-1} T_om^{-1}``,
         and T~_u lands on a target v exactly when ``u = v om``, so the fold
-        (:meth:`_xi_fold`) aims at the ids of ``v om``; a state at distance 0
-        after the last letter still admits ``v om`` times a length-zero
-        element, so the last states are matched against them exactly.  ``v = 1``
-        on the length-zero relabel, so the result stays on the normalised basis.
+        (:meth:`_xi_fold`) aims at the ids of ``v om``, each read back as its
+        target v; a state at distance 0 after the last letter still admits
+        ``v om`` times a length-zero element, so the last states are matched
+        against them exactly.  ``v = 1`` on the length-zero relabel, so the
+        result stays on the normalised basis.
         """
         if self._xi_keys is None:
             raise ValueError("a targeted inverse needs formal labels")
         weyl = self.weyl
         om, word = weyl.factor_extended(g)
-        ends = {weyl.gid(weyl.multiply(v, om)) for v in targets}
-        terms = self._xi_fold(word, ends)
-        return HeckeElem(self._relabel_right(terms, weyl.inverse(om)))
+        gid = weyl.gid
+        target_of = {gid(weyl.multiply(v, om)): gid(v) for v in targets}
+        terms = self._xi_fold(word, target_of.keys())
+        return HeckeElem({target_of[u]: c for u, c in terms.items()})

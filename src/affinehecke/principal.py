@@ -43,9 +43,11 @@ on seeded random points rather than over a field of rational functions.
 
 Nothing is memoised per torus point or lattice point, so the memos stay
 bounded however many points are asked: the inversion sets per finite element,
-the label values of the normalisation factor per root, and one slot each for
-the symmetrizer, the algebra over the label values and the c-values of the
-last point asked.
+the label values per root (``TraceGen.label_values``, which the c-function
+and the normalisation factor share), and one slot each for the symmetrizer,
+the algebra over the label values and the W0-orbit of the last point asked,
+whose c-values both the admissibility check of a seeded point and the
+c-function formula read.
 """
 
 from __future__ import annotations
@@ -58,12 +60,8 @@ from .bernstein import Bernstein
 from .coeffring import LaurentPoly, _unpack, power_table
 from .hecke import HeckeAlgebra, HeckeElem
 from .rootdata import Vec, is_dominant, vneg, vscale
-from .tracegen import PoleError, TorusPoint, TraceGen
+from .tracegen import ModeError, PoleError, TorusPoint, TraceGen
 from .weyl import FiniteWeylElem
-
-
-class ModeError(RuntimeError):
-    """A numeric operation was requested without a numeric label assignment."""
 
 
 def _conj(v):
@@ -153,23 +151,9 @@ class PrincipalSeries:
         # memos bounded by the datum (per finite element) or holding one
         # slot; none is keyed by a point
         self._inv_r1_cache: dict[FiniteWeylElem, list[Vec]] = {}
-        self._n_label_values: dict[Vec, tuple] = {}  # per root: q_a, q_{2a}^{1/2}, q_{2a}
         self._sym_elem: HeckeElem | None = None
         self._exact_tower: tuple[Bernstein, HeckeElem] | None = None
-        self._c_values: tuple | None = None
-
-    # -- numeric guard -------------------------------------------------------
-
-    def _need_numeric(self) -> dict:
-        if self.assignment is None:
-            raise ModeError(
-                "this operation needs numeric labels; construct PrincipalSeries "
-                "with an assignment from LabelSet.numeric_assignment"
-            )
-        return self.assignment
-
-    def _val(self, poly: LaurentPoly):
-        return poly.evaluate(self._need_numeric())
+        self._orbit_slot: tuple | None = None
 
     # -- module action -------------------------------------------------------
 
@@ -217,7 +201,7 @@ class PrincipalSeries:
         on the order of the triples or of a coefficient's terms.  An entry
         that no triple touches is the int 0.
         """
-        asg = self._need_numeric()
+        asg = self.trace._need_numeric()
         vars_ = self.labels.vars
         n = len(vars_)
         keys = list({
@@ -332,16 +316,11 @@ class PrincipalSeries:
     # -- numeric root factors ------------------------------------------------
 
     def n_value(self, beta: Vec, t: TorusPoint):
-        """``n_element(beta)`` evaluated on the module attached to ``t``."""
+        """``n_element(beta)`` evaluated on the module attached to ``t``, with
+        ``q_a``, ``q_{2a}^{1/2} = 1/B_a`` and ``q_{2a}`` read from
+        ``TraceGen.label_values`` at the root ``a`` of :meth:`_n_root`."""
         alpha, doubled = self._n_root(beta)
-        vals = self._n_label_values.get(alpha)
-        if vals is None:
-            a, b = self.labels.c_pair(alpha)
-            # floats round as q_a = B/A, q_{2a}^{1/2} = 1/B, q_{2a} multiplied out
-            vals = self._n_label_values[alpha] = (
-                self._val(a.inverse() * b), self._val(b.inverse()), self._val(b ** -2)
-            )
-        qa, qhs, qh = vals
+        qa, qhs, qh = self.trace.label_values(alpha)
         if not doubled:
             return qa - t.value(beta)
         return qh * qa + qhs * (qa - 1) * t.value(_half(beta)) - t.value(beta)
@@ -373,7 +352,7 @@ class PrincipalSeries:
     def pair(self, x: list, y: list):
         """Sesquilinear pairing: conjugate-linear in the first argument,
         weighted by the label of each finite basis element."""
-        self._need_numeric()
+        self.trace._need_numeric()
         out = 0
         for j in range(self.dim):
             if x[j] != 0 and y[j] != 0:
@@ -396,7 +375,7 @@ class PrincipalSeries:
         if not self._exact_labels:
             return self.bernstein, self.symmetrizer()
         if self._exact_tower is None:
-            H = HeckeAlgebra(self.weyl, self.labels.at(self._need_numeric()))
+            H = HeckeAlgebra(self.weyl, self.labels.at(self.trace._need_numeric()))
             self._exact_tower = (Bernstein(H), _finite_sum(H, self.basis_order))
         return self._exact_tower
 
@@ -426,7 +405,7 @@ class PrincipalSeries:
         in the context of :meth:`_tower`, with the value multiplied by
         ``delta^{1/2}(-x)`` (see the module docstring)."""
         x = tuple(x)
-        self._need_numeric()
+        self.trace._need_numeric()
         if not is_dominant(self.datum, x):
             raise ValueError(f"{x} is not dominant")
         bernstein, sym = self._tower()
@@ -437,23 +416,26 @@ class PrincipalSeries:
     def macdonald_value(self, t: TorusPoint, x: Vec):
         """The c-function series formula for the spherical functional on the
         spherical Bernstein element at a dominant point."""
-        self._need_numeric()
+        self.trace._need_numeric()
         x = tuple(x)
         total = 0
-        for winv, c in self._c_values_at(t):
+        for winv, _wt, c in self._orbit(t):
             total += c * t.value(winv.apply_x(x))
         return self.trace.q_w0_value() * total / self._p0_val
 
-    def _c_values_at(self, t: TorusPoint) -> list:
-        """The pairs ``(w^{-1}, c(w t))`` over the finite Weyl group.  They
-        depend on ``t`` only, so they are kept for the last point asked."""
-        if self._c_values is None or self._c_values[0] != t.images:
-            pairs = [
-                (self.weyl.fin_inv(w), self.trace.c_full(t.apply_w(self.weyl, w)))
-                for w in self.basis_order
-            ]
-            self._c_values = (t.images, pairs)
-        return self._c_values[1]
+    def _orbit(self, t: TorusPoint) -> list:
+        """The triples ``(w^{-1}, w t, c(w t))`` over the finite Weyl group, in
+        ``basis_order``.  They depend on ``t`` only, so they are kept for the
+        last point asked: the admissibility check of a seeded point and the
+        c-function formula at that point read one walk of its orbit."""
+        if self._orbit_slot is None or self._orbit_slot[0] != t.images:
+            weyl, c_full = self.weyl, self.trace.c_full
+            triples = []
+            for w in self.basis_order:
+                wt = t.apply_w(weyl, w)
+                triples.append((weyl.fin_inv(w), wt, c_full(wt)))
+            self._orbit_slot = (t.images, triples)
+        return self._orbit_slot[1]
 
     # -- seeded torus points -------------------------------------------------
 
@@ -461,7 +443,7 @@ class PrincipalSeries:
         """Reproducible random torus point, rejected until it is regular and
         stays clear of every c-function pole, root-product zero, and
         normalisation-factor zero over the whole finite orbit."""
-        self._need_numeric()
+        self.trace._need_numeric()
         rng = random.Random(seed)
         rank = self.weyl.rank
         for _ in range(5000):
@@ -485,23 +467,18 @@ class PrincipalSeries:
         raise RuntimeError("no admissible torus point found; widen the sampling pool")
 
     def _admissible(self, t: TorusPoint) -> bool:
-        exact = t._rational()
-        small = (lambda v: v == 0) if exact else (lambda v: abs(v) < 1e-6)
-        seen = set()
-        for w in self.basis_order:
-            wt = t.apply_w(self.weyl, w)
-            if wt.images in seen:
-                return False
-            seen.add(wt.images)
-            try:
-                self.trace.c_full(wt)
+        small = (lambda v: v == 0) if t._rational() else (lambda v: abs(v) < 1e-6)
+        try:
+            orbit = self._orbit(t)
+            for _winv, wt, _c in orbit:
                 self.trace.c_full(wt.inv())
-            except PoleError:
-                return False
-            if small(self.delta_w_value(self.longest, wt)):
-                return False
-            if small(self.n_w_value(self.longest, wt)) or small(
-                self.n_w_value(self.longest, wt.inv())
-            ):
-                return False
-        return True
+        except PoleError:
+            return False
+        if len({wt.images for _winv, wt, _c in orbit}) < len(orbit):
+            return False
+        longest = self.longest
+        return not any(
+            small(self.delta_w_value(longest, wt)) or small(self.n_w_value(longest, wt))
+            or small(self.n_w_value(longest, wt.inv()))
+            for _winv, wt, _c in orbit
+        )

@@ -36,6 +36,10 @@ class PoleError(ArithmeticError):
     """A c-function denominator vanished at the given torus point."""
 
 
+class ModeError(ValueError):
+    """A numeric operation was requested without a numeric label assignment."""
+
+
 class TorusPoint:
     """A multiplicative character of X, given by its values on the standard
     coordinates; values are exact rationals (ints become Fractions) or
@@ -63,20 +67,28 @@ class TorusPoint:
         return all(isinstance(v, Fraction) for v in self.images)
 
     def inv(self) -> "TorusPoint":
-        return TorusPoint(tuple(1 / v for v in self.images))
+        return _moved(tuple(1 / v for v in self.images))
 
     def apply_w(self, weyl, w: FiniteWeylElem) -> "TorusPoint":
         """The point w(t), acting by (w t)(x) = t(w^{-1} x)."""
         winv = weyl.fin_inv(w)
         rank = len(self.images)
         units = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        return TorusPoint(tuple(self.value(winv.apply_x(e)) for e in units))
+        return _moved(tuple(self.value(winv.apply_x(e)) for e in units))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusPoint) and self.images == other.images
 
     def __repr__(self) -> str:
         return f"TorusPoint{self.images}"
+
+
+def _moved(images) -> TorusPoint:
+    """The point with values computed from a point's nonzero values: a zero
+    among them is a float that left its range, not a bad point."""
+    if any(v == 0 for v in images):
+        raise OverflowError("a torus coordinate underflowed to 0")
+    return TorusPoint(images)
 
 
 class TraceGen:
@@ -99,7 +111,7 @@ class TraceGen:
         self._nonreduced = {
             r for root, _c in self.derived.nonreduced_positive for r in (root, vneg(root))
         }
-        self._c_inv_values: dict[Vec, tuple] = {}
+        self._label_values: dict[Vec, tuple] = {}  # per root: q_a, 1/B_a, q_{2a}
 
     # -- d coefficients ------------------------------------------------------
 
@@ -247,33 +259,41 @@ class TraceGen:
 
     # -- numeric c-functions --------------------------------------------------
 
-    def _need_assignment(self) -> dict:
+    def _need_numeric(self) -> dict:
         if self.assignment is None:
-            raise ValueError(
-                "this operation needs numeric labels; construct TraceGen with "
-                "an assignment from LabelSet.numeric_assignment"
+            raise ModeError(
+                "this operation needs numeric labels; construct it with an "
+                "assignment from LabelSet.numeric_assignment"
             )
         return self.assignment
+
+    def label_values(self, root: Vec) -> tuple:
+        """``(q_a, 1/B_a, q_{2a})`` at the assignment for ``a = root``, with
+        ``(A_a, B_a)`` from ``LabelSet.c_pair``: each is its monomial
+        ``A^{-1} B``, ``B^{-1}``, ``B^{-2}`` evaluated once per root, so a
+        float value rounds as that one evaluation does.  Read by
+        :meth:`c_factor` and ``PrincipalSeries.n_value``."""
+        vals = self._label_values.get(root)
+        if vals is None:
+            asg = self._need_numeric()
+            a, b = self.labels.c_pair(root)
+            vals = self._label_values[root] = (
+                (a.inverse() * b).evaluate(asg), b.inverse().evaluate(asg), (b ** -2).evaluate(asg)
+            )
+        return vals
 
     def c_factor(self, root: Vec, t: TorusPoint):
         """One factor of the c-function, c(a, t) = (1 - A u) / (1 - B u) with
         u = t(-a) and (A, B) from ``LabelSet.c_pair``, for a root of the
         non-reduced extension (the value is 1 for any other vector, matching
-        the convention that absent labels are 1)."""
+        the convention that absent labels are 1).  ``1/A`` is the product
+        ``(1/B)·q_a`` of two :meth:`label_values`."""
         root = tuple(root)
         if root not in self._nonreduced:
             return Fraction(1)
-        inv = self._c_inv_values.get(root)
-        if inv is None:
-            # 1/A as the product of the label values 1/B and q_a = B/A, so
-            # floating-point values round as that product does
-            asg = self._need_assignment()
-            a, b = self.labels.c_pair(root)
-            b_inv = b.inverse().evaluate(asg)
-            inv = self._c_inv_values[root] = (b_inv * (a.inverse() * b).evaluate(asg), b_inv)
-        a_inv, b_inv = inv
+        qa, b_inv, _q2a = self.label_values(root)
         u = t.value(vneg(root))
-        num = 1 - u / a_inv
+        num = 1 - u / (b_inv * qa)
         den = 1 - u / b_inv
         if den == 0:
             raise PoleError(f"c-function pole at root {root}")
@@ -290,11 +310,11 @@ class TraceGen:
 
     def q_w0_value(self):
         return self.labels.q_of_fin(self.weyl.longest_element()).evaluate(
-            self._need_assignment()
+            self._need_numeric()
         )
 
     def delta_sqrt_value(self, x: Vec):
-        return self.labels.delta_sqrt(tuple(x)).evaluate(self._need_assignment())
+        return self.labels.delta_sqrt(tuple(x)).evaluate(self._need_numeric())
 
     # -- the negative cone ----------------------------------------------------
 

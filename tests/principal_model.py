@@ -117,7 +117,7 @@ def generating_check(trace, t, box_radius):
     """Truncated left side vs closed-form right side of the generating
     identity ``sum_x tau(theta_x) t(-x) = 1 / (q(w0) c(t) c(t^{-1}))``, inside
     the region of :func:`check_region`; returns (lhs_partial, rhs, gap)."""
-    asg = trace._need_assignment()
+    asg = trace._need_numeric()
     check_region(trace, t)
     lhs = None
     for x, tau in trace.trace_theta_partition(trace.negative_cone_points(box_radius)).items():
@@ -249,7 +249,7 @@ class PrincipalModel(PrincipalSeries):
     def theta_plus(self, x):
         """The spherical Bernstein basis element at a dominant point, with
         numeric (exact rational) coefficients."""
-        asg = self._need_numeric()
+        asg = self.trace._need_numeric()
         if not self._exact_labels:
             raise ModeError("the spherical basis needs exact rational labels")
         p0sq = self._p0_val ** 2
@@ -307,7 +307,7 @@ class PrincipalModel(PrincipalSeries):
         times the intertwiner square factor, against the distinguished matrix
         element (``action`` is ``h``'s) times the inverse-point root product.
         Returns (lhs, rhs, gap)."""
-        asg = self._need_numeric()
+        asg = self.trace._need_numeric()
         check_region(self.trace, t)
         dd = self.n_w_value(self.longest, t) * self.n_w_value(self.longest, t.inv())
         if dd == 0:

@@ -22,22 +22,11 @@ from affinehecke.hecke import HeckeAlgebra
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
+from presets import NINE_PRESETS
 from principal_model import PrincipalModel, generating_check
 from xi_form import to_xi
 
 # the two parametrized families are pinned at desk-scale sizes
-ALL_PRESETS = (
-    "A1-weight",
-    "A1-root",
-    "A2",
-    "B2",
-    "C2",
-    "G2",
-    "BnCn(2)",
-    "GLn(2)",
-    "GLn(3)",
-)
-
 ORACLE_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "BnCn(2)")
 
 
@@ -120,7 +109,7 @@ def test_criterion_03_support(capsys):
         # every x in [-4, 4]^rank off the negative cone
         cases = {"A1-weight": 6, "A1-root": 4, "A2": 56, "B2": 59, "C2": 62, "G2": 56,
                  "BnCn(2)": 46, "GLn(2)": 76, "GLn(3)": 704}
-        for preset in ALL_PRESETS:
+        for preset in NINE_PRESETS:
             code, record = run_suite(capsys, preset, "support", "--box", "4")
             assert code == 0 and record["pass"], (preset, record["failures"])
             assert record["cases"] == cases[preset], preset
@@ -132,7 +121,7 @@ def test_criterion_03_support(capsys):
 def test_criterion_04_positivity(capsys):
     ok = False
     try:
-        for preset in ALL_PRESETS:
+        for preset in NINE_PRESETS:
             labels = tower(preset)[1]
             trace = formal_trace(preset)
             values = trace.trace_theta_partition(trace.negative_cone_points(6))

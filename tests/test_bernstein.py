@@ -17,6 +17,7 @@ from affinehecke.rootdata import (
 )
 from affinehecke.weyl import AffineWeyl
 
+from presets import NINE_PRESETS, TEN_PRESETS
 from principal_model import center_element, embed, group_mul, orbit, reassemble
 
 
@@ -49,8 +50,7 @@ def test_theta_of_dominant_weight_is_a_weighted_translation():
 
 @pytest.mark.parametrize(
     "name, box",
-    [(n, 2) for n in ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")]
-    + [("BnCn(3)", 1)],
+    [(n, 2) for n in NINE_PRESETS] + [("BnCn(3)", 1)],
 )
 def test_theta_at_dominant_points_is_the_weighted_translation(name, box):
     # the general fold with an empty inverse word gives the single term
@@ -224,9 +224,7 @@ def test_expand_of_theta_is_a_single_row(x):
     assert nonzero[(B.weyl.id_fin, x)] == B.labels.one()
 
 
-@pytest.mark.parametrize(
-    "name", ["A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "BnCn(3)", "GLn(2)", "GLn(3)"]
-)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_orbit_shift_is_the_dominant_shift_of_the_orbits(name):
     # the least multiple of 2rho that the expansion's shift is weighed
     # against, read off the form-based bounds as max ceil(m_i / 2) (since
@@ -284,10 +282,6 @@ def test_expand_raises_when_the_shift_falls_one_short(monkeypatch):
         monkeypatch.undo()
 
 
-ALL_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "BnCn(3)", "GLn(2)",
-               "GLn(3)")
-
-
 @lru_cache(maxsize=None)
 def exact_tower(name):
     """(formal Bernstein, Bernstein over exact label values, assignment)."""
@@ -299,7 +293,7 @@ def exact_tower(name):
     return formal, Bernstein(HeckeAlgebra(w, labels.at(asg))), asg
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_norm_forms_are_the_coroot_orbits(name):
     # coroots of one W0-invariant norm hold the orbit, so the bounds are
     # safe; on every preset they are exactly the orbit
@@ -308,7 +302,7 @@ def test_norm_forms_are_the_coroot_orbits(name):
         assert sorted(forms) == sorted(B.datum.form(c) for c in B.weyl.coroot_orbit(b))
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_exact_expansion_is_the_formal_one_evaluated(name):
     # T_{t_x} at antidominant points needs a shift; both towers take it from
     # the same orbit bounds

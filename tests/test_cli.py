@@ -214,21 +214,26 @@ def test_spherical_seeded_point_when_t_missing(capsys):
 # in floating point, and B2 at fractional labels, whose folds run on Fractions.
 # A complex entry is the correctly rounded sum of its terms, whatever their
 # order, so the complex pins guard the terms (the route T_{t_x}·sym and the
-# formal expansion), not the order the folds insert them in.
+# formal expansion), not the order the folds insert them in.  A test id
+# names the command, not the digest, so a deliberate re-pin keeps it.
+SPHERICAL_PINS = [
+    ("BnCn(2)", '{"s1":4,"s2":9,"s0":16}', "rational",
+     "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36", 2),
+    ("B2", '{"s1":"9/4","s2":"1/4"}', "rational",
+     "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af", 2),
+    ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
+     "96db8990857049176412fc373b96faecf59a51e035554c03e790001c1383b6e0", 2),
+    ("B2", '{"s1":2,"s2":3}', "complex",
+     "ceffb4e3bf9b9f238ae6f57f020a46838fc1c1b1154f2d6ff60cb2a64616a625", 2),
+    ("B2", '{"s1":2,"s2":3}', "complex",
+     "abe8c2c58a4751496df8ad09a10ea243e10f2357ba8b17854f13d47c98e47742", 3),
+]
+
+
 @pytest.mark.parametrize(
     "datum,labels,mode,digest,box",
-    [
-        ("BnCn(2)", '{"s1":4,"s2":9,"s0":16}', "rational",
-         "ae894dded1049be0f93c007258e4f93026f9b7c481e50c2875f8f155649baf36", 2),
-        ("B2", '{"s1":"9/4","s2":"1/4"}', "rational",
-         "45f4b108726bcd39a3955300397b351ed0f026ae31c9339b2354314f6a3686af", 2),
-        ("BnCn(2)", '{"s1":2,"s2":3,"s0":5}', "complex",
-         "96db8990857049176412fc373b96faecf59a51e035554c03e790001c1383b6e0", 2),
-        ("B2", '{"s1":2,"s2":3}', "complex",
-         "ceffb4e3bf9b9f238ae6f57f020a46838fc1c1b1154f2d6ff60cb2a64616a625", 2),
-        ("B2", '{"s1":2,"s2":3}', "complex",
-         "abe8c2c58a4751496df8ad09a10ea243e10f2357ba8b17854f13d47c98e47742", 3),
-    ],
+    SPHERICAL_PINS,
+    ids=[f"{d}-{labels}-{mode}-box{box}" for d, labels, mode, _digest, box in SPHERICAL_PINS],
 )
 def test_spherical_report_digest(capsys, datum, labels, mode, digest, box):
     code, out, _ = run(
@@ -295,6 +300,7 @@ def test_trace_rank_three_report_digest(capsys):
         (["--labels", '{"s1":4,"s2":9,"s0":16}', "--mode", "rational"],
          "1c715dd8745af6c2ca038af43a7a3cb868cabcad73bfd430c104a9703a5f0ced"),
     ],
+    ids=["BnCn(2)-formal-box3", 'BnCn(2)-{"s1":4,"s2":9,"s0":16}-rational-box3'],
 )
 def test_series_report_digest(capsys, labels, digest):
     code, out, _ = run(capsys, ["series", "--datum", "BnCn(2)", *labels, "--box", "3"])
@@ -425,6 +431,7 @@ def test_verify_uses_box_as_given(capsys, suite, box, cases):
         ("BnCn(2)", "1", "7310363c58c3942ec43216b5961b19a132efa7a3f2744ed9c1f6431b9929f286"),
         ("A2", "2", "fc666af5d2b9eaeb976b1e4fe269010d9ef03aba9561e3353ae6885d34f353b2"),
     ],
+    ids=["BnCn(2)-box1", "A2-box2"],
 )
 def test_verify_report_digest(capsys, datum, box, digest):
     code, out, _ = run(capsys, ["verify", "--datum", datum, "--box", box])
@@ -485,6 +492,20 @@ def test_float_range_overflow_exit_usage(capsys, command, labels, box):
     assert out == ""
     assert err.startswith("error: a value left the floating-point range of complex mode")
     assert "use --mode rational" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_underflowed_torus_point_exit_usage(capsys):
+    # 1/t rounds to 0 at this finite point, so its W0-orbit leaves the float range
+    code, out, err = run(
+        capsys,
+        ["spherical", "--datum", "A1-weight", "--labels", '{"s1":2,"s0":2}', "--mode", "complex",
+         "--t", "1e308,1e308", "--box", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a value left the floating-point range of complex mode")
+    assert "underflowed" in err
     assert len(err.strip().splitlines()) == 1
 
 

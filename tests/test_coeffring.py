@@ -28,6 +28,7 @@ from affinehecke.coeffring import (
 from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.weyl import AffineWeyl
 
+from presets import NINE_PRESETS, TEN_PRESETS
 from principal_model import poincare
 from xi_form import to_xi
 
@@ -514,10 +515,7 @@ def test_delta_sqrt_is_multiplicative():
         assert L.delta_sqrt(x) * L.delta_sqrt(vneg(x)) == L.one()
 
 
-PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
-
-
-@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_delta_sqrt_of_a_dominant_point_is_v_of_its_translations(name):
     # delta^{1/2}(y) = v(t_y) = v(t_{-y}) for dominant y: the trace sweep
     # reads tau(theta_x) on the normalised basis with no label factor
@@ -536,7 +534,7 @@ def root_label(L, root):
     return L.one() if e is None else LaurentPoly.monomial(L.vars, tuple(2 * x for x in e))
 
 
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 def test_c_pair_recovers_the_root_labels(name):
     L = labels(name)
     nonreduced = {r for r, _ in L.weyl.derived.nonreduced_positive}

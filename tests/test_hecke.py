@@ -11,6 +11,7 @@ from affinehecke.coeffring import MAX_EXP, ExponentOverflowError, LabelSet, Laur
 from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.weyl import AffineWeyl
 
+from presets import NINE_PRESETS
 from principal_model import tau_pair
 
 
@@ -159,9 +160,6 @@ def test_invert_basis():
         H.invert_basis(g)
 
 
-ALL_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
-
-
 def v_of(labels, g):
     """v(g) = q(g)^{1/2}, a monomial: its exponents halved."""
     ((exps, _c),) = labels.q_of_w(g).sorted_terms()
@@ -177,7 +175,7 @@ def normalised(H, g, inv):
 
 # The targeted inverse folds by the xi rule on the normalised basis and the
 # full inverse by the q rule, so each is the other's reference.
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_invert_basis_targets_is_a_slice(name, data):
@@ -226,7 +224,7 @@ def xi_algebra(name):
 # Every path to u after k letters stays put (a factor -xi) k - l(u) times
 # mod 2, so each coefficient is (-1)^(k - l(u)) times one in N[xi]: the fold
 # merges coefficients in place, as no sum can cancel.
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_xi_fold_states_have_one_sign(name, data):

@@ -16,7 +16,7 @@ from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.rootdata import is_dominant
 from affinehecke.weyl import AffineWeyl
 
-PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)")
+from presets import NINE_PRESETS, TEN_PRESETS
 
 # one q per label class, in class order: integral squares, then fractional ones
 LABELS = {
@@ -69,7 +69,7 @@ def sample(name, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(LABELS))
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 def test_numeric_folds_match_the_evaluated_formal_folds(name, kind):
     formal, numeric, asg = towers(name, kind)
     F, N, w = formal.hecke, numeric.hecke, formal.weyl
@@ -96,7 +96,7 @@ def test_numeric_folds_match_the_evaluated_formal_folds(name, kind):
         assert theta.terms == evaluated(formal.theta(x), asg)
 
 
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 def test_forward_folds_at_integral_labels_stay_ints(name):
     formal, numeric, _asg = towers(name, "integral")
     N, w = numeric.hecke, numeric.weyl
@@ -118,7 +118,7 @@ def test_the_view_reads_generator_inverses_as_fractions():
 
 
 @pytest.mark.parametrize("kind", sorted(LABELS))
-@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("name", NINE_PRESETS)
 def test_delta_sqrt_values_are_the_evaluated_monomials(name, kind):
     # the monomial against its definition, a sum over the positive
     # non-reduced extension, and the direct numeric product against the
@@ -138,7 +138,7 @@ def test_delta_sqrt_values_are_the_evaluated_monomials(name, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(LABELS))
-@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+@pytest.mark.parametrize("name", TEN_PRESETS)
 @given(data=st.data())
 @settings(deadline=None, max_examples=25)
 def test_integer_delta_sqrt_is_the_evaluated_monomial(name, kind, data):
@@ -153,7 +153,7 @@ def test_integer_delta_sqrt_is_the_evaluated_monomial(name, kind, data):
 
 
 @pytest.mark.parametrize("algebra", ["formal", "integral", "fractional"])
-@pytest.mark.parametrize("name", PRESETS + ("BnCn(3)",))
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_the_symmetrizer_absorbs_the_finite_generators(name, algebra):
     # sym·T_s = T_s·sym = q_s·sym and sym·sym = p0·sym, over the formal labels
     # and over their values: the identities that let the exact spherical

@@ -3,6 +3,7 @@ the spherical function, and the truncated series check."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,9 +17,10 @@ from affinehecke.coeffring import LabelSet, LaurentPoly, _make
 from affinehecke.hecke import HeckeAlgebra
 from affinehecke.principal import ModeError, PrincipalSeries
 from affinehecke.rootdata import coordinate_box, is_dominant, solve
-from affinehecke.tracegen import TorusPoint
+from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
+from presets import TEN_PRESETS
 from principal_model import PrincipalModel, conj, generating_check, mat_vec
 
 
@@ -127,7 +129,7 @@ def test_laplace_satisfies_the_quadratic_relation():
     t = ps.seeded_point(3)
     for i in range(2):
         m = ps.laplace_matrix(ps.symbolic_action(H.basis(ps.weyl.simple_affine(i))), t)
-        q = ps._val(ps.labels.q_of_gen(i))
+        q = ps.labels.q_of_gen(i).evaluate(ps.assignment)
         sq = mat_mul(m, m)
         expect = [
             [(q - 1) * m[r][c] + (q if r == c else 0) for c in range(ps.dim)]
@@ -464,7 +466,7 @@ def ref_finite_matrices(ps):
     n = ps.dim
 
     def gen_matrix(i, right):
-        qi = ps._val(ps.labels.q_of_gen(i))
+        qi = ps.labels.q_of_gen(i).evaluate(ps.assignment)
         s = weyl.simple_reflections[i]
         m = [[0] * n for _ in range(n)]
         for j, w in enumerate(ps.basis_order):
@@ -583,10 +585,6 @@ def test_spherical_is_normalised():
         ps = series(name, items)
         t = ps.seeded_point(0)
         assert ps.spherical(t, h=ps.hecke.unit()) == 1
-
-
-TEN_PRESETS = ("A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)",
-               "BnCn(3)")
 
 
 def class_labels(name, qs):
@@ -867,16 +865,38 @@ def test_theta_plus_needs_exact_arithmetic():
 
 
 def test_n_value_reads_its_label_values_once_per_root(monkeypatch):
-    # seeded_point asks n_value at every orbit point of every candidate; its
-    # label factors depend on the root only
+    # seeded_point asks n_value and c_full at every orbit point of every
+    # candidate; their label values depend on the root only, and both read
+    # them from one table
     base = series("BnCn(2)", BC2)
     ps = PrincipalSeries(base.bernstein, base.assignment)  # its own memo
     calls = []
-    val = ps._val
-    monkeypatch.setattr(ps, "_val", lambda poly: calls.append(poly) or val(poly))
+    evaluate = LaurentPoly.evaluate
+    monkeypatch.setattr(
+        LaurentPoly, "evaluate", lambda poly, values: calls.append(poly) or evaluate(poly, values)
+    )
     for seed in range(3):
         ps.seeded_point(seed)
-    assert len(calls) == 3 * len({ps._n_root(beta)[0] for beta in ps._r1_pos})
+    table = ps.trace._label_values
+    assert {ps._n_root(beta)[0] for beta in ps._r1_pos} <= table.keys()
+    assert len(calls) == 3 * len(table)
+
+
+def test_one_orbit_walk_serves_the_seeded_point_and_the_formula(monkeypatch):
+    # the bench's spherical point: the admissibility check forms w t and
+    # c(w t) once per element of W0 (and c at the inverse points), and the
+    # c-function formula at that point reads the same walk
+    base = series("B2", (("s1", 4), ("s2", 9)))
+    ps = PrincipalSeries(base.bernstein, base.assignment)  # its own slot
+    calls = Counter()
+    for cls, name in ((TraceGen, "c_full"), (TorusPoint, "apply_w")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, m=method, n=name: calls.update([n]) or m(*a))
+    t = ps.seeded_point(0)
+    for x in coordinate_box(2, 0, 2):
+        if is_dominant(ps.datum, x):
+            ps.macdonald_value(t, x)
+    assert calls == {"c_full": 16, "apply_w": 8}
 
 
 def test_normalised_vector_raises_at_a_pole():

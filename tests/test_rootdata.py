@@ -35,18 +35,7 @@ from affinehecke.rootdata import (
     vsub,
 )
 
-ALL_PRESETS = (
-    "A1-weight",
-    "A1-root",
-    "A2",
-    "B2",
-    "C2",
-    "G2",
-    "BnCn(2)",
-    "BnCn(3)",
-    "GLn(2)",
-    "GLn(3)",
-)
+from presets import TEN_PRESETS
 
 # (positive roots, non-reduced positive layer, unmultipliable positive layer)
 LAYER_SIZES = {
@@ -81,7 +70,7 @@ def small_vectors(rank, bound=4):
     return st.tuples(*([coord] * rank))
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_preset_builds_and_keeps_name(name):
     datum = build_preset(name)
     assert datum.name == name
@@ -90,7 +79,7 @@ def test_preset_builds_and_keeps_name(name):
         assert datum.pair(a, b) == 2
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_preset_layer_sizes(name):
     dr = derive(build_preset(name))
     assert (
@@ -102,7 +91,7 @@ def test_preset_layer_sizes(name):
 
 
 def test_two_rho_is_sum_of_positive_roots():
-    for name in ALL_PRESETS:
+    for name in TEN_PRESETS:
         dr = derive(build_preset(name))
         total = dr.positive_roots[0]
         for r in dr.positive_roots[1:]:
@@ -160,7 +149,7 @@ def test_reflection_is_involutive_on_roots():
 
 
 def test_height_of_simple_roots_is_one():
-    for name in ALL_PRESETS:
+    for name in TEN_PRESETS:
         datum = build_preset(name)
         for a in datum.simple_roots:
             assert height(datum, a) == 1
@@ -258,7 +247,7 @@ def test_unknown_preset_raises():
         build_preset("E8")
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_json_roundtrip(name):
     datum = build_preset(name)
     text = datum_to_json(datum)
@@ -490,7 +479,7 @@ def test_int_inverse_exists_exactly_for_unit_determinant(mat):
         assert inv == ref_int_inverse(mat)
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_derive_caches_on_equal_datums(name):
     # two separately built, equal datums share one DerivedRoots
     assert build_preset(name) is not build_preset(name)
@@ -513,7 +502,7 @@ def test_derive_solves_every_root_in_one_elimination(name, monkeypatch):
     assert derived.positive_roots == derive(datum).positive_roots
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_root_coordinates_match_a_solve_per_point(name):
     # the left inverse against an elimination per point over a box, points
     # off the roots' span (GLn) included
@@ -527,7 +516,7 @@ def test_root_coordinates_match_a_solve_per_point(name):
     assert (off_span > 0) == name.startswith("GLn")
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_fundamental_weights_are_the_least_multiples_in_x(name):
     datum = build_preset(name)
     weights, steps = fundamental_weights(datum)
@@ -544,7 +533,7 @@ def _length(datum, z):
     return datum.pair(z, derive(datum).two_rho_check)
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", TEN_PRESETS)
 def test_shift_for_bounds_is_dominant_and_never_longer_than_2rho(name):
     datum = build_preset(name)
     two_rho = derive(datum).two_rho

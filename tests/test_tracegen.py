@@ -20,6 +20,7 @@ from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
+from presets import TEN_PRESETS
 from principal_model import RegionError, check_region, generating_check
 
 
@@ -194,7 +195,7 @@ def test_d_coefficients_rank_one():
 
 @pytest.mark.parametrize(
     "name",
-    ["A1-weight", "A1-root", "A2", "B2", "C2", "G2", "BnCn(2)", "GLn(2)", "GLn(3)", "BnCn(3)"],
+    TEN_PRESETS,
 )
 def test_d_coeff_equals_the_quotient_it_replaces(name):
     # the finite sum against the exact division of
