@@ -148,23 +148,19 @@ class Bernstein:
         reader depends on that order.
         """
         weyl = self.weyl
-        # an id's key is its W0 index plus its packed translation shifted by wb
-        keys, wb, wmask = weyl._keys, weyl._wbits, weyl._wmask
-        firsts = {keys[u] >> wb: u for u in h.terms}.values()
-        z0 = shift_for_bounds(self.datum, self._orbit_bounds(list(map(weyl.trans, firsts))))
+        trans = weyl.trans
+        z0 = shift_for_bounds(self.datum, self._orbit_bounds({trans(u) for u in h.terms}))
         shifted = self.hecke.rmul_basis(h, weyl.translation(z0))
         # the factor delta_sqrt(-z0) of theta(z0) and the factor
         # delta_sqrt(xp) that turns T_{t_xp} into theta(xp) multiply to
         # delta_sqrt(xp - z0): its exponents are linear in the point
         delta_sqrt = self.labels.delta_sqrt
-        order = weyl.enumerate_w0()
-        points: dict[int, tuple[Vec, LaurentPoly]] = {}  # packed xp -> (x, weight)
+        points: dict[Vec, tuple[Vec, LaurentPoly]] = {}  # xp -> (x, weight)
         out: dict[tuple[FiniteWeylElem, Vec], LaurentPoly] = {}
         for u, c in shifted.terms.items():
-            key = keys[u]
-            point = points.get(key >> wb)
+            xp = trans(u)
+            point = points.get(xp)
             if point is None:
-                xp = weyl.trans(u)
                 for f in self._simple_forms:
                     if sum(map(mul, f, xp)) < 0:
                         raise BoxError(
@@ -172,9 +168,9 @@ class Bernstein:
                             f"(term at translation {xp} after shifting by {z0})"
                         )
                 x = tuple([a - b for a, b in zip(xp, z0)])
-                point = points[key >> wb] = (x, delta_sqrt(x))
+                point = points[xp] = (x, delta_sqrt(x))
             x, weight = point
-            out[(order[key & wmask], x)] = c * weight
+            out[(weyl.fin_part(u), x)] = c * weight
         return out
 
     def _orbit_bounds(self, ys) -> list[int]:

@@ -3,8 +3,10 @@
 Elements are finitely supported maps from extended affine Weyl elements to
 coefficients (Laurent polynomials, or exact numbers at given labels), keyed
 by the Weyl group's int ids (``AffineWeyl.gid``) from end to end: the folds,
-sums and products work on ids, and elements are converted only at the edge
-(``basis``, ``unit``, ``coeff``, ``tau`` and the fold's right-hand ``h``).
+sums and products work on ids, through the group's product, inverse and
+factorization on ids, and an element is converted once, at the public entry
+that takes it (``basis``, ``unit``, ``coeff``, ``rmul_basis`` and
+``invert_basis``).
 
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
@@ -167,16 +169,16 @@ class HeckeAlgebra:
         self._guard(out)
         return out
 
-    def _relabel_right(self, terms: dict, om: AffineWeylElem) -> dict:
-        """Right-multiply by T_om for a length-zero om (a free relabeling)."""
+    def _relabel_right(self, terms: dict, om: int) -> dict:
+        """Right-multiply by T_om for the id om of a length-zero element (a free relabeling)."""
         weyl = self.weyl
-        if om == weyl.identity:
+        if om == weyl.identity_id:
             return terms
-        return {weyl.gid(weyl.multiply(weyl.elem(u), om)): c for u, c in terms.items()}
+        return {weyl.multiply(u, om): c for u, c in terms.items()}
 
-    def _fold(self, terms: dict, h: AffineWeylElem, inverse: bool = False) -> dict:
-        """Right-multiply an id-keyed term dict by T_h, or by its inverse, by
-        the ``q`` rule.
+    def _fold(self, terms: dict, h: int, inverse: bool = False) -> dict:
+        """Right-multiply an id-keyed term dict by T_h, for the id h, or by
+        its inverse, by the ``q`` rule.
 
         Factors ``h = om . s_{i_1} ... s_{i_k}`` through the length-zero
         subgroup.  T_h relabels by om and folds the letters in order;
@@ -228,7 +230,7 @@ class HeckeAlgebra:
         weyl = self.weyl
         lens = weyl.lens
         start, move = weyl.distance_to(ends, len(word))
-        u = weyl.gid(weyl.identity)
+        u = weyl.identity_id
         live = {u: ({0: 1}, *start(u))}
         for rest in range(len(word) - 1, -1, -1):
             i = word[rest]
@@ -284,29 +286,28 @@ class HeckeAlgebra:
         return self._mul_fold(a, b)
 
     def _mul_fold(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        elem = self.weyl.elem
         out: dict = {}
         for h, d in b.terms.items():
-            for u, c in self._fold(a.terms, elem(h)).items():
+            for u, c in self._fold(a.terms, h).items():
                 accumulate(out, u, c * d)
             self._guard(out)
         return HeckeElem(out)
 
     def rmul_basis(self, a: HeckeElem, h: AffineWeylElem, inverse: bool = False) -> HeckeElem:
         """a * T_h, or a * T_h^{-1}, without building T_h or its inverse."""
-        return HeckeElem(self._fold(a.terms, h, inverse))
+        return HeckeElem(self._fold(a.terms, self.weyl.gid(h), inverse))
 
     def star(self, a: HeckeElem) -> HeckeElem:
         """The conjugate-linear anti-involution T_g -> T_{g^{-1}}.
 
         Coefficients here are real (rational in the v), so conjugation is
         the identity on them."""
-        inv = self.weyl.inverse_id
+        inv = self.weyl.inverse
         return HeckeElem({inv(u): c for u, c in a.terms.items()})
 
     def tau(self, a: HeckeElem):
         """The trace: the coefficient of the identity."""
-        c = self.coeff(a, self.weyl.identity)
+        c = a.terms.get(self.weyl.identity_id)
         return c if c is not None else self.labels.zero()
 
     # -- inverses ------------------------------------------------------------
@@ -329,8 +330,7 @@ class HeckeAlgebra:
         if self._xi_keys is None:
             raise ValueError("a targeted inverse needs formal labels")
         weyl = self.weyl
-        om, word = weyl.factor_extended(g)
-        gid = weyl.gid
-        target_of = {gid(weyl.multiply(v, om)): gid(v) for v in targets}
+        om, word = weyl.factor_extended(weyl.gid(g))
+        target_of = {weyl.multiply(v, om): v for v in map(weyl.gid, targets)}
         terms = self._xi_fold(word, target_of.keys())
         return HeckeElem({target_of[u]: c for u, c in terms.items()})

@@ -421,7 +421,7 @@ class PrincipalSeries:
         total = 0
         for winv, _wt, c in self._orbit(t):
             total += c * t.value(winv.apply_x(x))
-        return self.trace.q_w0_value() * total / self._p0_val
+        return self._q_fin_vals[self.index[self.longest]] * total / self._p0_val
 
     def _orbit(self, t: TorusPoint) -> list:
         """The triples ``(w^{-1}, w t, c(w t))`` over the finite Weyl group, in

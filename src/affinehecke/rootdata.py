@@ -115,16 +115,6 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def int_inverse(mat) -> tuple[Vec, ...] | None:
-    """The inverse of a square integer matrix when it is again an integer
-    matrix, i.e. when ``mat`` is unimodular; None otherwise."""
-    n = len(mat)
-    rank, inv = solve(mat, _identity(n))
-    if rank < n or any(v.denominator != 1 for row in inv for v in row):
-        return None
-    return tuple(tuple(int(v) for v in row) for row in inv)
-
-
 # ---------------------------------------------------------------------------
 # the datum itself
 
@@ -273,7 +263,9 @@ def make_datum(
     P = _int_rows(pairing, "pairing")
     if len(P) != rank or any(len(row) != rank for row in P):
         raise RootSystemError("pairing matrix must be square of size rank")
-    if int_inverse(P) is None:
+    # unimodular: of full rank, with an inverse that is again integral
+    full, inv = solve(P, _identity(rank))
+    if full < rank or any(v.denominator != 1 for row in inv for v in row):
         raise RootSystemError("pairing matrix must be unimodular")
     sr = _int_rows(simple_roots, "simple_roots")
     sc = _int_rows(simple_coroots, "simple_coroots")

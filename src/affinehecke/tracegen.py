@@ -308,11 +308,6 @@ class TraceGen:
             out = v if out is None else out * v
         return out if out is not None else Fraction(1)
 
-    def q_w0_value(self):
-        return self.labels.q_of_fin(self.weyl.longest_element()).evaluate(
-            self._need_numeric()
-        )
-
     def delta_sqrt_value(self, x: Vec):
         return self.labels.delta_sqrt(tuple(x)).evaluate(self._need_numeric())
 

@@ -49,8 +49,9 @@ list read and the descent bit is ``lens[v] < lens[u]``.  ``fill(i, ids)``
 fills every missing entry of a letter in one pass, each new id from one
 ``setdefault``; the Hecke folds call it at a letter's first miss and
 ``step`` for one id.  No translation tuple is kept per id: ``trans(u)``
-decodes it from the key, for ``elem(u)``, ``inverse_id``, ``distance_to``
-and the Bernstein read-off.
+decodes it from the key, and ``fin_part(u)`` reads its finite part.  Below
+the methods that take elements the id is the one form, with one product
+``multiply(u, v)`` and one inverse ``inverse(u)``; the identity is id 0.
 
 A length ``l(u^{-1} v)`` is an L1 distance between two per-root vectors
 ``K(u^{-1})``, read off ``u``'s translation by ``inverse_coord_rows``.  A
@@ -210,12 +211,14 @@ class AffineWeyl:
             self._gen_shifts.append(beta)
             self._gen_roots.append(beta)
 
-        self._factor_cache: dict[int, tuple[AffineWeylElem, tuple[int, ...]]] = {}
+        self._factor_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._w0_list: list[FiniteWeylElem] | None = None
         self._w_index: dict[Matrix, int] = {}
         self._w0_cols: list[list[int]] = []
 
-        # the interned elements; the W0 tables and the packing are built on first use
+        # the interned elements; the W0 tables and the packing are built on
+        # first use, and intern the identity first
+        self.identity_id = 0
         self._ids: dict[int, int] = {}
         self._keys: list[int] = []
         self._levels: list[int] = []
@@ -299,16 +302,6 @@ class AffineWeyl:
             self._build_tables()
         return self._w0_list[self._winv[self._w_index[a.mx]]]
 
-    def multiply(self, g: AffineWeylElem, h: AffineWeylElem) -> AffineWeylElem:
-        winv = self.fin_inv(h.fin)
-        return AffineWeylElem(
-            self.fin_mul(g.fin, h.fin),
-            vadd(winv.apply_x(g.trans), h.trans),
-        )
-
-    def inverse(self, g: AffineWeylElem) -> AffineWeylElem:
-        return AffineWeylElem(self.fin_inv(g.fin), vneg(g.fin.apply_x(g.trans)))
-
     def act_point(self, g: AffineWeylElem, x: Vec) -> Vec:
         """The affine action on X: ``(w t_z)(x) = w(x + z)``."""
         return g.fin.apply_x(vadd(x, g.trans))
@@ -337,6 +330,7 @@ class AffineWeyl:
             for w in order
         ]
         self._build_packing()
+        self._intern(0, self.identity.trans)
 
     def _build_packing(self) -> None:
         """The field layout of the interned ids (see the module docstring).
@@ -445,15 +439,31 @@ class AffineWeyl:
         """The translation of the element with id ``u``, decoded from its key."""
         return self._tunpack(((self._keys[u] >> self._wbits) ^ self._tflip).to_bytes(self._tbytes, "little"))
 
+    def fin_part(self, u: int) -> FiniteWeylElem:
+        """The finite part of the element with id ``u``, read from its key."""
+        return self._w0_list[self._keys[u] & self._wmask]
+
     def elem(self, u: int) -> AffineWeylElem:
         """The element with id ``u``."""
-        return AffineWeylElem(self._w0_list[self._keys[u] & self._wmask], self.trans(u))
+        return AffineWeylElem(self.fin_part(u), self.trans(u))
 
-    def inverse_id(self, u: int) -> int:
-        """The id of ``u^{-1}``: ``(w t)^{-1} = w^{-1} t_{-w t}``, as in :meth:`inverse`."""
+    def multiply(self, u: int, v: int) -> int:
+        """The id of ``u v``: ``(w t_x)(w' t_{x'}) = (w w') t_{w'^{-1}(x) + x'}``,
+        with ``w w'`` read by walking the reduced word of ``w'`` through the
+        product table."""
+        keys, wmask, order, wmul = self._keys, self._wmask, self._w0_list, self._wmul
+        w, wv = keys[u] & wmask, keys[v] & wmask
+        for i in order[wv].word:
+            w = wmul[w][i]
+        x = self.trans(u)
+        rows = order[self._winv[wv]].mx
+        return self._intern(w, tuple([sum(map(mul, row, x)) + y for row, y in zip(rows, self.trans(v))]))
+
+    def inverse(self, u: int) -> int:
+        """The id of ``u^{-1}``: ``(w t_x)^{-1} = w^{-1} t_{-w(x)}``."""
         w = self._keys[u] & self._wmask
-        t = self.trans(u)
-        return self._intern(self._winv[w], tuple([-sum(map(mul, row, t)) for row in self._w0_list[w].mx]))
+        x = self.trans(u)
+        return self._intern(self._winv[w], tuple([-sum(map(mul, row, x)) for row in self._w0_list[w].mx]))
 
     def fill(self, i: int, ids) -> None:
         """Fill ``nxt[i]`` at every id of ``ids`` that has no entry yet, in
@@ -680,10 +690,14 @@ class AffineWeyl:
         v = self.step(u, i)
         return self.elem(v), self.lens[v] < self.lens[u]
 
-    def factor_extended(self, g: AffineWeylElem) -> tuple[AffineWeylElem, tuple[int, ...]]:
-        """Write ``g = omega . s_{i_1} ... s_{i_k}`` with ``l(omega) = 0`` and
-        the word reduced (each step raises the length by one)."""
-        u = self.gid(g)
+    def factor_extended(self, u: int) -> tuple[int, tuple[int, ...]]:
+        """Write ``u = omega . s_{i_1} ... s_{i_k}`` with ``l(omega) = 0`` and
+        the word reduced (each step raises the length by one): the id of
+        omega and the word.  An element ``u`` is also taken, at the public
+        edge, and gets its omega back as an element."""
+        if not isinstance(u, int):
+            om, word = self.factor_extended(self.gid(u))
+            return self.elem(om), word
         cached = self._factor_cache.get(u)
         if cached is not None:
             return cached
@@ -697,7 +711,7 @@ class AffineWeyl:
             om = self.step(om, i)
         if self.lens[om] != 0:
             raise RootSystemError("descent-free element has nonzero length")
-        out = self.elem(om), tuple(reversed(rev))
+        out = om, tuple(reversed(rev))
         self._factor_cache[u] = out
         return out
 

@@ -7,9 +7,11 @@ operators, matrix elements, the spherical functional of any element, the
 double-coset route of the spherical value, the plus basis and the
 truncated series check, with two memos bounded by the datum (the left
 matrices and the intertwiner actions).  The functions give
-the trace pairing, Weyl orbits and cosets, the Poincare series, orbit sums,
-the group algebra's embedding, the inverse Bernstein expansion and the
-numeric generating identity.
+the trace pairing, the matrix product and inverse of group elements (the
+reference of the group's product and inverse on ids), Weyl orbits and
+cosets, the Poincare series, orbit sums, the group algebra's embedding, the
+inverse Bernstein expansion, ``q(w0)`` at the assignment and the numeric
+generating identity.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from affinehecke.hecke import HeckeElem
 from affinehecke.principal import ModeError, PrincipalSeries
 from affinehecke.rootdata import height, is_dominant, vadd, vneg
 from affinehecke.tracegen import PoleError, TorusPoint
+from affinehecke.weyl import AffineWeylElem
 
 
 class RegionError(ValueError):
@@ -40,10 +43,25 @@ def tau_pair(H, a, b):
     weyl = H.weyl
     out = H.labels.zero()
     for u, c in a.terms.items():
-        d = b.terms.get(weyl.inverse_id(u))
+        d = b.terms.get(weyl.inverse(u))
         if d is not None:
             out = out + c * d * H.labels.q_of_w(weyl.elem(u))
     return out
+
+
+def fin_inverse(weyl, w):
+    """The inverse of a finite element, found in W0 by its matrix product."""
+    return next(v for v in weyl.enumerate_w0() if weyl.fin_mul(v, w) == weyl.id_fin)
+
+
+def elem_product(weyl, g, h):
+    """``(w t_x)(w' t_{x'}) = (w w') t_{w'^{-1}(x) + x'}``, by matrices."""
+    return AffineWeylElem(weyl.fin_mul(g.fin, h.fin), vadd(fin_inverse(weyl, h.fin).apply_x(g.trans), h.trans))
+
+
+def elem_inverse(weyl, g):
+    """``(w t_x)^{-1} = w^{-1} t_{-w(x)}``, by matrices."""
+    return AffineWeylElem(fin_inverse(weyl, g.fin), vneg(g.fin.apply_x(g.trans)))
 
 
 def orbit(weyl, x):
@@ -113,6 +131,11 @@ def check_region(trace, t):
             )
 
 
+def q_w0_value(trace):
+    """``q(w0)`` at the trace's assignment."""
+    return trace.labels.q_of_fin(trace.weyl.longest_element()).evaluate(trace._need_numeric())
+
+
 def generating_check(trace, t, box_radius):
     """Truncated left side vs closed-form right side of the generating
     identity ``sum_x tau(theta_x) t(-x) = 1 / (q(w0) c(t) c(t^{-1}))``, inside
@@ -125,7 +148,7 @@ def generating_check(trace, t, box_radius):
         lhs = term if lhs is None else lhs + term
     if lhs is None:
         lhs = Fraction(0)
-    denom = trace.q_w0_value() * trace.c_full(t) * trace.c_full(t.inv())
+    denom = q_w0_value(trace) * trace.c_full(t) * trace.c_full(t.inv())
     if denom == 0:
         raise PoleError("right side has a vanishing denominator")
     rhs = 1 / denom
@@ -279,10 +302,11 @@ class PrincipalModel(PrincipalSeries):
         line2 = H.scale(H.mul(H.mul(partial, H.basis(tx)), sym), px)
         coeff = self.labels.q_of_fin(w_up) * px
         terms = {}
+        mul, gid = weyl.multiply, weyl.gid
         for u in reps:
-            left = weyl.multiply(weyl.as_affine(u), tx)
+            left = mul(gid(weyl.as_affine(u)), gid(tx))
             for v in self.basis_order:
-                accumulate(terms, weyl.gid(weyl.multiply(left, weyl.as_affine(v))), coeff)
+                accumulate(terms, mul(left, gid(weyl.as_affine(v))), coeff)
         return line1, line2, HeckeElem(terms)
 
     def inner_plus(self, x, y):

@@ -29,7 +29,7 @@ from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.weyl import AffineWeyl
 
 from presets import NINE_PRESETS, TEN_PRESETS
-from principal_model import poincare
+from principal_model import elem_inverse, elem_product, poincare
 from xi_form import to_xi
 
 VARS = ("u", "v")
@@ -489,7 +489,7 @@ def test_q_of_w_is_conjugation_invariant_under_omega():
     w = L.weyl
     om = [g for g in w.omega_elements() if g != w.identity][0]
     s1 = w.simple_affine(0)
-    conj = w.multiply(w.multiply(om, s1), w.inverse(om))
+    conj = elem_product(w, elem_product(w, om, s1), elem_inverse(w, om))
     assert w.length(conj) == 1
     assert L.q_of_w(conj) == L.q_of_w(s1)
 

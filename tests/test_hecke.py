@@ -12,7 +12,7 @@ from affinehecke.hecke import HeckeAlgebra, HeckeElem
 from affinehecke.weyl import AffineWeyl
 
 from presets import NINE_PRESETS
-from principal_model import tau_pair
+from principal_model import elem_inverse, tau_pair
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +102,7 @@ def test_star_sends_basis_to_inverse_basis():
     for i in [0, 1, 2]:
         chain_elem, _ = w.gen_step(chain_elem, i)
     starred = H.star(H.basis(chain_elem))
-    assert starred == H.basis(w.inverse(chain_elem))
+    assert starred == H.basis(elem_inverse(w, chain_elem))
 
 
 def test_tau_picks_the_identity_coefficient():
@@ -268,6 +268,25 @@ def test_invert_basis_through_the_length_zero_coset():
     g = w.gen_step(om, 0)[0]
     inv = full_inverse(H, g)
     assert H.mul(H.basis(g), inv) == H.unit()
+
+
+@pytest.mark.parametrize("name", ["C2", "GLn(2)"])
+def test_the_folds_turn_no_id_back_into_an_element(name, monkeypatch):
+    # Omega is nontrivial here, so the folds relabel by a length-zero
+    # element; below the public entries they work on ids alone
+    H = algebra(name)
+    w = H.weyl
+    om = next(g for g in w.omega_elements() if g != w.identity)
+    g = w.gen_step(w.gen_step(om, 0)[0], 1)[0]
+    a = H.add(H.basis(g), H.basis(w.simple_affine(1)), H.basis(om))
+    targets = w.elements_up_to_length(2)
+    calls = []
+    elem = AffineWeyl.elem
+    monkeypatch.setattr(AffineWeyl, "elem", lambda self, u: calls.append(u) or elem(self, u))
+    assert H.mul(a, H.basis(g)).terms and H.mul(H.basis(om), a).terms
+    assert H.rmul_basis(H.rmul_basis(a, g), g, inverse=True) == a
+    assert H.invert_basis(g, targets=targets).terms
+    assert calls == []
 
 
 def test_linear_structure():

@@ -21,7 +21,7 @@ from affinehecke.tracegen import TorusPoint, TraceGen
 from affinehecke.weyl import AffineWeyl
 
 from presets import TEN_PRESETS
-from principal_model import PrincipalModel, conj, generating_check, mat_vec
+from principal_model import PrincipalModel, conj, generating_check, mat_vec, q_w0_value
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +333,7 @@ def test_matrix_element_orthogonality():
     ps = series("A2", A2Q4)
     w = ps.weyl
     t = ps.seeded_point(1)
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     for u in ps.basis_order:
         for v in ps.basis_order:
             val = ps.pair(ps.bra_vector(u, t), ps.r_vector(v, t))
@@ -347,7 +347,7 @@ def test_matrix_element_of_unit_with_doubled_labels():
     ps = series("BnCn(2)", BC2)
     w = ps.weyl
     t = ps.seeded_point(2)
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     unit = ps.symbolic_action(ps.hecke.unit())
     for u in ps.basis_order[:3]:
         for v in ps.basis_order:
@@ -364,7 +364,7 @@ def test_character_as_weighted_diagonal_sum():
     t = ps.seeded_point(4)
     h = sample_element(ps)
     act = ps.symbolic_action(h)
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     character = mat_trace(ps.laplace_matrix(act, t))
     by_elements = (
         sum(
@@ -686,7 +686,7 @@ def test_macdonald_reads_the_c_values_once_per_point(monkeypatch):
         for w in ps.basis_order:
             winv = ps.weyl.fin_inv(w)
             total += c_full(t.apply_w(ps.weyl, w)) * t.value(winv.apply_x(x))
-        return ps.trace.q_w0_value() * total / ps._p0_val
+        return q_w0_value(ps.trace) * total / ps._p0_val
 
     xs = [(0, 0), (1, 0), (1, 1), (2, 1)]
     t, u = ps.seeded_point(0), ps.seeded_point(1)
@@ -704,7 +704,7 @@ def test_spherical_vs_distinguished_element():
     t = TorusPoint((Fraction(2, 3),))
     sym = ps.symmetrizer()
     p0 = ps._p0_val
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     h = sample_element(ps)
     mid = H.mul(H.mul(sym, h), sym)
     e = ps.basis_order[0]
@@ -771,7 +771,7 @@ def test_plus_idempotent_is_fixed_by_normalised_intertwiners():
     for u in ps.basis_order:
         assert ps.h0_product(t0, ps.r0_vector(u, t)) == t0
     # and is recovered from the c-weighted sum of normalised vectors
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     acc = [0, 0]
     for u in ps.basis_order:
         cw = ps.trace.c_full(t.apply_w(ps.weyl, u))
@@ -820,7 +820,7 @@ def test_eisenstein_gap_shrinks():
 def test_eisenstein_with_unit_reduces_to_the_generating_identity():
     ps = series("A1-weight", A1Q4, mode="complex")
     t = TorusPoint((10**-0.5,))
-    qw0 = ps.trace.q_w0_value()
+    qw0 = q_w0_value(ps.trace)
     unit = ps.hecke.unit()
     lhs, rhs, _ = ps.eisenstein_check(t, unit, 30, ps.symbolic_action(unit))
     glhs, grhs, _ = generating_check(ps.trace, t, 30)

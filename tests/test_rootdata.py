@@ -25,7 +25,6 @@ from affinehecke import rootdata
 from affinehecke.rootdata import (
     coordinate_box,
     fundamental_weights,
-    int_inverse,
     shift_for_bounds,
     solve,
     solve_columns,
@@ -367,27 +366,6 @@ def ref_solve_columns(cols, x):
     return tuple(coords)
 
 
-def ref_int_inverse(mat):
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [v - c * p for v, p in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(v.denominator == 1 for v in row)
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
-
-
 def matrices(n_rows, n_cols, entries):
     return st.lists(
         st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
@@ -459,24 +437,26 @@ def unimodular(draw):
 
 
 @given(unimodular())
-def test_int_inverse_of_unimodular_matches_reference(mat):
+def test_make_datum_accepts_unimodular_pairings(mat):
+    # a torus (no roots) on a drawn unimodular pairing is accepted, and the
+    # same pairing with its first row doubled, of determinant +-2, is refused
     assert abs(ref_int_det(mat)) == 1
-    inv = int_inverse(mat)
-    assert inv == ref_int_inverse(mat)
     n = len(mat)
-    assert all(
-        sum(mat[i][p] * inv[p][j] for p in range(n)) == int(i == j)
-        for i in range(n)
-        for j in range(n)
-    )
+    assert make_datum(n, mat, [], []).pairing == mat
+    doubled = (tuple(2 * v for v in mat[0]),) + mat[1:]
+    assert abs(ref_int_det(doubled)) == 2
+    with pytest.raises(RootSystemError, match="unimodular"):
+        make_datum(n, doubled, [], [])
 
 
 @given(st.integers(min_value=0, max_value=3).flatmap(lambda n: matrices(n, n, SMALL)))
-def test_int_inverse_exists_exactly_for_unit_determinant(mat):
-    inv = int_inverse(mat)
-    assert (inv is not None) == (abs(ref_int_det(mat)) == 1)
-    if inv is not None:
-        assert inv == ref_int_inverse(mat)
+def test_make_datum_accepts_exactly_unit_determinant_pairings(mat):
+    n = len(mat)
+    if abs(ref_int_det(mat)) == 1:
+        assert make_datum(n, mat, [], []).rank == n
+    else:
+        with pytest.raises(RootSystemError, match="unimodular"):
+            make_datum(n, mat, [], [])
 
 
 @pytest.mark.parametrize("name", TEN_PRESETS)

@@ -18,7 +18,8 @@ from affinehecke.weyl import (
     PackedFieldError,
 )
 
-from principal_model import coset_data, orbit
+from presets import TEN_PRESETS
+from principal_model import coset_data, elem_inverse, elem_product, orbit
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +137,11 @@ def test_length_zero_subgroup(name):
     for g in om:
         assert w.length(g) == 0
         assert not any(w.gen_step(g, i)[1] for i in range(len(w.fundamental)))
-    # the scan reads the length formula and interns no element
+    # the scan reads the length formula and interns no element: the only id
+    # is the identity's, which the tables intern first
     fresh = AffineWeyl(w.datum)
     assert fresh.omega_elements() == om
-    assert len(fresh.lens) == 0
+    assert fresh.lens == [0] and fresh.elem(fresh.identity_id) == fresh.identity
 
 
 def test_omega_a1_weight_element():
@@ -150,7 +152,7 @@ def test_omega_a1_weight_element():
     assert g.trans == (-1,)
     assert g.fin != w.id_fin
     # an involution modulo nothing: g^2 is a translation of length > 0 or e
-    assert w.multiply(g, g) == w.translation((-1,)) or w.multiply(g, g) == w.identity
+    assert elem_product(w, g, g) in (w.translation((-1,)), w.identity)
 
 
 def test_longest_element_lengths():
@@ -183,9 +185,9 @@ def test_gen_step_changes_length_by_one(word):
 @given(word_strategy("B2"), word_strategy("B2"))
 def test_group_laws_b2(u, v):
     w = group("B2")
-    g, h = from_word(w, u), from_word(w, v)
+    g, h = w.gid(from_word(w, u)), w.gid(from_word(w, v))
     gh = w.multiply(g, h)
-    assert w.multiply(w.inverse(gh), gh) == w.identity
+    assert w.multiply(w.inverse(gh), gh) == w.multiply(gh, w.inverse(gh)) == w.identity_id
     assert w.inverse(gh) == w.multiply(w.inverse(h), w.inverse(g))
 
 
@@ -193,8 +195,9 @@ def test_group_laws_b2(u, v):
 def test_action_is_a_group_action(u, v):
     w = group("A2")
     g, h = from_word(w, u), from_word(w, v)
+    gh = w.elem(w.multiply(w.gid(g), w.gid(h)))
     for x in [(0, 0), (1, 0), (-2, 3)]:
-        assert w.act_point(g, w.act_point(h, x)) == w.act_point(w.multiply(g, h), x)
+        assert w.act_point(g, w.act_point(h, x)) == w.act_point(gh, x)
 
 
 def test_translation_length_formula():
@@ -212,7 +215,7 @@ def test_translation_length_formula():
 def test_translations_commute():
     w = group("BnCn(2)")
     a, b = (2, -1), (1, 3)
-    assert w.multiply(w.translation(a), w.translation(b)) == w.translation(vadd(a, b))
+    assert w.multiply(w.gid(w.translation(a)), w.gid(w.translation(b))) == w.gid(w.translation(vadd(a, b)))
 
 
 def test_fin_word_roundtrip():
@@ -254,13 +257,16 @@ def test_elements_up_to_length_includes_omega_cosets():
 def test_factor_extended(word):
     w = group("BnCn(2)")
     g = from_word(w, word)
-    om, red = w.factor_extended(g)
-    assert w.length(om) == 0
-    assert len(red) == w.length(g)
+    u = w.gid(g)
+    om, red = w.factor_extended(u)
+    assert w.lens[om] == 0
+    assert len(red) == w.lens[u]
     back = om
     for i in red:
-        back = w.gen_step(back, i)[0]
-    assert back == g
+        back = w.step(back, i)
+    assert back == u
+    # an element is factored at the public edge, and its omega is an element
+    assert w.factor_extended(g) == (w.elem(om), red)
 
 
 def test_coset_data_regular_and_singular():
@@ -357,7 +363,7 @@ def extended_elements(name):
     """A length-zero element times ``affine_elements``: every Omega coset."""
     w = group(name)
     oms = st.sampled_from(w.omega_elements())
-    return st.builds(w.multiply, oms, affine_elements(name))
+    return st.builds(lambda om, g: elem_product(w, om, g), oms, affine_elements(name))
 
 
 def inverse_coords(w):
@@ -381,7 +387,7 @@ def test_length_is_the_l1_distance_of_inverse_coords(name, data):
     v = data.draw(extended_elements(name))
     coords = inverse_coords(w)
     ku, kv = coords(w.gid(u)), coords(w.gid(v))
-    assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(w.multiply(w.inverse(u), v))
+    assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(elem_product(w, elem_inverse(w, u), v))
     assert sum(map(abs, ku)) == w.length(u)
 
 
@@ -415,7 +421,7 @@ def test_distance_to_is_the_capped_nearest_length(name, data):
     cap = data.draw(st.integers(min_value=0, max_value=80))
     start, _move = w.distance_to([w.gid(v) for v in ends], cap)
     for u in data.draw(st.lists(extended_elements(name), min_size=1, max_size=4)):
-        dists = [w.length(w.multiply(w.inverse(u), v)) for v in ends]
+        dists = [w.length(elem_product(w, elem_inverse(w, u), v)) for v in ends]
         assert start(w.gid(u))[1] == min(dists + [cap])
 
 
@@ -467,11 +473,38 @@ def test_the_carried_distance_on_empty_ends_and_caps_0_and_1(name):
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_inverse_id_is_the_id_of_the_inverse(name, data):
+    # the inverse on ids is the id of the matrix inverse
     w = group(name)
     g = data.draw(extended_elements(name))
     u = w.gid(g)
-    assert w.inverse_id(u) == w.gid(w.inverse(g))
-    assert w.inverse_id(w.inverse_id(u)) == u
+    assert w.inverse(u) == w.gid(elem_inverse(w, g))
+    assert w.inverse(w.inverse(u)) == u
+
+
+@pytest.mark.parametrize("name", TEN_PRESETS)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_id_product_and_inverse_match_the_matrix_reference(name, data):
+    w = group(name)
+    g, h = data.draw(extended_elements(name)), data.draw(extended_elements(name))
+    u, v = w.gid(g), w.gid(h)
+    assert w.elem(w.multiply(u, v)) == elem_product(w, g, h)
+    assert w.elem(w.inverse(u)) == elem_inverse(w, g)
+    assert w.multiply(u, w.inverse(u)) == w.multiply(w.inverse(u), u) == w.identity_id
+    assert w.multiply(u, w.identity_id) == w.multiply(w.identity_id, u) == u
+
+
+@pytest.mark.parametrize("name", TEN_PRESETS)
+def test_id_product_and_inverse_on_the_length_zero_elements(name):
+    # Omega is a group: its products and inverses have length 0
+    w = group(name)
+    oms = w.omega_elements()
+    for a in oms:
+        u = w.gid(a)
+        for b in oms:
+            uv = w.multiply(u, w.gid(b))
+            assert w.elem(uv) == elem_product(w, a, b) and w.lens[uv] == 0
+        assert w.elem(w.inverse(u)) == elem_inverse(w, a) and w.lens[w.inverse(u)] == 0
 
 
 def test_finite_elem_equality_reads_mx_only():
@@ -516,7 +549,7 @@ def test_fill_steps_are_the_group_product(name, seed):
         for u in batch:
             v = w.nxt[i][u]
             g = w.elem(v)
-            assert g == w.multiply(w.elem(u), w.simple_affine(i))
+            assert g == elem_product(w, w.elem(u), w.simple_affine(i))
             assert w.nxt[i][v] == u
             assert w.lens[v] == len(w.inversion_levels(g))
             assert w.trans(v) == g.trans and w.gid(g) == v  # the tuple path finds the same id
@@ -539,7 +572,7 @@ def test_an_element_past_the_packed_field_is_refused():
     a2 = AffineWeyl(build_preset("A2"))
     with pytest.raises(PackedFieldError, match="past the bound of 65536"):
         a2.gid(a2.translation((MAX_FIELD - 1, 0)))
-    assert len(a2.lens) == len(a2._ids) == 0
+    assert a2.lens == [0] and list(a2._ids.values()) == [a2.identity_id]  # the identity only
     # GLn: a translation along the centre has length 0 but its coordinates
     # still meet the bound
     gl = AffineWeyl(build_preset("GLn(2)"))
@@ -556,7 +589,7 @@ def test_a_step_past_the_length_bound_is_refused_and_adds_no_id():
     i = next(i for i in range(2) if w.lens[w.step(u, i)] > w.lens[u])
     v = w.step(u, i)
     assert w.lens[v] == MAX_FIELD
-    assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+    assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
     count = len(w.lens)
     with pytest.raises(PackedFieldError, match=f"length {MAX_FIELD + 1}, past the bound"):
         w.step(v, 1 - i)
@@ -575,7 +608,7 @@ def test_steps_near_the_packed_bound_decode_exactly(name):
     for _ in range(60):
         i = rng.randrange(len(w.fundamental))
         v = w.step(u, i)
-        assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+        assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
         assert w.lens[v] == len(w.inversion_levels(w.elem(v)))
         u = v
     assert max(max(w.trans(u)) for u in range(len(w.lens))) >= MAX_FIELD
@@ -594,7 +627,7 @@ def test_long_roots_take_64_bit_fields_and_past_that_are_refused():
     for _ in range(40):
         i = rng.randrange(len(w.fundamental))
         v = w.step(u, i)
-        assert w.elem(v) == w.multiply(w.elem(u), w.simple_affine(i))
+        assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
         u = v
     assert max(abs(x) for v in range(len(w.lens)) for x in w.trans(v)) >= 1 << 31
     with pytest.raises(PackedFieldError, match="too long"):
