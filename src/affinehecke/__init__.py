@@ -17,6 +17,11 @@ Typical construction chain::
 
 Numeric work adds ``labels.numeric_assignment({...}, mode="rational")`` and
 passes the assignment to :class:`TraceGen` / :class:`PrincipalSeries`.
+
+An element of the affine Weyl group is an int id of its :class:`AffineWeyl`:
+``weyl.translation(x)``, ``weyl.simple_affine(i)`` and
+``weyl.as_affine(w)`` return one, ``weyl.identity`` is 0, and
+``hecke.basis(u)`` is ``T_u``.
 """
 
 from .bernstein import Bernstein, BoxError
@@ -45,12 +50,11 @@ from .rootdata import (
     make_datum,
 )
 from .tracegen import ModeError, PoleError, TorusPoint, TraceGen
-from .weyl import AffineRoot, AffineWeyl, AffineWeylElem, FiniteWeylElem, PackedFieldError
+from .weyl import AffineRoot, AffineWeyl, FiniteWeylElem, PackedFieldError
 
 __all__ = [
     "AffineRoot",
     "AffineWeyl",
-    "AffineWeylElem",
     "Bernstein",
     "BoxError",
     "ExactDivisionError",

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 
 from .rootdata import Vec, vscale
-from .weyl import AffineWeyl, AffineWeylElem, FiniteWeylElem
+from .weyl import AffineWeyl, FiniteWeylElem
 
 
 class ExactDivisionError(ArithmeticError):
@@ -562,14 +562,11 @@ class LabelSet:
 
     # -- multiplicative extensions -------------------------------------------
 
-    def q_of_w(self, g: AffineWeylElem) -> LaurentPoly:
-        """``q(g)``: the product of affine-root labels, one level up, over
-        the inversion set of ``g``.  Always a monomial in the ``v_c``."""
-        exps = [0] * len(self.vars)
-        for a in self.weyl.inversion_levels(g):
-            cls = self.affine_label_class(a.coroot, a.level + 1)
-            exps[cls] += 2
-        return self._mono(tuple(exps))
+    def q_of_w(self, u: int) -> LaurentPoly:
+        """``q(u)`` for the id u: the labels of the letters of a reduced word
+        of ``u = omega . s_{i_1} ... s_{i_k}`` (``l(omega) = 0``), a monomial
+        in the ``v_c``."""
+        return self.q_of_word(self.weyl.factor_extended(u)[1])
 
     def q_of_word(self, word: tuple[int, ...]) -> LaurentPoly:
         exps = [0] * len(self.vars)

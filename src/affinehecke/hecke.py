@@ -2,11 +2,10 @@
 
 Elements are finitely supported maps from extended affine Weyl elements to
 coefficients (Laurent polynomials, or exact numbers at given labels), keyed
-by the Weyl group's int ids (``AffineWeyl.gid``) from end to end: the folds,
-sums and products work on ids, through the group's product, inverse and
-factorization on ids, and an element is converted once, at the public entry
-that takes it (``basis``, ``unit``, ``coeff``, ``rmul_basis`` and
-``invert_basis``).
+by the Weyl group's int ids: the public entries (``basis``, ``coeff``,
+``rmul_basis`` and ``invert_basis``) take the ids that ``AffineWeyl``'s
+constructors return, and the folds, sums and products work on them through
+the group's product, inverse and factorization on ids.
 
 Multiplication factors the right-hand element's basis words through the
 length-zero subgroup and applies the quadratic relation one generator at a
@@ -41,7 +40,7 @@ that each state carries along its steps (``AffineWeyl.distance_to``).
 from __future__ import annotations
 
 from .coeffring import MAX_EXP, ExponentOverflowError, LabelSet, LabelValues, accumulate
-from .weyl import AffineWeyl, AffineWeylElem
+from .weyl import AffineWeyl
 
 MAX_SUPPORT = 1_000_000
 
@@ -101,12 +100,13 @@ class HeckeAlgebra:
     def unit(self) -> HeckeElem:
         return self.basis(self.weyl.identity)
 
-    def basis(self, g: AffineWeylElem) -> HeckeElem:
-        return HeckeElem({self.weyl.gid(g): self.labels.one()})
+    def basis(self, u: int) -> HeckeElem:
+        """T_u for the id u."""
+        return HeckeElem({u: self.labels.one()})
 
-    def coeff(self, a: HeckeElem, g: AffineWeylElem):
-        """The coefficient of T_g in a, or None off its support."""
-        return a.terms.get(self.weyl.gid(g))
+    def coeff(self, a: HeckeElem, u: int):
+        """The coefficient of T_u in a, for the id u, or None off its support."""
+        return a.terms.get(u)
 
     # -- linear structure ----------------------------------------------------
 
@@ -172,7 +172,7 @@ class HeckeAlgebra:
     def _relabel_right(self, terms: dict, om: int) -> dict:
         """Right-multiply by T_om for the id om of a length-zero element (a free relabeling)."""
         weyl = self.weyl
-        if om == weyl.identity_id:
+        if om == weyl.identity:
             return terms
         return {weyl.multiply(u, om): c for u, c in terms.items()}
 
@@ -230,7 +230,7 @@ class HeckeAlgebra:
         weyl = self.weyl
         lens = weyl.lens
         start, move = weyl.distance_to(ends, len(word))
-        u = weyl.identity_id
+        u = weyl.identity
         live = {u: ({0: 1}, *start(u))}
         for rest in range(len(word) - 1, -1, -1):
             i = word[rest]
@@ -293,9 +293,9 @@ class HeckeAlgebra:
             self._guard(out)
         return HeckeElem(out)
 
-    def rmul_basis(self, a: HeckeElem, h: AffineWeylElem, inverse: bool = False) -> HeckeElem:
-        """a * T_h, or a * T_h^{-1}, without building T_h or its inverse."""
-        return HeckeElem(self._fold(a.terms, self.weyl.gid(h), inverse))
+    def rmul_basis(self, a: HeckeElem, h: int, inverse: bool = False) -> HeckeElem:
+        """a * T_h, or a * T_h^{-1}, for the id h, without building T_h or its inverse."""
+        return HeckeElem(self._fold(a.terms, h, inverse))
 
     def star(self, a: HeckeElem) -> HeckeElem:
         """The conjugate-linear anti-involution T_g -> T_{g^{-1}}.
@@ -307,14 +307,14 @@ class HeckeAlgebra:
 
     def tau(self, a: HeckeElem):
         """The trace: the coefficient of the identity."""
-        c = a.terms.get(self.weyl.identity_id)
+        c = a.terms.get(self.weyl.identity)
         return c if c is not None else self.labels.zero()
 
     # -- inverses ------------------------------------------------------------
 
-    def invert_basis(self, g: AffineWeylElem, targets: list[AffineWeylElem]) -> HeckeElem:
-        """The restriction of T~_g^{-1} = v(g) T_g^{-1} to ``targets`` on the
-        normalised basis T~_u = v(u)^{-1} T_u, so the coefficient at u is
+    def invert_basis(self, g: int, targets: list[int]) -> HeckeElem:
+        """The restriction of T~_g^{-1} = v(g) T_g^{-1}, for the id g, to the
+        ids ``targets`` on the normalised basis T~_u = v(u)^{-1} T_u, so the coefficient at u is
         ``v(g) v(u)`` times that of T_g^{-1}.  Only formal labels have the xi
         variables.  The whole T_g^{-1} on the T-basis is
         ``rmul_basis(unit(), g, inverse=True)``.
@@ -330,7 +330,7 @@ class HeckeAlgebra:
         if self._xi_keys is None:
             raise ValueError("a targeted inverse needs formal labels")
         weyl = self.weyl
-        om, word = weyl.factor_extended(weyl.gid(g))
-        target_of = {weyl.multiply(v, om): v for v in map(weyl.gid, targets)}
+        om, word = weyl.factor_extended(g)
+        target_of = {weyl.multiply(v, om): v for v in targets}
         terms = self._xi_fold(word, target_of.keys())
         return HeckeElem({target_of[u]: c for u, c in terms.items()})

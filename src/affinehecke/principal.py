@@ -396,8 +396,8 @@ class PrincipalSeries:
             raise ValueError(f"{x} is not dominant")
         H = self.hecke
         sym = self.symmetrizer()
-        elem = H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
-        return H.scale(elem, self.labels.delta_sqrt(vneg(x)))
+        double = H.mul(H.mul(sym, H.basis(self.weyl.translation(x))), sym)
+        return H.scale(double, self.labels.delta_sqrt(vneg(x)))
 
     def spherical_theta_plus(self, t: TorusPoint, x: Vec):
         """Spherical functional on the spherical Bernstein element, computed

@@ -221,7 +221,7 @@ class TraceGen:
         targets = {x: weyl.translation(vneg(vadd(x, z))) for x in xs}
         inv = self.hecke.invert_basis(weyl.translation(z), targets=list(targets.values()))
         zero = self.labels.zero()
-        return {x: self.hecke.coeff(inv, t) or zero for x, t in targets.items()}
+        return {x: self.hecke.coeff(inv, u) or zero for x, u in targets.items()}
 
     # -- rank-one series cross-check ------------------------------------------
 

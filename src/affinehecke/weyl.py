@@ -15,8 +15,8 @@ Lengths are computed by the closed formula
              + sum_{a > 0, w(a) > 0} |<x, a^vee>|
 
 (sums over finite positive roots), which agrees with the number of positive
-affine roots sent to negative ones; both are implemented and cross-checked in
-the tests.  The fundamental affine roots are the simple coroots at level 0
+affine roots sent to negative ones; the tests count those as the reference.
+The fundamental affine roots are the simple coroots at level 0
 plus, per irreducible component, the minimal coroot at level 1; elements of
 length 0 form the subgroup ``Omega``, which ``factor_extended`` peels off
 without ever enumerating it (it is infinite for the "GLn(n)" presets).
@@ -49,9 +49,15 @@ list read and the descent bit is ``lens[v] < lens[u]``.  ``fill(i, ids)``
 fills every missing entry of a letter in one pass, each new id from one
 ``setdefault``; the Hecke folds call it at a letter's first miss and
 ``step`` for one id.  No translation tuple is kept per id: ``trans(u)``
-decodes it from the key, and ``fin_part(u)`` reads its finite part.  Below
-the methods that take elements the id is the one form, with one product
-``multiply(u, v)`` and one inverse ``inverse(u)``; the identity is id 0.
+decodes it from the key, and ``fin_part(u)`` reads its finite part.
+
+The id is the one form of an element: the constructors (``translation``,
+``simple_affine``, ``as_affine``, ``omega_elements``,
+``elements_up_to_length``) return ids, every method takes them, and there is
+one product ``multiply(u, v)`` and one inverse ``inverse(u)``.  The identity
+is id 0, interned with the tables; nothing is interned before an id is first
+asked for (``identity`` included), so a caller that needs no element builds
+no table.
 
 A length ``l(u^{-1} v)`` is an L1 distance between two per-root vectors
 ``K(u^{-1})``, read off ``u``'s translation by ``inverse_coord_rows``.  A
@@ -63,10 +69,9 @@ along such steps, one table entry per step.
 The group acts on X only.  A finite element is its matrix ``mx`` on X: it
 sends the coroot of a root ``a`` to the coroot of ``w(a)``, so a question on
 the coroot side reads the root, and a coroot orbit is walked by the simple
-reflections ``s_i(y) = y - <a_i, y> a_i^vee``, with no matrix on Y.  The
-element types (``FiniteWeylElem``, ``AffineWeylElem``) are plain slotted
-classes and ``AffineRoot`` a named tuple, so importing the package loads no
-``dataclasses``.
+reflections ``s_i(y) = y - <a_i, y> a_i^vee``, with no matrix on Y.
+``FiniteWeylElem`` is a plain slotted class and ``AffineRoot`` a named tuple,
+so importing the package loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -136,27 +141,6 @@ class FiniteWeylElem:
         return tuple([sum(map(mul, row, x)) for row in self.mx])
 
 
-class AffineWeylElem:
-    """``fin . t_trans``: a finite part followed by a translation."""
-
-    __slots__ = ("fin", "trans")
-
-    def __init__(self, fin: FiniteWeylElem, trans: Vec):
-        self.fin = fin
-        self.trans = trans
-
-    def __eq__(self, other):
-        if other.__class__ is not AffineWeylElem:
-            return NotImplemented
-        return (self.fin, self.trans) == (other.fin, other.trans)
-
-    def __hash__(self) -> int:
-        return hash((self.fin, self.trans))
-
-    def __repr__(self) -> str:
-        return f"AffineWeylElem(fin={self.fin!r}, trans={self.trans!r})"
-
-
 class AffineRoot(namedtuple("AffineRoot", "coroot level")):
     """A coroot together with an integer level: the affine function
     ``x -> <x, coroot> + level`` on X."""
@@ -185,7 +169,6 @@ class AffineWeyl:
         self.rank = datum.rank
         self._pos_root_set = frozenset(self.derived.positive_roots)
         self.id_fin = FiniteWeylElem(_identity(self.rank), word=())
-        self.identity = AffineWeylElem(self.id_fin, (0,) * self.rank)
 
         self.simple_reflections: list[FiniteWeylElem] = []
         for i, (a, b) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
@@ -217,8 +200,7 @@ class AffineWeyl:
         self._w0_cols: list[list[int]] = []
 
         # the interned elements; the W0 tables and the packing are built on
-        # first use, and intern the identity first
-        self.identity_id = 0
+        # first use, and intern the identity first, as id 0
         self._ids: dict[int, int] = {}
         self._keys: list[int] = []
         self._levels: list[int] = []
@@ -286,29 +268,42 @@ class AffineWeyl:
 
     # -- group operations ----------------------------------------------------
 
-    def translation(self, x: Vec) -> AffineWeylElem:
-        return AffineWeylElem(self.id_fin, tuple(x))
+    @property
+    def identity(self) -> int:
+        """The id of the identity, 0; reading it interns it with the tables."""
+        self._build_tables()
+        return 0
 
-    def simple_affine(self, i: int) -> AffineWeylElem:
-        """The generator attached to the i-th fundamental affine root."""
-        return AffineWeylElem(self._gen_fins[i], self._gen_shifts[i])
+    def translation(self, x: Vec) -> int:
+        """The id of ``t_x``."""
+        return self._id_of(self.id_fin, x)
+
+    def simple_affine(self, i: int) -> int:
+        """The id of the generator attached to the i-th fundamental affine root."""
+        return self._id_of(self._gen_fins[i], self._gen_shifts[i])
+
+    def as_affine(self, w: FiniteWeylElem) -> int:
+        """The id of a finite element, with translation 0."""
+        return self._id_of(w, (0,) * self.rank)
 
     def fin_mul(self, a: FiniteWeylElem, b: FiniteWeylElem) -> FiniteWeylElem:
         return FiniteWeylElem(_matmul(a.mx, b.mx))
 
     def fin_inv(self, a: FiniteWeylElem) -> FiniteWeylElem:
         """The inverse, read from the W0 tables (built on first use)."""
-        if self._wmul is None:
-            self._build_tables()
+        self._build_tables()
         return self._w0_list[self._winv[self._w_index[a.mx]]]
 
-    def act_point(self, g: AffineWeylElem, x: Vec) -> Vec:
-        """The affine action on X: ``(w t_z)(x) = w(x + z)``."""
-        return g.fin.apply_x(vadd(x, g.trans))
+    def act_point(self, u: int, x: Vec) -> Vec:
+        """The affine action of the id ``u`` on X: ``(w t_z)(x) = w(x + z)``."""
+        return self.fin_part(u).apply_x(vadd(x, self.trans(u)))
 
     # -- interned elements ---------------------------------------------------
 
     def _build_tables(self) -> None:
+        """Build the W0 tables and the packing, once, and intern the identity."""
+        if self._wmul is not None:
+            return
         order = self.enumerate_w0()
         idx = self._w_index
         # the simple columns are the BFS's own products; add the affine generators'
@@ -330,7 +325,7 @@ class AffineWeyl:
             for w in order
         ]
         self._build_packing()
-        self._intern(0, self.identity.trans)
+        self._intern(0, (0,) * self.rank)
 
     def _build_packing(self) -> None:
         """The field layout of the interned ids (see the module docstring).
@@ -429,11 +424,10 @@ class AffineWeyl:
                 row.append(-1)
         return u
 
-    def gid(self, g: AffineWeylElem) -> int:
-        """The dense int id of an element."""
-        if self._wmul is None:
-            self._build_tables()
-        return self._intern(self._w_index[g.fin.mx], g.trans)
+    def _id_of(self, w: FiniteWeylElem, t: Vec) -> int:
+        """The id of ``w t_t``."""
+        self._build_tables()
+        return self._intern(self._w_index[w.mx], tuple(t))
 
     def trans(self, u: int) -> Vec:
         """The translation of the element with id ``u``, decoded from its key."""
@@ -442,10 +436,6 @@ class AffineWeyl:
     def fin_part(self, u: int) -> FiniteWeylElem:
         """The finite part of the element with id ``u``, read from its key."""
         return self._w0_list[self._keys[u] & self._wmask]
-
-    def elem(self, u: int) -> AffineWeylElem:
-        """The element with id ``u``."""
-        return AffineWeylElem(self.fin_part(u), self.trans(u))
 
     def multiply(self, u: int, v: int) -> int:
         """The id of ``u v``: ``(w t_x)(w' t_{x'}) = (w w') t_{w'^{-1}(x) + x'}``,
@@ -555,8 +545,7 @@ class AffineWeyl:
         ``K(u^{-1})`` moves: the one at the positive root ``+-w(a_i)``, up by
         one when ``w(a_i)`` is positive and down by one when it is negative.
         """
-        if self._wmul is None:
-            self._build_tables()
+        self._build_tables()
         return [
             [
                 (tuple(-sum(f * row[j] for f, row in zip(form, w.mx)) for j in range(self.rank)), n)
@@ -668,36 +657,18 @@ class AffineWeyl:
 
     # -- lengths and descents ------------------------------------------------
 
-    def length(self, g: AffineWeylElem) -> int:
-        return self.lens[self.gid(g)]
+    def length(self, u: int) -> int:
+        return self.lens[u]
 
-    def inversion_levels(self, g: AffineWeylElem) -> list[AffineRoot]:
-        """The positive affine roots sent to negative ones by ``g``."""
-        out = []
-        pos = self._pos_root_set
-        for a, b in zip(self.datum.roots, self.datum.coroots):
-            n = self.datum.pair(g.trans, b)
-            lo = 0 if a in pos else 1
-            for k in range(lo, n):
-                out.append(AffineRoot(b, k))
-            if n >= lo and g.fin.apply_x(a) not in pos:
-                out.append(AffineRoot(b, n))
-        return out
-
-    def gen_step(self, g: AffineWeylElem, i: int) -> tuple[AffineWeylElem, bool]:
-        """``(g s_i, l(g s_i) < l(g))``, read from the step and length tables."""
-        u = self.gid(g)
+    def gen_step(self, u: int, i: int) -> tuple[int, bool]:
+        """``(u s_i, l(u s_i) < l(u))``, read from the step and length tables."""
         v = self.step(u, i)
-        return self.elem(v), self.lens[v] < self.lens[u]
+        return v, self.lens[v] < self.lens[u]
 
     def factor_extended(self, u: int) -> tuple[int, tuple[int, ...]]:
         """Write ``u = omega . s_{i_1} ... s_{i_k}`` with ``l(omega) = 0`` and
         the word reduced (each step raises the length by one): the id of
-        omega and the word.  An element ``u`` is also taken, at the public
-        edge, and gets its omega back as an element."""
-        if not isinstance(u, int):
-            om, word = self.factor_extended(self.gid(u))
-            return self.elem(om), word
+        omega and the word."""
         cached = self._factor_cache.get(u)
         if cached is not None:
             return cached
@@ -751,30 +722,27 @@ class AffineWeyl:
         order = self.enumerate_w0()
         return order[self._w_index[w.mx]].word
 
-    def as_affine(self, w: FiniteWeylElem) -> AffineWeylElem:
-        return AffineWeylElem(w, (0,) * self.rank)
-
-    def omega_elements(self, box: int = 2) -> list[AffineWeylElem]:
-        """Length-zero elements whose translation part lies in [-box, box].
+    def omega_elements(self, box: int = 2) -> list[int]:
+        """The ids of the length-zero elements whose translation part lies in
+        [-box, box].
 
         For data whose translation lattice equals the root lattice this is
         just the identity; otherwise each coset meeting the scanned window
         contributes one element.
         """
-        if self._wmul is None:
-            self._build_tables()
+        self._build_tables()
         points = coordinate_box(self.rank, -box, box)
         out = []
-        for w, neg in zip(self._w0_list, self._neg):
+        for w, neg in enumerate(self._neg):
             for p in points:  # length 0: every summand of the length formula is 0
                 if all(sum(map(mul, form, p)) + n == 0 for form, n in zip(self._forms, neg)):
-                    out.append(AffineWeylElem(w, p))
+                    out.append(self._intern(w, p))
         return out
 
-    def elements_up_to_length(self, lmax: int) -> list[AffineWeylElem]:
-        """All elements of length at most ``lmax`` whose length-zero factor
-        is one of ``omega_elements()``, ordered BFS by length."""
-        order = [self.gid(g) for g in self.omega_elements()]
+    def elements_up_to_length(self, lmax: int) -> list[int]:
+        """The ids of all elements of length at most ``lmax`` whose length-zero
+        factor is one of ``omega_elements()``, ordered BFS by length."""
+        order = self.omega_elements()
         lens = self.lens
         seen = set(order)
         frontier = list(order)
@@ -788,7 +756,7 @@ class AffineWeyl:
                         order.append(v)
                         nxt.append(v)
             frontier = nxt
-        return [self.elem(u) for u in order]
+        return order
 
     # -- orbits --------------------------------------------------------------
 
@@ -814,8 +782,9 @@ class AffineWeyl:
 
     # -- serialization -------------------------------------------------------
 
-    def elem_to_obj(self, g: AffineWeylElem) -> dict:
+    def elem_to_obj(self, u: int) -> dict:
+        """The id ``u`` as its finite part's 1-based word and its translation."""
         return {
-            "word": [i + 1 for i in self.fin_word(g.fin)],
-            "translation": list(g.trans),
+            "word": [i + 1 for i in self.fin_word(self.fin_part(u))],
+            "translation": list(self.trans(u)),
         }

@@ -7,11 +7,13 @@ operators, matrix elements, the spherical functional of any element, the
 double-coset route of the spherical value, the plus basis and the
 truncated series check, with two memos bounded by the datum (the left
 matrices and the intertwiner actions).  The functions give
-the trace pairing, the matrix product and inverse of group elements (the
-reference of the group's product and inverse on ids), Weyl orbits and
-cosets, the Poincare series, orbit sums, the group algebra's embedding, the
-inverse Bernstein expansion, ``q(w0)`` at the assignment and the numeric
-generating identity.
+the trace pairing; the element form ``AffineWeylElem`` of the affine Weyl
+group, its conversions to and from the group's ids, and its matrix product,
+inverse, inversion set and ``q`` (the references of the group's product,
+inverse, length and ``LabelSet.q_of_w`` on ids); Weyl orbits and cosets,
+the Poincare series, orbit sums, the group algebra's embedding, the inverse
+Bernstein expansion, ``q(w0)`` at the assignment and the numeric generating
+identity.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from affinehecke.hecke import HeckeElem
 from affinehecke.principal import ModeError, PrincipalSeries
 from affinehecke.rootdata import height, is_dominant, vadd, vneg
 from affinehecke.tracegen import PoleError, TorusPoint
-from affinehecke.weyl import AffineWeylElem
+from affinehecke.weyl import AffineRoot
 
 
 class RegionError(ValueError):
@@ -45,8 +47,40 @@ def tau_pair(H, a, b):
     for u, c in a.terms.items():
         d = b.terms.get(weyl.inverse(u))
         if d is not None:
-            out = out + c * d * H.labels.q_of_w(weyl.elem(u))
+            out = out + c * d * H.labels.q_of_w(u)
     return out
+
+
+class AffineWeylElem:
+    """``fin . t_trans``: a finite part followed by a translation, the
+    element form the group's ids are checked against."""
+
+    __slots__ = ("fin", "trans")
+
+    def __init__(self, fin, trans):
+        self.fin = fin
+        self.trans = tuple(trans)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineWeylElem:
+            return NotImplemented
+        return (self.fin, self.trans) == (other.fin, other.trans)
+
+    def __hash__(self) -> int:
+        return hash((self.fin, self.trans))
+
+    def __repr__(self) -> str:
+        return f"AffineWeylElem(fin={self.fin!r}, trans={self.trans!r})"
+
+
+def gid(weyl, g):
+    """The id of an element: ``w t_x = (w t_0)(1 t_x)``."""
+    return weyl.multiply(weyl.as_affine(g.fin), weyl.translation(g.trans))
+
+
+def elem(weyl, u):
+    """The element with id ``u``."""
+    return AffineWeylElem(weyl.fin_part(u), weyl.trans(u))
 
 
 def fin_inverse(weyl, w):
@@ -62,6 +96,31 @@ def elem_product(weyl, g, h):
 def elem_inverse(weyl, g):
     """``(w t_x)^{-1} = w^{-1} t_{-w(x)}``, by matrices."""
     return AffineWeylElem(fin_inverse(weyl, g.fin), vneg(g.fin.apply_x(g.trans)))
+
+
+def inversion_levels(weyl, g):
+    """The positive affine roots sent to negative ones by the element ``g``:
+    the reference of the length formula, counted root by root."""
+    out = []
+    datum = weyl.datum
+    pos = set(weyl.derived.positive_roots)
+    for a, b in zip(datum.roots, datum.coroots):
+        n = datum.pair(g.trans, b)
+        lo = 0 if a in pos else 1
+        for k in range(lo, n):
+            out.append(AffineRoot(b, k))
+        if n >= lo and g.fin.apply_x(a) not in pos:
+            out.append(AffineRoot(b, n))
+    return out
+
+
+def q_by_inversions(labels, g):
+    """``q(g)`` for the element ``g``: the product of affine-root labels, one
+    level up, over its inversion set; the reference of ``LabelSet.q_of_w``."""
+    exps = [0] * len(labels.vars)
+    for a in inversion_levels(labels.weyl, g):
+        exps[labels.affine_label_class(a.coroot, a.level + 1)] += 2
+    return LaurentPoly.monomial(labels.vars, tuple(exps))
 
 
 def orbit(weyl, x):
@@ -302,11 +361,11 @@ class PrincipalModel(PrincipalSeries):
         line2 = H.scale(H.mul(H.mul(partial, H.basis(tx)), sym), px)
         coeff = self.labels.q_of_fin(w_up) * px
         terms = {}
-        mul, gid = weyl.multiply, weyl.gid
+        mul = weyl.multiply
         for u in reps:
-            left = mul(gid(weyl.as_affine(u)), gid(tx))
+            left = mul(weyl.as_affine(u), tx)
             for v in self.basis_order:
-                accumulate(terms, mul(left, gid(weyl.as_affine(v))), coeff)
+                accumulate(terms, mul(left, weyl.as_affine(v)), coeff)
         return line1, line2, HeckeElem(terms)
 
     def inner_plus(self, x, y):

@@ -18,7 +18,7 @@ from affinehecke.rootdata import (
 from affinehecke.weyl import AffineWeyl
 
 from presets import NINE_PRESETS, TEN_PRESETS
-from principal_model import center_element, elem_product, embed, group_mul, orbit, reassemble
+from principal_model import center_element, elem, embed, group_mul, orbit, reassemble
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +96,8 @@ def ref_invert_basis(H, g):
     """T_g^{-1} from the one-letter inverses, last letter first, then the
     relabel by om^{-1}: the loop the inverse fold replaced, kept apart from it."""
     weyl = H.weyl
-    om, word = weyl.factor_extended(weyl.gid(g))
-    cur = {weyl.identity_id: H.labels.one()}
+    om, word = weyl.factor_extended(g)
+    cur = {weyl.identity: H.labels.one()}
     for i in reversed(word):
         cur = H._rmul_gen(cur, i, inverse=True)
     return HeckeElem(H._relabel_right(cur, weyl.inverse(om)))
@@ -140,7 +140,7 @@ def test_rmul_basis_inverse_undoes_rmul_basis(name):
     w = B.weyl
     a = H.add(B.theta((-1,) + (0,) * (B.datum.rank - 1)), H.basis(w.simple_affine(0)))
     for x in itertools.product((-1, 0, 1), repeat=B.datum.rank):
-        g = elem_product(w, w.translation(x), w.simple_affine(1 % len(w.fundamental)))
+        g = w.multiply(w.translation(x), w.simple_affine(1 % len(w.fundamental)))
         inv = H.rmul_basis(a, g, inverse=True)
         assert inv == H.mul(a, ref_invert_basis(H, g)), (name, x)
         assert H.rmul_basis(inv, g) == a, (name, x)
@@ -362,7 +362,7 @@ def ref_expand_in_bernstein(B, h, box):
     shifted = H.scale(H.rmul_basis(h, B.weyl.translation(z0)), labels.delta_sqrt(vneg(z0)))
     out = {}
     for u, c in shifted.terms.items():
-        g = B.weyl.elem(u)
+        g = elem(B.weyl, u)
         xp = g.trans
         if not is_dominant(B.datum, xp):
             raise BoxError(
@@ -387,7 +387,7 @@ def hecke_elements(draw, B):
     for _ in range(draw(st.integers(1, 3))):
         g = w.translation((0,) * rank)
         for i in draw(st.lists(st.integers(0, ngens - 1), max_size=3)):
-            g = elem_product(w, g, w.simple_affine(i))
+            g = w.multiply(g, w.simple_affine(i))
         x = draw(small_vectors(rank, bound=2))
         exps = draw(st.tuples(*[st.integers(-2, 2)] * nvars))
         c = LaurentPoly.monomial(B.labels.vars, exps, draw(st.sampled_from([1, -1, 2, -3])))

@@ -29,7 +29,7 @@ from affinehecke.rootdata import is_dominant, vneg
 from affinehecke.weyl import AffineWeyl
 
 from presets import NINE_PRESETS, TEN_PRESETS
-from principal_model import elem_inverse, elem_product, poincare
+from principal_model import elem, elem_inverse, elem_product, gid, poincare, q_by_inversions
 from xi_form import to_xi
 
 VARS = ("u", "v")
@@ -480,16 +480,30 @@ def test_q_of_w_multiplies_along_reduced_words():
             g = g2
         if not ok:
             continue
-        assert L.q_of_w(g) == L.q_of_word(word)
+        assert L.q_of_w(g) == L.q_of_word(word) == q_by_inversions(L, elem(w, g))
+
+
+@pytest.mark.parametrize("name", TEN_PRESETS)
+def test_q_of_w_is_q_over_the_inversion_set(name):
+    # q(u) read off the reduced word of factor_extended against the product
+    # of affine-root labels over u's inversion set, on every element up to
+    # length 5 (4 at rank 3) and on om t_x for every length-zero om
+    L = labels(name)
+    w = L.weyl
+    elems = w.elements_up_to_length(5 if w.rank <= 2 else 4)
+    box = itertools.product(range(-2, 3), repeat=w.rank)
+    elems += [w.multiply(om, w.translation(x)) for x in box for om in w.omega_elements()]
+    for u in elems:
+        assert L.q_of_w(u) == q_by_inversions(L, elem(w, u)), elem(w, u)
 
 
 def test_q_of_w_is_conjugation_invariant_under_omega():
     # the label of a generator equals the label of its length-zero conjugate
     L = labels("A1-weight")
     w = L.weyl
-    om = [g for g in w.omega_elements() if g != w.identity][0]
+    om = elem(w, next(u for u in w.omega_elements() if u != w.identity))
     s1 = w.simple_affine(0)
-    conj = elem_product(w, elem_product(w, om, s1), elem_inverse(w, om))
+    conj = gid(w, elem_product(w, elem_product(w, om, elem(w, s1)), elem_inverse(w, om)))
     assert w.length(conj) == 1
     assert L.q_of_w(conj) == L.q_of_w(s1)
 

@@ -269,6 +269,36 @@ def test_trace_sweep_matches_pointwise_direct():
         assert trace.trace_sweep([]) == {}
 
 
+def fresh_trace(name, items=None):
+    """A new tower, built as the command line builds it."""
+    w = AffineWeyl(build_preset(name))
+    L = LabelSet(w)
+    asg = L.numeric_assignment(dict(items), "rational") if items else None
+    return TraceGen(Bernstein(HeckeAlgebra(w, L)), asg)
+
+
+def test_the_sweep_interns_each_target_once(monkeypatch):
+    # the trace command's points on BnCn(2) at box 3: one translation per
+    # point and one for the shift, each read back by its id
+    trace = fresh_trace("BnCn(2)")
+    xs = list(itertools.product(range(-3, 4), repeat=2))
+    calls = []
+    translation = AffineWeyl.translation
+    monkeypatch.setattr(AffineWeyl, "translation", lambda self, x: calls.append(x) or translation(self, x))
+    swept = trace.trace_sweep(xs)
+    assert len(xs) == 49 and len(calls) == 50
+    assert set(swept) == set(xs)
+
+
+@pytest.mark.parametrize("items", [None, (("s1", 4), ("s2", 9), ("s0", 16))])
+def test_the_partition_route_builds_no_weyl_table(items):
+    # ``series`` reads the partition route alone, so its group stays empty
+    trace = fresh_trace("BnCn(2)", items)
+    values = trace.trace_theta_partition(trace.negative_cone_points(4))
+    assert any(values.values())
+    assert trace.weyl.lens == []
+
+
 def test_negative_cone_points_rank_one():
     trace = formal_trace("A1-weight")
     assert trace.negative_cone_points(3) == [(0,), (-2,), (-4,), (-6,)]

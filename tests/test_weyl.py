@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from affinehecke import build_preset, make_datum
 from affinehecke.rootdata import vadd, vneg, vscale, vsub
-from affinehecke.weyl import (
-    MAX_FIELD,
-    AffineRoot,
-    AffineWeyl,
-    AffineWeylElem,
-    FiniteWeylElem,
-    PackedFieldError,
-)
+from affinehecke.weyl import MAX_FIELD, AffineRoot, AffineWeyl, FiniteWeylElem, PackedFieldError
 
 from presets import TEN_PRESETS
-from principal_model import coset_data, elem_inverse, elem_product, orbit
+from principal_model import (
+    AffineWeylElem,
+    coset_data,
+    elem,
+    elem_inverse,
+    elem_product,
+    gid,
+    inversion_levels,
+    orbit,
+)
 
 
 @lru_cache(maxsize=None)
@@ -99,10 +101,16 @@ def affine_root_positive(w, a):
     return a.coroot in w.derived.positive_coroots
 
 
+def generator(w, i):
+    """The i-th generator as an element, from the group's own data and with
+    no id interned."""
+    return AffineWeylElem(w._gen_fins[i], w._gen_shifts[i])
+
+
 def ref_step(w, g, i):
-    """``(g s_i, l(g s_i) < l(g))`` by matrix products and the affine root
-    action, independent of the id tables."""
-    s = w.simple_affine(i)
+    """``(g s_i, l(g s_i) < l(g))`` for the element g, by matrix products and
+    the affine root action, independent of the id tables."""
+    s = generator(w, i)
     gs = AffineWeylElem(w.fin_mul(g.fin, s.fin), vadd(s.fin.apply_x(g.trans), s.trans))
     down = not affine_root_positive(w, act_affine_root(w, g, w.fundamental[i]))
     return gs, down
@@ -137,22 +145,26 @@ def test_length_zero_subgroup(name):
     for g in om:
         assert w.length(g) == 0
         assert not any(w.gen_step(g, i)[1] for i in range(len(w.fundamental)))
-    # the scan reads the length formula and interns no element: the only id
-    # is the identity's, which the tables intern first
+    # the scan reads the length formula and interns only what it returns:
+    # the identity, which the tables intern first, is one of them
     fresh = AffineWeyl(w.datum)
-    assert fresh.omega_elements() == om
-    assert fresh.lens == [0] and fresh.elem(fresh.identity_id) == fresh.identity
+    fresh_om = fresh.omega_elements()
+    assert [elem(fresh, u) for u in fresh_om] == [elem(w, u) for u in om]
+    assert fresh.lens == [0] * len(om) and fresh.identity in fresh_om
+    assert all(inversion_levels(w, elem(w, u)) == [] for u in om)
 
 
 def test_omega_a1_weight_element():
     w = group("A1-weight")
-    nontrivial = [g for g in w.omega_elements() if g != w.identity]
+    nontrivial = [u for u in w.omega_elements() if u != w.identity]
     assert len(nontrivial) == 1
-    (g,) = nontrivial
+    (u,) = nontrivial
+    g = elem(w, u)
     assert g.trans == (-1,)
     assert g.fin != w.id_fin
     # an involution modulo nothing: g^2 is a translation of length > 0 or e
-    assert elem_product(w, g, g) in (w.translation((-1,)), w.identity)
+    assert elem_product(w, g, g) in (elem(w, w.translation((-1,))), elem(w, w.identity))
+    assert w.multiply(u, u) == gid(w, elem_product(w, g, g))
 
 
 def test_longest_element_lengths():
@@ -168,7 +180,7 @@ def test_length_bounded_by_word_a2(word):
     w = group("A2")
     g = from_word(w, word)
     assert w.length(g) <= len(word)
-    assert len(w.inversion_levels(g)) == w.length(g)
+    assert len(inversion_levels(w, elem(w, g))) == w.length(g)
 
 
 @given(word_strategy("BnCn(2)"))
@@ -179,15 +191,15 @@ def test_gen_step_changes_length_by_one(word):
     for i in range(len(w.fundamental)):
         gs, down = w.gen_step(g, i)
         assert w.length(gs) == l + (-1 if down else 1)
-        assert (gs, down) == ref_step(w, g, i)
+        assert (elem(w, gs), down) == ref_step(w, elem(w, g), i)
 
 
 @given(word_strategy("B2"), word_strategy("B2"))
 def test_group_laws_b2(u, v):
     w = group("B2")
-    g, h = w.gid(from_word(w, u)), w.gid(from_word(w, v))
+    g, h = from_word(w, u), from_word(w, v)
     gh = w.multiply(g, h)
-    assert w.multiply(w.inverse(gh), gh) == w.multiply(gh, w.inverse(gh)) == w.identity_id
+    assert w.multiply(w.inverse(gh), gh) == w.multiply(gh, w.inverse(gh)) == w.identity
     assert w.inverse(gh) == w.multiply(w.inverse(h), w.inverse(g))
 
 
@@ -195,7 +207,7 @@ def test_group_laws_b2(u, v):
 def test_action_is_a_group_action(u, v):
     w = group("A2")
     g, h = from_word(w, u), from_word(w, v)
-    gh = w.elem(w.multiply(w.gid(g), w.gid(h)))
+    gh = w.multiply(g, h)
     for x in [(0, 0), (1, 0), (-2, 3)]:
         assert w.act_point(g, w.act_point(h, x)) == w.act_point(gh, x)
 
@@ -215,7 +227,7 @@ def test_translation_length_formula():
 def test_translations_commute():
     w = group("BnCn(2)")
     a, b = (2, -1), (1, 3)
-    assert w.multiply(w.gid(w.translation(a)), w.gid(w.translation(b))) == w.gid(w.translation(vadd(a, b)))
+    assert w.multiply(w.translation(a), w.translation(b)) == w.translation(vadd(a, b))
 
 
 def test_fin_word_roundtrip():
@@ -256,17 +268,14 @@ def test_elements_up_to_length_includes_omega_cosets():
 @given(word_strategy("BnCn(2)", max_len=5))
 def test_factor_extended(word):
     w = group("BnCn(2)")
-    g = from_word(w, word)
-    u = w.gid(g)
+    u = from_word(w, word)
     om, red = w.factor_extended(u)
-    assert w.lens[om] == 0
+    assert w.lens[om] == 0 and inversion_levels(w, elem(w, om)) == []
     assert len(red) == w.lens[u]
     back = om
     for i in red:
         back = w.step(back, i)
     assert back == u
-    # an element is factored at the public edge, and its omega is an element
-    assert w.factor_extended(g) == (w.elem(om), red)
 
 
 def test_coset_data_regular_and_singular():
@@ -338,20 +347,21 @@ def affine_elements(name):
 def test_table_kernel_matches_matrix_route(name, data):
     w = group(name)
     g = data.draw(affine_elements(name))
+    u = gid(w, g)
+    assert elem(w, u) == g
     for i in range(len(w.fundamental)):
-        gs, down = w.gen_step(g, i)
-        assert (gs, down) == ref_step(w, g, i)
-        assert w.length(gs) == len(w.inversion_levels(gs))
-    assert w.length(g) == len(w.inversion_levels(g))
-    assert w.elem(w.gid(g)) == g
-    om, word = w.factor_extended(g)
-    assert len(word) == w.length(g)
-    assert len(w.inversion_levels(om)) == 0
-    back = om
+        us, down = w.gen_step(u, i)
+        assert (elem(w, us), down) == ref_step(w, g, i)
+        assert w.length(us) == len(inversion_levels(w, elem(w, us)))
+    assert w.length(u) == len(inversion_levels(w, g))
+    om, word = w.factor_extended(u)
+    assert len(word) == w.length(u)
+    back = elem(w, om)
+    assert len(inversion_levels(w, back)) == 0
     for i in word:
         nxt, down = ref_step(w, back, i)
         assert not down
-        assert len(w.inversion_levels(nxt)) == len(w.inversion_levels(back)) + 1
+        assert len(inversion_levels(w, nxt)) == len(inversion_levels(w, back)) + 1
         back = nxt
     assert back == g
 
@@ -362,7 +372,7 @@ DISTANCE_PRESETS = ["A2", "B2", "G2", "BnCn(2)", "BnCn(3)", "GLn(3)", "A1-weight
 def extended_elements(name):
     """A length-zero element times ``affine_elements``: every Omega coset."""
     w = group(name)
-    oms = st.sampled_from(w.omega_elements())
+    oms = st.sampled_from([elem(w, u) for u in w.omega_elements()])
     return st.builds(lambda om, g: elem_product(w, om, g), oms, affine_elements(name))
 
 
@@ -372,7 +382,7 @@ def inverse_coords(w):
 
     def coords(u):
         t = w.trans(u)
-        fin = w._w_index[w.elem(u).fin.mx]
+        fin = w._w_index[w.fin_part(u).mx]
         return tuple(n + sum(a * b for a, b in zip(r, t)) for r, n in rows[fin])
 
     return coords
@@ -386,9 +396,9 @@ def test_length_is_the_l1_distance_of_inverse_coords(name, data):
     u = data.draw(extended_elements(name))
     v = data.draw(extended_elements(name))
     coords = inverse_coords(w)
-    ku, kv = coords(w.gid(u)), coords(w.gid(v))
-    assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(elem_product(w, elem_inverse(w, u), v))
-    assert sum(map(abs, ku)) == w.length(u)
+    ku, kv = coords(gid(w, u)), coords(gid(w, v))
+    assert sum(abs(a - b) for a, b in zip(ku, kv)) == w.length(gid(w, elem_product(w, elem_inverse(w, u), v)))
+    assert sum(map(abs, ku)) == w.length(gid(w, u))
 
 
 @pytest.mark.parametrize("name", list(W0_SIZES))
@@ -400,10 +410,10 @@ def test_a_step_moves_one_inverse_coord_at_its_wall_root(name, data):
     w = group(name)
     coords = inverse_coords(w)
     roots = w.derived.positive_roots
-    u = w.gid(data.draw(extended_elements(name)))
+    u = gid(w, data.draw(extended_elements(name)))
     for i in data.draw(st.lists(st.integers(0, len(w.fundamental) - 1), min_size=1, max_size=8)):
         us = w.step(u, i)
-        b = w.elem(u).fin.apply_x(w._gen_roots[i])
+        b = w.fin_part(u).apply_x(w._gen_roots[i])
         moved = [(j, y - x) for j, (x, y) in enumerate(zip(coords(u), coords(us))) if x != y]
         if b in roots:
             assert moved == [(roots.index(b), 1)]
@@ -419,10 +429,10 @@ def test_distance_to_is_the_capped_nearest_length(name, data):
     w = group(name)
     ends = data.draw(st.lists(extended_elements(name), max_size=5))
     cap = data.draw(st.integers(min_value=0, max_value=80))
-    start, _move = w.distance_to([w.gid(v) for v in ends], cap)
+    start, _move = w.distance_to([gid(w, v) for v in ends], cap)
     for u in data.draw(st.lists(extended_elements(name), min_size=1, max_size=4)):
-        dists = [w.length(elem_product(w, elem_inverse(w, u), v)) for v in ends]
-        assert start(w.gid(u))[1] == min(dists + [cap])
+        dists = [w.length(gid(w, elem_product(w, elem_inverse(w, u), v))) for v in ends]
+        assert start(gid(w, u))[1] == min(dists + [cap])
 
 
 @pytest.mark.parametrize("name", list(W0_SIZES))
@@ -432,10 +442,10 @@ def test_the_carried_distance_is_the_fresh_one(name, data):
     # a walk carries (sum, d) by ``move`` alone; small caps put most of its
     # states at l(u) >= cap + max l(v), where the sum is carried unread
     w = group(name)
-    ends = [w.gid(v) for v in data.draw(st.lists(extended_elements(name), max_size=4))]
+    ends = [gid(w, v) for v in data.draw(st.lists(extended_elements(name), max_size=4))]
     cap = data.draw(st.sampled_from([0, 1, 2, 5, 30]))
     start, move = w.distance_to(ends, cap)
-    u = w.gid(data.draw(extended_elements(name)))
+    u = gid(w, data.draw(extended_elements(name)))
     s, d = start(u)
     gens = st.integers(0, len(w.fundamental) - 1)
     for i in data.draw(st.lists(gens, min_size=1, max_size=40)):
@@ -451,7 +461,7 @@ def test_the_carried_distance_on_empty_ends_and_caps_0_and_1(name):
     # the one end is the identity, so max l(v) = 0
     w = group(name)
     n = len(w.fundamental)
-    one = w.gid(w.identity)
+    one = w.identity
     word = [i % n for i in range(8)]
     for ends in ([], [one]):
         for cap in (0, 1):
@@ -476,8 +486,8 @@ def test_inverse_id_is_the_id_of_the_inverse(name, data):
     # the inverse on ids is the id of the matrix inverse
     w = group(name)
     g = data.draw(extended_elements(name))
-    u = w.gid(g)
-    assert w.inverse(u) == w.gid(elem_inverse(w, g))
+    u = gid(w, g)
+    assert w.inverse(u) == gid(w, elem_inverse(w, g))
     assert w.inverse(w.inverse(u)) == u
 
 
@@ -487,11 +497,11 @@ def test_inverse_id_is_the_id_of_the_inverse(name, data):
 def test_id_product_and_inverse_match_the_matrix_reference(name, data):
     w = group(name)
     g, h = data.draw(extended_elements(name)), data.draw(extended_elements(name))
-    u, v = w.gid(g), w.gid(h)
-    assert w.elem(w.multiply(u, v)) == elem_product(w, g, h)
-    assert w.elem(w.inverse(u)) == elem_inverse(w, g)
-    assert w.multiply(u, w.inverse(u)) == w.multiply(w.inverse(u), u) == w.identity_id
-    assert w.multiply(u, w.identity_id) == w.multiply(w.identity_id, u) == u
+    u, v = gid(w, g), gid(w, h)
+    assert elem(w, w.multiply(u, v)) == elem_product(w, g, h)
+    assert elem(w, w.inverse(u)) == elem_inverse(w, g)
+    assert w.multiply(u, w.inverse(u)) == w.multiply(w.inverse(u), u) == w.identity
+    assert w.multiply(u, w.identity) == w.multiply(w.identity, u) == u
 
 
 @pytest.mark.parametrize("name", TEN_PRESETS)
@@ -499,12 +509,12 @@ def test_id_product_and_inverse_on_the_length_zero_elements(name):
     # Omega is a group: its products and inverses have length 0
     w = group(name)
     oms = w.omega_elements()
-    for a in oms:
-        u = w.gid(a)
-        for b in oms:
-            uv = w.multiply(u, w.gid(b))
-            assert w.elem(uv) == elem_product(w, a, b) and w.lens[uv] == 0
-        assert w.elem(w.inverse(u)) == elem_inverse(w, a) and w.lens[w.inverse(u)] == 0
+    for u in oms:
+        a = elem(w, u)
+        for v in oms:
+            uv = w.multiply(u, v)
+            assert elem(w, uv) == elem_product(w, a, elem(w, v)) and w.lens[uv] == 0
+        assert elem(w, w.inverse(u)) == elem_inverse(w, a) and w.lens[w.inverse(u)] == 0
 
 
 def test_finite_elem_equality_reads_mx_only():
@@ -518,6 +528,7 @@ def test_finite_elem_equality_reads_mx_only():
 
 
 def test_affine_elem_equality_follows_fin_and_trans():
+    # the element form of the tests' reference
     w = group("B2")
     s = w.simple_reflections[0]
     g = AffineWeylElem(s, (1, 2))
@@ -541,18 +552,18 @@ def test_fill_steps_are_the_group_product(name, seed):
     rng = random.Random(f"{name}-{seed}")
     w = AffineWeyl(build_preset(name))
     n = len(w.fundamental)
-    frontier = [w.gid(w.identity)]
+    frontier = [w.identity]
     for _ in range(30):
         i = rng.randrange(n)
         batch = rng.choices(frontier, k=min(len(frontier), 10))
         w.fill(i, batch)
         for u in batch:
             v = w.nxt[i][u]
-            g = w.elem(v)
-            assert g == elem_product(w, w.elem(u), w.simple_affine(i))
+            g = elem(w, v)
+            assert g == elem_product(w, elem(w, u), generator(w, i))
             assert w.nxt[i][v] == u
-            assert w.lens[v] == len(w.inversion_levels(g))
-            assert w.trans(v) == g.trans and w.gid(g) == v  # the tuple path finds the same id
+            assert w.lens[v] == len(inversion_levels(w, g))
+            assert w.trans(v) == g.trans and w._id_of(g.fin, g.trans) == v  # the tuple path finds the same id
         frontier = sorted(set(frontier) | {w.nxt[i][u] for u in batch})
     for row in w.nxt:
         assert len(row) == len(w.lens)
@@ -563,33 +574,33 @@ def test_an_element_past_the_packed_field_is_refused():
     # A1-weight: t = (x,) has length |x|, so the coordinate bound decides
     w = AffineWeyl(build_preset("A1-weight"))
     for x in (MAX_FIELD - 1, -MAX_FIELD):
-        g = w.translation((x,))
-        assert w.length(g) == len(w.inversion_levels(g)) == abs(x)
+        u = w.translation((x,))
+        assert w.length(u) == len(inversion_levels(w, elem(w, u))) == abs(x)
     for x in (MAX_FIELD, -MAX_FIELD - 1, 10**30):
         with pytest.raises(PackedFieldError, match=r"past the packed ids.*\[-65536, 65536\)"):
-            w.gid(w.translation((x,)))
+            w.translation((x,))
     # A2: coordinates in range, but a length past the bound
     a2 = AffineWeyl(build_preset("A2"))
     with pytest.raises(PackedFieldError, match="past the bound of 65536"):
-        a2.gid(a2.translation((MAX_FIELD - 1, 0)))
-    assert a2.lens == [0] and list(a2._ids.values()) == [a2.identity_id]  # the identity only
+        a2.translation((MAX_FIELD - 1, 0))
+    assert a2.lens == [0] and list(a2._ids.values()) == [a2.identity]  # the identity only
     # GLn: a translation along the centre has length 0 but its coordinates
     # still meet the bound
     gl = AffineWeyl(build_preset("GLn(2)"))
     assert gl.length(gl.translation((MAX_FIELD - 1,) * 2)) == 0
     with pytest.raises(PackedFieldError):
-        gl.gid(gl.translation((MAX_FIELD,) * 2))
+        gl.translation((MAX_FIELD,) * 2)
 
 
 def test_a_step_past_the_length_bound_is_refused_and_adds_no_id():
     w = AffineWeyl(build_preset("A1-weight"))
-    u = w.gid(w.translation((MAX_FIELD - 1,)))
+    u = w.translation((MAX_FIELD - 1,))
     # one generator goes up, to the bound itself; from there the other one
     # goes up past it
     i = next(i for i in range(2) if w.lens[w.step(u, i)] > w.lens[u])
     v = w.step(u, i)
     assert w.lens[v] == MAX_FIELD
-    assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
+    assert elem(w, v) == elem_product(w, elem(w, u), generator(w, i))
     count = len(w.lens)
     with pytest.raises(PackedFieldError, match=f"length {MAX_FIELD + 1}, past the bound"):
         w.step(v, 1 - i)
@@ -604,12 +615,12 @@ def test_steps_near_the_packed_bound_decode_exactly(name):
     # MAX_FIELD: the translation fields hold them, and elem reads them back
     rng = random.Random(name)
     w = AffineWeyl(build_preset(name))
-    u = w.gid(w.translation((MAX_FIELD - 1,) * w.rank))
+    u = w.translation((MAX_FIELD - 1,) * w.rank)
     for _ in range(60):
         i = rng.randrange(len(w.fundamental))
         v = w.step(u, i)
-        assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
-        assert w.lens[v] == len(w.inversion_levels(w.elem(v)))
+        assert elem(w, v) == elem_product(w, elem(w, u), generator(w, i))
+        assert w.lens[v] == len(inversion_levels(w, elem(w, v)))
         u = v
     assert max(max(w.trans(u)) for u in range(len(w.lens))) >= MAX_FIELD
 
@@ -623,12 +634,12 @@ def test_long_roots_take_64_bit_fields_and_past_that_are_refused():
     # the root (1, 2^30) puts a step's coordinates past 32 bits
     w = AffineWeyl(skewed_a1(1 << 30))
     rng = random.Random(0)
-    u = w.gid(w.identity)
+    u = w.identity
     for _ in range(40):
         i = rng.randrange(len(w.fundamental))
         v = w.step(u, i)
-        assert w.elem(v) == elem_product(w, w.elem(u), w.simple_affine(i))
+        assert elem(w, v) == elem_product(w, elem(w, u), generator(w, i))
         u = v
     assert max(abs(x) for v in range(len(w.lens)) for x in w.trans(v)) >= 1 << 31
     with pytest.raises(PackedFieldError, match="too long"):
-        AffineWeyl(skewed_a1(1 << 62)).gid(w.identity)
+        AffineWeyl(skewed_a1(1 << 62)).identity

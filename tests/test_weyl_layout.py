@@ -66,3 +66,40 @@ def test_the_collected_attributes_hold_the_packed_layout():
 
 def test_no_other_module_reads_the_weyl_groups_private_attributes():
     assert foreign_reads(weyl_private_attributes()) == []
+
+
+# The id is the group's only element form: the element class and its
+# conversions live with the tests (``tests/principal_model.py``).
+ELEMENT_FORM = {"AffineWeylElem", "gid", "elem"}
+
+
+def identifiers(tree) -> list[tuple[int, str]]:
+    """``(line, name)`` for every name a module defines, binds, reads or
+    imports: defs, classes, arguments, bare names, attributes, keywords and
+    import aliases."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.arg):
+            out.append((node.lineno, node.arg))
+        elif isinstance(node, ast.Name):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.append((node.value.lineno, node.arg))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.extend((node.lineno, n) for n in (alias.name, alias.asname) if n)
+    return out
+
+
+def test_no_module_names_an_element_form_besides_the_id():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        if name in ELEMENT_FORM
+    ]
+    assert found == []
